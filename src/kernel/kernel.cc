@@ -48,6 +48,59 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
     pageHeldCode.assign(cfg.layout.memBytes / cfg.layout.pageBytes, 0);
     pageRefs.assign(cfg.layout.memBytes / cfg.layout.pageBytes, 0);
 
+    const auto id = [this](const char *name) { return map.routine(name); };
+    rt = {
+        .locore_except = id("locore_except"),
+        .utlbmiss = id("utlbmiss"),
+        .locore_rfe = id("locore_rfe"),
+        .idleloop = id("idleloop"),
+        .spinlock_acquire = id("spinlock_acquire"),
+        .spinlock_release = id("spinlock_release"),
+        .swtch = id("swtch"),
+        .resched = id("resched"),
+        .setrq = id("setrq"),
+        .pickproc = id("pickproc"),
+        .schedcpu = id("schedcpu"),
+        .syscall_entry = id("syscall_entry"),
+        .rdwr_setup = id("rdwr_setup"),
+        .read_sys = id("read_sys"),
+        .write_sys = id("write_sys"),
+        .sginap_sys = id("sginap_sys"),
+        .fork_sys = id("fork_sys"),
+        .exec_sys = id("exec_sys"),
+        .exit_sys = id("exit_sys"),
+        .wait_sys = id("wait_sys"),
+        .brk_sys = id("brk_sys"),
+        .misc_sys = id("misc_sys"),
+        .namei = id("namei"),
+        .iget = id("iget"),
+        .iput = id("iput"),
+        .bmap = id("bmap"),
+        .getblk = id("getblk"),
+        .bread = id("bread"),
+        .bwrite = id("bwrite"),
+        .dfbmap = id("dfbmap"),
+        .vfault = id("vfault"),
+        .tfault = id("tfault"),
+        .pagealloc = id("pagealloc"),
+        .pagefree = id("pagefree"),
+        .pfdat_scan = id("pfdat_scan"),
+        .cow_break = id("cow_break"),
+        .zfod = id("zfod"),
+        .bcopy = id("bcopy"),
+        .bclear = id("bclear"),
+        .clock_intr = id("clock_intr"),
+        .callout_svc = id("callout_svc"),
+        .disk_intr = id("disk_intr"),
+        .tty_intr = id("tty_intr"),
+        .stream_svc = id("stream_svc"),
+        .disk_strategy = id("disk_strategy"),
+        .scsi_driver = id("scsi_driver"),
+        .tty_driver = id("tty_driver"),
+        .streams_core = id("streams_core"),
+        .alloc_kmem = id("alloc_kmem"),
+    };
+
     nextClockAt.assign(ncpu, 0);
     for (uint32_t c = 0; c < ncpu; ++c)
         nextClockAt[c] = m.config().clockTickCycles + c * 997;
@@ -150,6 +203,8 @@ Kernel::spawn(std::unique_ptr<AppBehavior> behavior, uint32_t image_id,
         p.state = ProcState::Ready;
         p.ticksLeft = cfg.quantumTicks;
         p.ioBufVaddr = VaMap::dataBase;
+        if (runQueue.empty())
+            m.wakeParked();
         runQueue.push_back(p.pid);
         rqSkips.push_back(0);
         return p.pid;
@@ -205,8 +260,8 @@ Kernel::registerTty(Cycle mean_gap_cycles)
     s.id = uint32_t(ttys.size());
     s.meanGap = mean_gap_cycles;
     ttys.push_back(s);
-    events.push({m.now() + mean_gap_cycles + rng.below(mean_gap_cycles),
-                 Event::Kind::TtyInput, s.id});
+    scheduleEvent({m.now() + mean_gap_cycles + rng.below(mean_gap_cycles),
+                   Event::Kind::TtyInput, s.id});
     return s.id;
 }
 
@@ -284,7 +339,7 @@ Kernel::refill(CpuId cpu)
         // Dispatch from the idle loop.
         Script s;
         emitLock(s, Runqlk);
-        emitTextByName(s, "pickproc");
+        emitText(s, rt.pickproc);
         emitTouch(s, map.runQueueAddr(), 24, false);
         emitTouch(s, map.hiNdprocAddr(), 8, false);
         emitUnlock(s, Runqlk);
@@ -297,7 +352,7 @@ Kernel::refill(CpuId cpu)
     // otherwise spends most of its kernel time re-emitting this script.
     if (idleChunk.empty()) {
         Script &s = idleChunk;
-        const RoutineId idle = map.routine("idleloop");
+        const RoutineId idle = rt.idleloop;
         const Routine &r = map.routineInfo(idle);
         s.push_back(ScriptItem::mark(MarkerOp::RoutineEnter, idle));
         const uint32_t lines = r.textBytes / cfg.layout.lineBytes;
@@ -311,6 +366,10 @@ Kernel::refill(CpuId cpu)
         s.push_back(ScriptItem::mark(MarkerOp::IdlePoll));
     }
     c.pushSeq(idleChunk);
+    // While the run queue stays empty the chunk is a pure spin: its
+    // RoutineEnter is idempotent and its IdlePoll a no-op. makeReady
+    // and spawn wake parked CPUs when the queue fills.
+    declareSpin(idleChunk);
 }
 
 void
@@ -429,8 +488,8 @@ Kernel::deliverGlobalEvent(CpuId cpu, Cycle now)
         TtySession &t = ttys[sid];
         // The typist sends a burst of 1-15 characters (paper Sec. 3).
         t.pendingChars += uint32_t(rng.range(1, 15));
-        events.push({now + t.meanGap / 2 + rng.below(t.meanGap),
-                     Event::Kind::TtyInput, sid});
+        scheduleEvent({now + t.meanGap / 2 + rng.below(t.meanGap),
+                       Event::Kind::TtyInput, sid});
         Script s = pathTtyInterrupt(cpu, sid);
         m.cpu(cpu).pushFrontSeq(s);
         return true;
@@ -449,6 +508,14 @@ Kernel::pollEvents(CpuId cpu, Cycle now)
         return;
     }
     deliverGlobalEvent(cpu, now);
+}
+
+void
+Kernel::scheduleEvent(const Event &ev)
+{
+    // A CPU parked until its old nextEventAt() would miss this one.
+    m.wakeParkedAfter(ev.when);
+    events.push(ev);
 }
 
 sim::Cycle
@@ -920,7 +987,7 @@ Kernel::onIdlePoll(CpuId cpu)
     sim::Cpu &c = m.cpu(cpu);
     Script s;
     emitLock(s, Runqlk);
-    emitTextByName(s, "pickproc");
+    emitText(s, rt.pickproc);
     emitTouch(s, map.runQueueAddr(), 24, false);
     emitUnlock(s, Runqlk);
     s.push_back(ScriptItem::mark(MarkerOp::Resched));
@@ -945,6 +1012,9 @@ Kernel::enterIdle(CpuId cpu)
 void
 Kernel::enqueueReady(Pid pid)
 {
+    // Idle CPUs spin on an empty queue: they must see it fill.
+    if (runQueue.empty())
+        m.wakeParked();
     // SysV-style priority placement: interactive (low recent CPU)
     // processes queue ahead of CPU hogs; FIFO within each class.
     Process &p = *procs[uint32_t(pid)];
@@ -1069,7 +1139,7 @@ Kernel::onResched(CpuId cpu)
 
     if (next != oldPid) {
         ++nCtxSwitches;
-        emitTextByName(s, "swtch");
+        emitText(s, rt.swtch);
         if (oldPid != sim::invalidPid) {
             // Save the outgoing registers into the old PCB.
             emitTouch(s, map.pcbAddr(procs[uint32_t(oldPid)]->slot),

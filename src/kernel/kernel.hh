@@ -215,8 +215,6 @@ class Kernel : public sim::Executor
     /// @{
     void emitText(Script &s, RoutineId r, double f0 = 0.0,
                   double f1 = 1.0);
-    void emitTextByName(Script &s, const char *name, double f0 = 0.0,
-                        double f1 = 1.0);
     void emitTouch(Script &s, Addr addr, uint32_t bytes, bool write);
     void emitLock(Script &s, uint32_t lock_id);
     void emitUnlock(Script &s, uint32_t lock_id);
@@ -337,6 +335,26 @@ class Kernel : public sim::Executor
     sim::trace::Profiler *pf = nullptr;
     util::Rng rng;
 
+    /**
+     * Ids of the routines the path builders emit, resolved by name
+     * once at construction (the layout assigns them). Fields carry the
+     * simulated kernel's symbol names.
+     */
+    struct Routines
+    {
+        RoutineId locore_except, utlbmiss, locore_rfe, idleloop,
+                  spinlock_acquire, spinlock_release;
+        RoutineId swtch, resched, setrq, pickproc, schedcpu;
+        RoutineId syscall_entry, rdwr_setup, read_sys, write_sys, sginap_sys,
+                  fork_sys, exec_sys, exit_sys, wait_sys, brk_sys, misc_sys;
+        RoutineId namei, iget, iput, bmap, getblk, bread, bwrite, dfbmap;
+        RoutineId vfault, tfault, pagealloc, pagefree, pfdat_scan, cow_break,
+                  zfod, bcopy, bclear;
+        RoutineId clock_intr, callout_svc, disk_intr, tty_intr, stream_svc;
+        RoutineId disk_strategy, scsi_driver, tty_driver, streams_core;
+        RoutineId alloc_kmem;
+    } rt;
+
     /** Scratch buffer reused by refill() for user chunk generation. */
     Script chunkBuf;
     /** The (constant) idle-loop chunk, built once on first idle. */
@@ -392,6 +410,8 @@ class Kernel : public sim::Executor
     };
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         events;
+    /** Queue a global event (and wake CPUs parked past it). */
+    void scheduleEvent(const Event &ev);
 
     std::vector<Cycle> nextClockAt;    ///< Per CPU.
     std::vector<sim::MonitorContext> prevCtx; ///< OsEnter/Exit nesting.

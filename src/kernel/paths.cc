@@ -42,12 +42,6 @@ Kernel::emitText(Script &s, RoutineId r, double f0, double f1)
 }
 
 void
-Kernel::emitTextByName(Script &s, const char *name, double f0, double f1)
-{
-    emitText(s, map.routine(name), f0, f1);
-}
-
-void
 Kernel::emitTouch(Script &s, Addr addr, uint32_t bytes, bool write)
 {
     const Addr line = Addr(cfg.layout.lineBytes);
@@ -59,28 +53,28 @@ Kernel::emitTouch(Script &s, Addr addr, uint32_t bytes, bool write)
 void
 Kernel::emitLock(Script &s, uint32_t lock_id)
 {
-    emitTextByName(s, "spinlock_acquire");
+    emitText(s, rt.spinlock_acquire);
     s.push_back(ScriptItem::mark(MarkerOp::LockAcquire, lock_id));
 }
 
 void
 Kernel::emitUnlock(Script &s, uint32_t lock_id)
 {
-    emitTextByName(s, "spinlock_release");
+    emitText(s, rt.spinlock_release);
     s.push_back(ScriptItem::mark(MarkerOp::LockRelease, lock_id));
 }
 
 void
 Kernel::emitLockShared(Script &s, uint32_t lock_id)
 {
-    emitTextByName(s, "spinlock_acquire");
+    emitText(s, rt.spinlock_acquire);
     s.push_back(ScriptItem::mark(MarkerOp::LockAcquireShared, lock_id));
 }
 
 void
 Kernel::emitUnlockShared(Script &s, uint32_t lock_id)
 {
-    emitTextByName(s, "spinlock_release");
+    emitText(s, rt.spinlock_release);
     s.push_back(ScriptItem::mark(MarkerOp::LockReleaseShared, lock_id));
 }
 
@@ -89,7 +83,7 @@ Kernel::emitPrologue(Script &s, Process &p)
 {
     // Low-level exception entry: save registers into the Eframe and
     // set up the kernel stack (the assembly stages of Table 5).
-    emitTextByName(s, "locore_except");
+    emitText(s, rt.locore_except);
     emitTouch(s, map.eframeAddr(p.slot), 172, true);
     emitTouch(s, map.kernelStackAddr(p.slot) + 4096 - 192, 192, true);
     emitTouch(s, map.procTableAddr(p.slot), 32, false);
@@ -98,7 +92,7 @@ Kernel::emitPrologue(Script &s, Process &p)
 void
 Kernel::emitEpilogue(Script &s, Process &p)
 {
-    emitTextByName(s, "locore_rfe");
+    emitText(s, rt.locore_rfe);
     emitTouch(s, map.eframeAddr(p.slot), 172, false);
     emitTouch(s, map.kernelStackAddr(p.slot) + 4096 - 96, 96, false);
 }
@@ -128,7 +122,7 @@ Kernel::emitBcopy(Script &s, Addr src, Addr dst, uint32_t bytes,
                   BlockClass cls)
 {
     blockStats.record(BlockKind::Copy, cls, bytes);
-    emitTextByName(s, "bcopy");
+    emitText(s, rt.bcopy);
     const uint32_t line = cfg.layout.lineBytes;
     const uint32_t lines = (bytes + line - 1) / line;
     for (uint32_t i = 0; i < lines; ++i) {
@@ -143,7 +137,7 @@ void
 Kernel::emitBclear(Script &s, Addr dst, uint32_t bytes, BlockClass cls)
 {
     blockStats.record(BlockKind::Clear, cls, bytes);
-    emitTextByName(s, "bclear");
+    emitText(s, rt.bclear);
     const uint32_t line = cfg.layout.lineBytes;
     const uint32_t lines = (bytes + line - 1) / line;
     for (uint32_t i = 0; i < lines; ++i)
@@ -163,7 +157,7 @@ Kernel::reclaimPages(Script &s, CpuId cpu)
     // Sweep the pfdat array looking for pages to steal (Sec. 4.2.2:
     // "a traversal of the array of page descriptors occurs when free
     // memory is needed").
-    emitTextByName(s, "pfdat_scan");
+    emitText(s, rt.pfdat_scan);
     const uint32_t entries = cfg.reclaimScanEntries;
     const uint64_t bytes = uint64_t(entries) * map.pfdatEntryBytes();
     blockStats.record(BlockKind::Traverse, BlockClass::IrregularChunk,
@@ -237,7 +231,7 @@ Kernel::allocPage(Script &s, CpuId cpu)
     freePages.pop_back();
     pageRefs[ppage] = 1;
 
-    emitTextByName(s, "pagealloc");
+    emitText(s, rt.pagealloc);
     emitLock(s, Memlock);
     emitTouch(s, map.freePgBuckAddr(uint32_t(rng.below(384))), 8, true);
     emitTouch(s, map.pfdatAddr(ppage), map.pfdatEntryBytes(), true);
@@ -296,7 +290,7 @@ Kernel::ensureResident(Script &s, CpuId cpu, Process &p, Addr vaddr,
     if (pte && pte->present) {
         if (for_write && pte->cow) {
             // Break copy-on-write inline.
-            emitTextByName(s, "cow_break");
+            emitText(s, rt.cow_break);
             const uint64_t old = pte->ppage;
             const uint64_t np = allocPage(s, cpu);
             emitBcopy(s, old * cfg.layout.pageBytes,
@@ -322,7 +316,7 @@ Kernel::ensureResident(Script &s, CpuId cpu, Process &p, Addr vaddr,
     }
     const uint64_t np = allocPage(s, cpu);
     if (!for_write) {
-        emitTextByName(s, "zfod");
+        emitText(s, rt.zfod);
         emitBclear(s, np * cfg.layout.pageBytes, cfg.layout.pageBytes,
                    BlockClass::FullPage);
     }
@@ -344,7 +338,7 @@ Kernel::pathUtlbFault(Process &p, Addr vpage, const Pte &pte)
     Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter,
                                  uint64_t(OsOp::UtlbFault)));
-    emitTextByName(s, "utlbmiss");
+    emitText(s, rt.utlbmiss);
     const Addr pt = map.pageTableAddr(p.slot) +
                     (vpage % 1024) * 4;
     s.push_back(ScriptItem::load(pt));
@@ -381,7 +375,7 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
         MarkerOp::OsEnter, uint64_t(expensive ? OsOp::ExpensiveTlbFault
                                               : OsOp::CheapTlbFault)));
     emitPrologue(s, p);
-    emitTextByName(s, isText ? "tfault" : "vfault");
+    emitText(s, isText ? rt.tfault : rt.vfault);
     emitTouch(s, map.kernelStackAddr(p.slot) + 4096 - 768, 384, true);
     emitTouch(s, map.uRestAddr(p.slot) + 1024, 64, true);
 
@@ -396,7 +390,7 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
         Pte *pte = p.findPte(vpage);
         if (!pte || !pte->present)
             util::panic("protection fault on non-resident page");
-        emitTextByName(s, "cow_break");
+        emitText(s, rt.cow_break);
         const uint64_t old = pte->ppage;
         const uint64_t np = allocPage(s, cpu);
         emitBcopy(s, old * cfg.layout.pageBytes,
@@ -416,7 +410,7 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
                       false);
         } else {
             pp = allocPage(s, cpu);
-            emitTextByName(s, "zfod");
+            emitText(s, rt.zfod);
             emitBclear(s, pp * cfg.layout.pageBytes,
                        cfg.layout.pageBytes, BlockClass::FullPage);
             sharedMap[vpage] = pp;
@@ -438,14 +432,14 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
             // page with its following neighbours into one transfer.
             pp = allocPage(s, cpu);
             const uint32_t ino = 1000 + p.imageId;
-            emitTextByName(s, "iget", 0.0, 0.5);
+            emitText(s, rt.iget, 0.0, 0.5);
             emitLockShared(s, inoLock(ino));
             emitTouch(s, map.inodeAddr(ino), 64, false);
             emitUnlockShared(s, inoLock(ino));
-            emitTextByName(s, "bmap", 0.0, 0.8);
-            emitTextByName(s, "disk_strategy");
+            emitText(s, rt.bmap, 0.0, 0.8);
+            emitText(s, rt.disk_strategy);
             const double off = rng.real() * 0.9;
-            emitTextByName(s, "scsi_driver", off, off + 0.08);
+            emitText(s, rt.scsi_driver, off, off + 0.08);
             s.push_back(ScriptItem::uncachedStore(0x40000000));
             s.push_back(ScriptItem::uncachedStore(0x40000010));
 
@@ -470,8 +464,8 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
             }
 
             const Cycle wake = disk.schedule(m.now(), kluster);
-            events.push({wake, Event::Kind::DiskDone,
-                         uint64_t(p.pid)});
+            scheduleEvent({wake, Event::Kind::DiskDone,
+                           uint64_t(p.pid)});
             s.push_back(ScriptItem::mark(MarkerOp::SleepDisk, wake));
             // DMA fills the pages; update the descriptors afterwards.
             emitTouch(s, map.pfdatAddr(pp), map.pfdatEntryBytes(),
@@ -484,7 +478,7 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
     } else {
         // Demand-zero data or stack page.
         const uint64_t pp = allocPage(s, cpu);
-        emitTextByName(s, "zfod");
+        emitText(s, rt.zfod);
         emitBclear(s, pp * cfg.layout.pageBytes, cfg.layout.pageBytes,
                    BlockClass::FullPage);
         p.pageTable[vpage] =
@@ -527,19 +521,19 @@ Kernel::pathSyscall(CpuId cpu, Process &p, Sys n, uint64_t payload)
     Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter, uint64_t(op)));
     emitPrologue(s, p);
-    emitTextByName(s, "syscall_entry");
+    emitText(s, rt.syscall_entry);
     emitTouch(s, map.uRestAddr(p.slot) + 16, 96, false);
     emitTouch(s, map.procTableAddr(p.slot), 32, false);
 
     bool ends_with_resched = false;
     switch (n) {
       case Sys::Read:
-        emitTextByName(s, "rdwr_setup");
+        emitText(s, rt.rdwr_setup);
         emitTouch(s, map.uRestAddr(p.slot) + 128, 64, true);
         bodyRead(s, cpu, p, payload);
         break;
       case Sys::Write:
-        emitTextByName(s, "rdwr_setup");
+        emitText(s, rt.rdwr_setup);
         emitTouch(s, map.uRestAddr(p.slot) + 128, 64, true);
         bodyWrite(s, cpu, p, payload);
         break;
@@ -585,10 +579,10 @@ Kernel::pathFutexWait(Process &p, uint32_t lock_id)
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter,
                                  uint64_t(OsOp::OtherSyscall)));
     emitPrologue(s, p);
-    emitTextByName(s, "syscall_entry");
+    emitText(s, rt.syscall_entry);
     emitTouch(s, map.uRestAddr(p.slot) + 16, 96, false);
     emitTouch(s, map.procTableAddr(p.slot), 32, false);
-    emitTextByName(s, "sginap_sys"); // sleep/wakeup plumbing
+    emitText(s, rt.sginap_sys); // sleep/wakeup plumbing
     s.push_back(ScriptItem::mark(MarkerOp::Custom, customFutexWait,
                                  lock_id));
     emitEpilogue(s, p);
@@ -600,14 +594,14 @@ void
 Kernel::bodyTtyRead(Script &s, Process &p, uint32_t session,
                     uint32_t bytes)
 {
-    emitTextByName(s, "read_sys", 0.0, 0.4);
+    emitText(s, rt.read_sys, 0.0, 0.4);
     const uint32_t slock = streamsLock(session);
     // The per-session stream buffer lives in the tail of buffer data.
     const Addr qaddr =
         map.bufDataAddr(cfg.layout.numBuffers - 1 - session % 8);
 
     emitLock(s, slock);
-    emitTextByName(s, "streams_core", 0.0, 0.03);
+    emitText(s, rt.streams_core, 0.0, 0.03);
     emitTouch(s, qaddr, 64, false);
     emitUnlock(s, slock);
 
@@ -616,7 +610,7 @@ Kernel::bodyTtyRead(Script &s, Process &p, uint32_t session,
 
     // After input is available: pull the characters to the user.
     emitLock(s, slock);
-    emitTextByName(s, "tty_driver", 0.0, 0.02);
+    emitText(s, rt.tty_driver, 0.0, 0.02);
     const uint64_t dst =
         ensureResident(s, 0, p, p.ioBufVaddr, true);
     emitBcopy(s, qaddr, dst * cfg.layout.pageBytes,
@@ -641,7 +635,7 @@ Kernel::bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload)
     if (start == 0) {
         // First read = open: pathname lookup and inode grab, with the
         // path string copied in (an irregular block copy).
-        emitTextByName(s, "namei", 0.0, 0.9);
+        emitText(s, rt.namei, 0.0, 0.9);
         const uint64_t sp = ensureResident(
             s, cpu, p, VaMap::stackBase + 0x100, false);
         emitBcopy(s, sp * cfg.layout.pageBytes,
@@ -653,7 +647,7 @@ Kernel::bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload)
         emitUnlockShared(s, Ifree);
     }
 
-    emitTextByName(s, "read_sys");
+    emitText(s, rt.read_sys);
     emitLockShared(s, inoLock(ino));
     emitTouch(s, map.inodeAddr(ino), 64, false);
     emitUnlockShared(s, inoLock(ino));
@@ -675,12 +669,12 @@ Kernel::bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload)
             std::min(left, cfg.layout.pageBytes);
         left -= chunk;
 
-        emitTextByName(s, "bmap", 0.0, 0.8);
+        emitText(s, rt.bmap, 0.0, 0.8);
         emitTouch(s, map.uRestAddr(p.slot) + 512, 48, true);
         emitTouch(s, map.kernelStackAddr(p.slot) + 4096 - 1536, 256,
                   true);
         emitLock(s, Bfreelock);
-        emitTextByName(s, "getblk", 0.0, 0.9);
+        emitText(s, rt.getblk, 0.0, 0.9);
         const uint32_t chain = bufcache.chainLength(blkno);
         for (uint32_t i = 0; i < chain; ++i) {
             emitTouch(s,
@@ -700,22 +694,22 @@ Kernel::bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload)
             emitUnlock(s, Bfreelock);
             if (g.wasDirty) {
                 // Asynchronous write-back of the victim.
-                emitTextByName(s, "bwrite", 0.0, 0.4);
+                emitText(s, rt.bwrite, 0.0, 0.4);
                 disk.schedule(m.now(), 1);
             }
-            emitTextByName(s, "bread");
-            emitTextByName(s, "disk_strategy");
+            emitText(s, rt.bread);
+            emitText(s, rt.disk_strategy);
             const double off = rng.real() * 0.85;
-            emitTextByName(s, "scsi_driver", off, off + 0.12);
+            emitText(s, rt.scsi_driver, off, off + 0.12);
             s.push_back(ScriptItem::uncachedStore(0x40000000));
             s.push_back(ScriptItem::uncachedStore(0x40000010));
             const Cycle wake = disk.schedule(m.now(), 1);
-            events.push({wake, Event::Kind::DiskDone,
-                         uint64_t(p.pid)});
+            scheduleEvent({wake, Event::Kind::DiskDone,
+                           uint64_t(p.pid)});
             s.push_back(ScriptItem::mark(MarkerOp::SleepDisk, wake));
             // Return path: back up through bread/read_sys frames.
-            emitTextByName(s, "bread", 0.5, 1.0);
-            emitTextByName(s, "read_sys", 0.4, 1.0);
+            emitText(s, rt.bread, 0.5, 1.0);
+            emitText(s, rt.read_sys, 0.4, 1.0);
             emitTouch(s, map.bufHeaderAddr(g.index), 68, true);
         }
         // Copy the block to the user's buffer.
@@ -739,7 +733,7 @@ Kernel::bodyWrite(Script &s, CpuId cpu, Process &p, uint64_t payload)
     const bool sync = ioSync(payload);
     const uint32_t ino = file;
 
-    emitTextByName(s, "write_sys");
+    emitText(s, rt.write_sys);
     emitLockShared(s, inoLock(ino));
     emitTouch(s, map.inodeAddr(ino), 64, false);
     emitUnlockShared(s, inoLock(ino));
@@ -760,13 +754,13 @@ Kernel::bodyWrite(Script &s, CpuId cpu, Process &p, uint64_t payload)
         left -= chunk;
 
         // Allocate the disk block for file growth.
-        emitTextByName(s, "dfbmap", 0.0, 0.5);
+        emitText(s, rt.dfbmap, 0.0, 0.5);
         emitLock(s, Dfbmaplk);
         emitTouch(s, map.inodeAddr(ino) + 128, 16, true);
         emitUnlock(s, Dfbmaplk);
 
         emitLock(s, Bfreelock);
-        emitTextByName(s, "getblk", 0.0, 0.9);
+        emitText(s, rt.getblk, 0.0, 0.9);
         int32_t idx = bufcache.lookup(blkno);
         if (idx >= 0) {
             bufcache.touchUse(uint32_t(idx));
@@ -776,7 +770,7 @@ Kernel::bodyWrite(Script &s, CpuId cpu, Process &p, uint64_t payload)
             idx = int32_t(g.index);
             emitTouch(s, map.bufHeaderAddr(g.index), 68, true);
             if (g.wasDirty) {
-                emitTextByName(s, "bwrite", 0.0, 0.4);
+                emitText(s, rt.bwrite, 0.0, 0.4);
                 disk.schedule(m.now(), 1);
             }
         }
@@ -789,14 +783,14 @@ Kernel::bodyWrite(Script &s, CpuId cpu, Process &p, uint64_t payload)
 
         if (sync) {
             // Synchronous write (e.g. a database log): wait for it.
-            emitTextByName(s, "bwrite");
-            emitTextByName(s, "disk_strategy");
+            emitText(s, rt.bwrite);
+            emitText(s, rt.disk_strategy);
             const double off = rng.real() * 0.9;
-            emitTextByName(s, "scsi_driver", off, off + 0.08);
+            emitText(s, rt.scsi_driver, off, off + 0.08);
             s.push_back(ScriptItem::uncachedStore(0x40000000));
             const Cycle wake = disk.schedule(m.now(), 1);
-            events.push({wake, Event::Kind::DiskDone,
-                         uint64_t(p.pid)});
+            scheduleEvent({wake, Event::Kind::DiskDone,
+                           uint64_t(p.pid)});
             s.push_back(ScriptItem::mark(MarkerOp::SleepDisk, wake));
             bufcache.clean(uint32_t(idx));
         }
@@ -811,7 +805,7 @@ void
 Kernel::bodySginap(Script &s, Process &p)
 {
     (void)p;
-    emitTextByName(s, "sginap_sys");
+    emitText(s, rt.sginap_sys);
     emitLock(s, Semlock);
     emitTouch(s, map.calloutAddr(32), 16, false);
     emitUnlock(s, Semlock);
@@ -843,7 +837,7 @@ Kernel::bodyFork(Script &s, CpuId cpu, Process &parent)
         m.cpu(c).tlb.invalidatePid(child.pid);
 
     ++nForks;
-    emitTextByName(s, "fork_sys");
+    emitText(s, rt.fork_sys);
     // Scan the process table for a free slot, then fill it in.
     emitTouch(s, map.procTableAddr(0), 8 * map.procEntryBytes(), false);
     emitTouch(s, map.procTableAddr(child.slot), map.procEntryBytes(),
@@ -903,7 +897,7 @@ Kernel::bodyFork(Script &s, CpuId cpu, Process &parent)
                     "kernel client did not install a child behavior");
 
     emitLock(s, Runqlk);
-    emitTextByName(s, "setrq");
+    emitText(s, rt.setrq);
     emitTouch(s, map.runQueueAddr(), 24, true);
     emitUnlock(s, Runqlk);
     makeReady(child.pid);
@@ -917,10 +911,10 @@ Kernel::bodyExec(Script &s, CpuId cpu, Process &p, uint32_t image_id)
         util::raise(util::ErrCode::BadConfig,
                     "exec: unknown image %u (have %u)", image_id,
                     uint32_t(images.size()));
-    emitTextByName(s, "exec_sys");
+    emitText(s, rt.exec_sys);
 
     // Pathname lookup + argv copy-in.
-    emitTextByName(s, "namei", 0.0, 0.8);
+    emitText(s, rt.namei, 0.0, 0.8);
     const uint64_t sp =
         ensureResident(s, cpu, p, VaMap::stackBase + 0x200, false);
     emitBcopy(s, sp * cfg.layout.pageBytes,
@@ -933,7 +927,7 @@ Kernel::bodyExec(Script &s, CpuId cpu, Process &p, uint32_t image_id)
 
     // Release the old address space.
     emitLock(s, shrLock(p.slot));
-    emitTextByName(s, "pagefree");
+    emitText(s, rt.pagefree);
     emitLock(s, Memlock);
     releasePrivatePages(s, p);
     emitUnlock(s, Memlock);
@@ -953,11 +947,11 @@ Kernel::bodyExit(Script &s, CpuId cpu, Process &p)
 {
     (void)cpu;
     ++nExits;
-    emitTextByName(s, "exit_sys");
+    emitText(s, rt.exit_sys);
 
     // Release the address space.
     emitLock(s, shrLock(p.slot));
-    emitTextByName(s, "pagefree");
+    emitText(s, rt.pagefree);
     emitLock(s, Memlock);
     releasePrivatePages(s, p);
     emitUnlock(s, Memlock);
@@ -965,7 +959,7 @@ Kernel::bodyExit(Script &s, CpuId cpu, Process &p)
     emitUnlock(s, shrLock(p.slot));
 
     // Close files.
-    emitTextByName(s, "iput");
+    emitText(s, rt.iput);
     emitLock(s, Ifree);
     emitTouch(s, map.inodeAddr(uint32_t(p.pid) * 7), 32, true);
     emitUnlock(s, Ifree);
@@ -982,7 +976,7 @@ Kernel::bodyExit(Script &s, CpuId cpu, Process &p)
                 par.waitingForChild = false;
                 --par.pendingChildExits;
                 emitLock(s, Runqlk);
-                emitTextByName(s, "setrq");
+                emitText(s, rt.setrq);
                 emitTouch(s, map.runQueueAddr(), 24, true);
                 emitTouch(s, map.procTableAddr(par.slot), 48, true);
                 emitUnlock(s, Runqlk);
@@ -999,7 +993,7 @@ Kernel::bodyExit(Script &s, CpuId cpu, Process &p)
 void
 Kernel::bodyWait(Script &s, Process &p)
 {
-    emitTextByName(s, "wait_sys");
+    emitText(s, rt.wait_sys);
     emitTouch(s, map.procTableAddr(0), 8 * map.procEntryBytes(), false);
     if (p.pendingChildExits > 0) {
         // Reap one exited child immediately (the zombie's slot is
@@ -1019,7 +1013,7 @@ Kernel::bodyBrk(Script &s, CpuId cpu, Process &p, uint32_t pages)
 {
     (void)cpu;
     (void)pages;
-    emitTextByName(s, "brk_sys");
+    emitText(s, rt.brk_sys);
     emitLock(s, shrLock(p.slot));
     emitTouch(s, map.pageTableAddr(p.slot), 64, true);
     emitUnlock(s, shrLock(p.slot));
@@ -1029,7 +1023,7 @@ void
 Kernel::bodyOther(Script &s, CpuId cpu, Process &p)
 {
     const double hi = 0.3 + rng.real() * 0.7;
-    emitTextByName(s, "misc_sys", hi - 0.3, hi);
+    emitText(s, rt.misc_sys, hi - 0.3, hi);
     emitTouch(s, map.uRestAddr(p.slot) + 256, 64, true);
     if (rng.chance(0.5)) {
         // Parameter copy-in/out: an irregular block copy.
@@ -1041,7 +1035,7 @@ Kernel::bodyOther(Script &s, CpuId cpu, Process &p)
                   BlockClass::IrregularChunk);
     }
     if (rng.chance(0.15)) {
-        emitTextByName(s, "alloc_kmem");
+        emitText(s, rt.alloc_kmem);
         emitBclear(s, map.pageTableAddr(p.slot) + 3584,
                    48 + uint32_t(rng.below(128)),
                    BlockClass::IrregularChunk);
@@ -1055,11 +1049,11 @@ Kernel::bodyOther(Script &s, CpuId cpu, Process &p)
 void
 Kernel::emitReschedSeq(Script &s)
 {
-    emitTextByName(s, "resched");
+    emitText(s, rt.resched);
     emitLock(s, Runqlk);
-    emitTextByName(s, "setrq");
+    emitText(s, rt.setrq);
     emitTouch(s, map.runQueueAddr(), 24, true);
-    emitTextByName(s, "pickproc");
+    emitText(s, rt.pickproc);
     emitTouch(s, map.hiNdprocAddr(), 8, false);
     // Peek at the head of the queue (what pickproc will look at).
     const uint32_t peek = std::min<uint32_t>(3,
@@ -1087,11 +1081,11 @@ Kernel::pathClockInterrupt(CpuId cpu)
     if (p)
         emitPrologue(s, *p);
 
-    emitTextByName(s, "clock_intr");
+    emitText(s, rt.clock_intr);
     emitTouch(s, map.kernelStackAddr(p ? p->slot : 0) + 4096 - 512,
               128, true);
     emitLock(s, Calock);
-    emitTextByName(s, "callout_svc", 0.0, 0.5);
+    emitText(s, rt.callout_svc, 0.0, 0.5);
     emitTouch(s, map.calloutAddr(uint32_t(clockCount % 64)), 32, false);
     if (rng.chance(0.25))
         emitTouch(s, map.calloutAddr(uint32_t(clockCount % 64)), 16,
@@ -1105,7 +1099,7 @@ Kernel::pathClockInterrupt(CpuId cpu)
 
     if (clockCount % 4 == 0) {
         // Periodic priority recomputation sweeps the process table.
-        emitTextByName(s, "schedcpu");
+        emitText(s, rt.schedcpu);
         for (uint32_t i = 0; i < 8; ++i) {
             emitTouch(s, map.procTableAddr((uint32_t(clockCount) + i) %
                                            cfg.layout.maxProcs),
@@ -1140,9 +1134,9 @@ Kernel::pathDiskInterrupt(CpuId cpu, Pid sleeper)
     if (p)
         emitPrologue(s, *p);
 
-    emitTextByName(s, "disk_intr");
+    emitText(s, rt.disk_intr);
     const double off = rng.real() * 0.9;
-    emitTextByName(s, "scsi_driver", off, off + 0.06);
+    emitText(s, rt.scsi_driver, off, off + 0.06);
     s.push_back(ScriptItem::uncachedLoad(0x40000000));
     s.push_back(ScriptItem::uncachedLoad(0x40000020));
     s.push_back(ScriptItem::uncachedStore(0x40000010));
@@ -1152,7 +1146,7 @@ Kernel::pathDiskInterrupt(CpuId cpu, Pid sleeper)
     if (sp.state == ProcState::Blocked && !sp.waitingForChild &&
         sp.blockedOnTty < 0) {
         emitLock(s, Runqlk);
-        emitTextByName(s, "setrq");
+        emitText(s, rt.setrq);
         emitTouch(s, map.runQueueAddr(), 24, true);
         emitTouch(s, map.procTableAddr(sp.slot), 48, true);
         emitUnlock(s, Runqlk);
@@ -1179,10 +1173,10 @@ Kernel::pathTtyInterrupt(CpuId cpu, uint32_t session)
     if (p)
         emitPrologue(s, *p);
 
-    emitTextByName(s, "tty_intr");
+    emitText(s, rt.tty_intr);
     const uint32_t slock = streamsLock(session);
     emitLock(s, slock);
-    emitTextByName(s, "stream_svc", 0.0, 0.4);
+    emitText(s, rt.stream_svc, 0.0, 0.4);
     const Addr qaddr =
         map.bufDataAddr(cfg.layout.numBuffers - 1 - session % 8);
     emitTouch(s, qaddr, 48, true);
@@ -1195,7 +1189,7 @@ Kernel::pathTtyInterrupt(CpuId cpu, uint32_t session)
             rp.blockedOnTty == int32_t(session)) {
             rp.blockedOnTty = -1;
             emitLock(s, Runqlk);
-            emitTextByName(s, "setrq");
+            emitText(s, rt.setrq);
             emitTouch(s, map.runQueueAddr(), 24, true);
             emitTouch(s, map.procTableAddr(rp.slot), 48, true);
             emitUnlock(s, Runqlk);

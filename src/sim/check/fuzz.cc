@@ -133,8 +133,10 @@ class EventRecorder : public MonitorObserver
 /**
  * Executor interpreting the fuzz scripts: OS enter/exit markers drive
  * the monitor context, lock markers drive the sync transport, TLB
- * faults install the identity mapping, and a dry script idles with
- * Think items so time keeps advancing.
+ * faults install the identity mapping, and a CPU whose program is done
+ * spins on a declared chunk -- two instruction fetches and loads of
+ * pool lines the other CPUs' programs store to -- so the fast core
+ * parks it and their stores and I-cache flushes wake it.
  */
 class ScriptedExecutor : public Executor
 {
@@ -155,13 +157,20 @@ class ScriptedExecutor : public Executor
         uint32_t pendingCount = 0;
     };
 
-    explicit ScriptedExecutor(Machine &machine,
-                              FaultPlan *faults = nullptr)
+    /** @param spin_lines Data lines the finished CPUs' spin loads. */
+    ScriptedExecutor(Machine &machine,
+                     const std::vector<Addr> &spin_lines,
+                     FaultPlan *faults = nullptr)
         : m(machine), fp(faults),
           lsim(machine.sync().numLocks(),
                LockSim{std::vector<uint8_t>(machine.numCpus(), 0),
                        {}, 0})
     {
+        const Addr code = machine.config().memBytes / 2;
+        spin = {ScriptItem::ifetch(code),
+                ScriptItem::ifetch(code + machine.config().lineBytes)};
+        for (Addr line : spin_lines)
+            spin.push_back(ScriptItem::load(line));
     }
 
     const std::vector<LockSim> &lockSimState() const { return lsim; }
@@ -174,7 +183,8 @@ class ScriptedExecutor : public Executor
     void
     refill(CpuId cpu) override
     {
-        m.cpu(cpu).push(ScriptItem::think(64));
+        m.cpu(cpu).pushSeq(spin);
+        declareSpin(spin);
     }
 
     void
@@ -374,6 +384,7 @@ class ScriptedExecutor : public Executor
     Machine &m;
     FaultPlan *fp; ///< Null outside fault-injection campaigns.
     std::vector<LockSim> lsim; ///< Per-lock translation state.
+    std::vector<ScriptItem> spin; ///< A finished CPU's spin chunk.
 };
 
 /** Final machine state flattened for bit-exact comparison. */
@@ -427,6 +438,17 @@ buildPool(util::Rng &rng, const FuzzOptions &opt,
     const uint64_t lines = cfg.memBytes / cfg.lineBytes;
     for (uint32_t i = 0; i < opt.poolLines; ++i)
         pool.push_back(rng.below(lines) * cfg.lineBytes);
+    return pool;
+}
+
+/** The lines finished CPUs spin on: the pool's first few, which the
+ *  programs load and store like every other pool line. */
+std::vector<Addr>
+spinLinesFor(uint64_t seed, const FuzzOptions &opt)
+{
+    util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
+    std::vector<Addr> pool = buildPool(rng, opt, opt.machineConfig());
+    pool.resize(std::min<size_t>(pool.size(), 4));
     return pool;
 }
 
@@ -572,7 +594,8 @@ enum class RunMode { Fast, Slow, Parallel };
 void
 runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
        RunMode mode, std::vector<Event> &events, StateSnapshot &state,
-       std::vector<std::string> &violations, uint64_t &checks)
+       std::vector<std::string> &violations, uint64_t &checks,
+       uint64_t &parked)
 {
     MachineConfig cfg = opt.machineConfig();
     cfg.slowSim = mode == RunMode::Slow;
@@ -607,7 +630,7 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
         chk->setMappingValidator(identityValidator);
     }
 
-    ScriptedExecutor exec(m);
+    ScriptedExecutor exec(m, spinLinesFor(seed, opt));
     m.setExecutor(&exec);
 
     EventRecorder rec;
@@ -632,6 +655,7 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
 
     events = std::move(rec.events);
     state = capture(m, pool);
+    parked = m.parkedCycles();
 }
 
 /**
@@ -645,8 +669,9 @@ struct FuzzRig
     ScriptedExecutor exec;
     EventRecorder rec;
 
-    FuzzRig(const MachineConfig &cfg, const FuzzOptions &opt)
-        : m(cfg, opt.numLocks), exec(m)
+    FuzzRig(const MachineConfig &cfg, const FuzzOptions &opt,
+            uint64_t seed)
+        : m(cfg, opt.numLocks), exec(m, spinLinesFor(seed, opt))
     {
         if (Checker *chk = m.checker()) {
             chk->setAbortOnViolation(false);
@@ -689,7 +714,7 @@ runSnapshotDifferential(uint64_t seed, const FuzzOptions &opt,
     std::vector<Event> refEv;
     StateSnapshot refState;
     {
-        FuzzRig rig(cfg, opt);
+        FuzzRig rig(cfg, opt, seed);
         for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
             Cpu &cpu = rig.m.cpu(c);
             cpu.ctx.mode = ExecMode::User;
@@ -715,7 +740,7 @@ runSnapshotDifferential(uint64_t seed, const FuzzOptions &opt,
         // restored half translates mid-attempt polls identically.
         std::vector<ScriptedExecutor::LockSim> cutLockSim;
         {
-            FuzzRig rig(cfg, opt);
+            FuzzRig rig(cfg, opt, seed);
             for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
                 Cpu &cpu = rig.m.cpu(c);
                 cpu.ctx.mode = ExecMode::User;
@@ -738,7 +763,7 @@ runSnapshotDifferential(uint64_t seed, const FuzzOptions &opt,
             // The restored machine gets fresh wiring (executor,
             // recorder, checker); per-CPU contexts and script queues
             // come from the snapshot, so no re-initialization here.
-            FuzzRig rig(cfg, opt);
+            FuzzRig rig(cfg, opt, seed);
             const auto parsed = snapshot::parse(image);
             util::ByteReader r(
                 parsed.section(snapshot::Section::Machine));
@@ -824,17 +849,19 @@ runDifferential(uint64_t seed, const FuzzOptions &opt,
     StateSnapshot fastState, slowState, parState;
     std::vector<std::string> fastViol, slowViol, parViol;
     uint64_t fastChecks = 0, slowChecks = 0, parChecks = 0;
+    uint64_t fastParked = 0, slowParked = 0, parParked = 0;
 
     runOne(seed, opt, prefix_len, RunMode::Fast, fastEv, fastState,
-           fastViol, fastChecks);
+           fastViol, fastChecks, fastParked);
     runOne(seed, opt, prefix_len, RunMode::Slow, slowEv, slowState,
-           slowViol, slowChecks);
+           slowViol, slowChecks, slowParked);
     const bool par = opt.simThreads > 1;
     if (par)
         runOne(seed, opt, prefix_len, RunMode::Parallel, parEv,
-               parState, parViol, parChecks);
+               parState, parViol, parChecks, parParked);
 
     FuzzOutcome out;
+    out.parkedCycles = fastParked;
     out.eventsCompared = fastEv.size() + (par ? parEv.size() : 0);
     out.checksPerformed = fastChecks + slowChecks + parChecks;
     out.violations = fastViol;
@@ -932,7 +959,7 @@ runFaulted(uint64_t seed, const FuzzOptions &opt)
         chk->setMappingValidator(identityValidator);
     }
 
-    ScriptedExecutor exec(m, fp);
+    ScriptedExecutor exec(m, spinLinesFor(seed, opt), fp);
     m.setExecutor(&exec);
 
     for (CpuId c = 0; c < m.numCpus(); ++c) {
@@ -1098,7 +1125,7 @@ buildCorruptBaseImage(uint64_t seed, const FuzzOptions &opt)
     const MachineConfig cfg = opt.machineConfig();
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
-    FuzzRig rig(cfg, opt);
+    FuzzRig rig(cfg, opt, seed);
     for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
         Cpu &cpu = rig.m.cpu(c);
         cpu.ctx.mode = ExecMode::User;
@@ -1139,7 +1166,7 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
         tcfg.traceRingEntries = 4096;
         std::vector<std::vector<ScriptItem>> scripts =
             buildFuzzScripts(seed ^ 1, opt);
-        FuzzRig rig(tcfg, opt);
+        FuzzRig rig(tcfg, opt, seed ^ 1);
         for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
             Cpu &cpu = rig.m.cpu(c);
             cpu.ctx.mode = ExecMode::User;
@@ -1173,7 +1200,7 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
         if (snap) {
             try {
                 const snapshot::Parsed parsed = snapshot::parse(img);
-                FuzzRig rig(cfg, opt);
+                FuzzRig rig(cfg, opt, seed);
                 util::ByteReader r(
                     parsed.section(snapshot::Section::Machine));
                 rig.m.restoreState(r);

@@ -81,6 +81,8 @@ struct FuzzOutcome
     uint64_t eventsCompared = 0;
     /** Checker work performed across both runs (CheckStats::total). */
     uint64_t checksPerformed = 0;
+    /** CPU-cycles the fast run's parked CPUs ran arithmetically. */
+    uint64_t parkedCycles = 0;
 };
 
 /**

@@ -282,6 +282,35 @@ class Executor
         (void)cpu;
         return 0;
     }
+
+  protected:
+    /**
+     * Declare, from inside refill(), that the items just pushed are a
+     * spin chunk: Loads and IFetchLines on physical addresses plus
+     * markers, where the markers before the first reference are
+     * idempotent and every later marker is a no-op, and refill()
+     * pushes the same chunk again when it runs out. While every
+     * reference of the chunk hits, the fast scheduler may stop
+     * stepping the CPU and account its spin arithmetically (see
+     * Machine::runFast). The executor must call Machine::wakeParked()
+     * when a premise of the spin ends; the deadline is nextEventAt().
+     * The chunk must outlive the refill() call.
+     */
+    static void
+    declareSpin(const std::vector<ScriptItem> &chunk)
+    {
+        declaredSpin = &chunk;
+    }
+
+  private:
+    /** Set by declareSpin() during refill(), consumed by the machine
+     *  right after. Per thread rather than per executor, so an
+     *  executor that forwards refill() to this one (a timing wrapper)
+     *  passes the declaration through unchanged. */
+    static inline thread_local const std::vector<ScriptItem>
+        *declaredSpin = nullptr;
+
+    friend class Machine;
 };
 
 } // namespace mpos::sim

@@ -77,6 +77,14 @@ class Watchdog : public MonitorObserver
      */
     void poll(const Machine &m, Cycle now);
 
+    /** True if poll(m, now) would throw. */
+    bool
+    wouldTrip(Cycle now) const
+    {
+        return (tripAt && now >= tripAt) ||
+               (!progressed && now - lastProgressCycle >= budgetCycles);
+    }
+
     Cycle budget() const { return budgetCycles; }
     Cycle lastProgress() const { return lastProgressCycle; }
 

@@ -16,11 +16,12 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
       pageShift(uint32_t(std::countr_zero(cfg.pageBytes))),
       pageMask(Addr(cfg.pageBytes) - 1),
       lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
-      slowSim(cfg.slowSim || slowSimForced())
+      slowSim(cfg.slowSim || slowSimForced()), parks(cfg.numCpus)
 {
     cpus.reserve(cfg.numCpus);
     for (CpuId c = 0; c < cfg.numCpus; ++c)
         cpus.emplace_back(c, cfg);
+    mem.setParker(this);
 
     if (cfg.check || checkForced()) {
         chk = std::make_unique<Checker>(cfg);
@@ -228,6 +229,13 @@ Machine::step(Cpu &c, Cycle now)
 void
 Machine::activate(Cpu &c)
 {
+    if (mem.parked() >> c.id & 1) {
+        // The park's deadline: its busyUntil stood in for it.
+        unpark(c, currentCycle - 1);
+        if (c.busyUntil > currentCycle)
+            return;
+    }
+
     if (currentCycle >= c.nextPollAt) {
         c.nextPollAt = currentCycle + pollPeriod;
         if (c.intrDisable == 0 && c.ctx.mode != ExecMode::Kernel)
@@ -238,10 +246,17 @@ Machine::activate(Cpu &c)
     // Execute until the CPU has consumed this cycle.
     while (c.busyUntil <= currentCycle) {
         if (c.script.empty()) {
+            Executor::declaredSpin = nullptr;
             exec->refill(c.id);
             if (c.script.empty())
                 util::panic("executor refill pushed no work for cpu %u",
                             c.id);
+            if (const auto *spin = Executor::declaredSpin) {
+                if (!slowSim && tryPark(c, *spin, markers))
+                    return;
+                // A refused park may have run the leading markers.
+                continue;
+            }
         }
         if (!step(c, currentCycle)) {
             if (++markers > markerBudget) {
@@ -256,32 +271,235 @@ Machine::activate(Cpu &c)
 void
 Machine::runFast(Cycle target)
 {
-    while (currentCycle < target) {
-        // The same pass that executes free CPUs also collects the
-        // minimum busyUntil for the cycle skip below. A CPU's busyUntil
-        // can still rise after being sampled (a later CPU's kernel work
-        // may charge it), which only makes the sampled minimum too
-        // small: jumping to a cycle where nothing is ready is a no-op
-        // pass, never a semantic difference.
-        Cycle next = target;
-        for (Cpu &c : cpus) {
-            if (c.busyUntil <= currentCycle)
-                activate(c);
-            if (c.busyUntil < next)
-                next = c.busyUntil;
+    try {
+        while (currentCycle < target) {
+            // The same pass that executes free CPUs also collects the
+            // minimum busyUntil for the cycle skip below. A CPU's
+            // busyUntil can still rise after being sampled (a later
+            // CPU's kernel work may charge it), which only makes the
+            // sampled minimum too small: jumping to a cycle where
+            // nothing is ready is a no-op pass, never a semantic
+            // difference. A parked CPU's busyUntil is its deadline.
+            Cycle next = target;
+            wakeNext = target;
+            for (Cpu &c : cpus) {
+                if (c.busyUntil <= currentCycle) {
+                    scanPos = c.id;
+                    activate(c);
+                }
+                if (c.busyUntil < next)
+                    next = c.busyUntil;
+            }
+            scanPos = 0;
+            // A CPU woken after the scan passed it still needs its
+            // next activation.
+            if (wakeNext < next)
+                next = wakeNext;
+
+            // Cycle skip: a CPU only acts at cycles where busyUntil <=
+            // now, and busyUntil never decreases, so the next cycle at
+            // which anything can happen is the minimum busyUntil.
+            // Polling cannot wake a CPU early: pollEvents only fires
+            // when the CPU is already free. Jump straight there
+            // (clamped so a runaway marker chain that left busyUntil
+            // behind still advances one tick at a time, exactly as the
+            // reference loop does).
+            currentCycle = next > currentCycle ? next : currentCycle + 1;
+
+            if (wdp) {
+                if (mem.parked()) {
+                    // A parked CPU retires a reference every few
+                    // cycles; a trip's dump must see it up to date.
+                    wdp->noteProgress();
+                    if (wdp->wouldTrip(currentCycle))
+                        wakeParked();
+                }
+                wdp->poll(*this, currentCycle);
+            }
         }
+    } catch (...) {
+        wakeParked();
+        scanPos = 0;
+        throw;
+    }
+    wakeParked();
+}
 
-        // Cycle skip: a CPU only acts at cycles where busyUntil <= now,
-        // and busyUntil never decreases, so the next cycle at which
-        // anything can happen is the minimum busyUntil. Polling cannot
-        // wake a CPU early: pollEvents only fires when the CPU is
-        // already free. Jump straight there (clamped so a runaway
-        // marker chain that left busyUntil behind still advances one
-        // tick at a time, exactly as the reference loop does).
-        currentCycle = next > currentCycle ? next : currentCycle + 1;
+bool
+Machine::tryPark(Cpu &c, const std::vector<ScriptItem> &chunk,
+                 uint32_t &markers)
+{
+    Park &pk = parks[c.id];
+    if (pk.chunk != chunk)
+        planSpin(pk, chunk);
+    // The refill must have pushed exactly the chunk into an empty
+    // queue at this cycle; no activation may exceed the marker budget.
+    if (!pk.spinnable || c.script.size() != chunk.size() ||
+        c.busyUntil != currentCycle ||
+        markers + pk.markerCount > markerBudget)
+        return false;
+    // The only time a park costs more cycles than its spin: the
+    // watchdog must still see a reference retire within its budget.
+    if (wdp && wdp->budget() <= pk.period)
+        return false;
 
-        if (wdp)
-            wdp->poll(*this, currentCycle);
+    // Leading markers run now, as the loop would run them.
+    const uint32_t lead = pk.refs.front();
+    for (uint32_t i = 0; i < lead; ++i) {
+        step(c, currentCycle);
+        ++markers;
+    }
+    if (c.script.size() != chunk.size() - lead ||
+        c.busyUntil != currentCycle)
+        return false;
+
+    const CpuCaches &h = mem.caches(c.id);
+    for (uint32_t r : pk.refs) {
+        const ScriptItem &it = chunk[r];
+        const bool hit = it.kind == ItemKind::IFetchLine
+                             ? h.icache.contains(it.addr)
+                             : h.l1d.contains(it.addr);
+        if (!hit)
+            return false;
+    }
+    const Cycle deadline = exec->nextEventAt(c.id);
+    if (deadline <= currentCycle)
+        return false;
+
+    pk.start = currentCycle;
+    pk.wakeAt = deadline;
+    pk.pollAt = c.nextPollAt;
+    c.busyUntil = deadline;
+    mem.park(c.id, &pk.dataLines);
+    return true;
+}
+
+void
+Machine::planSpin(Park &pk, const std::vector<ScriptItem> &chunk)
+{
+    pk.chunk = chunk;
+    pk.refs.clear();
+    pk.offset.clear();
+    pk.dataLines.clear();
+    pk.period = 0;
+    pk.markerCount = 0;
+    pk.spinnable = true;
+    for (uint32_t i = 0; i < chunk.size(); ++i) {
+        const ScriptItem &it = chunk[i];
+        if (it.kind == ItemKind::Marker) {
+            ++pk.markerCount;
+            continue;
+        }
+        if ((it.kind != ItemKind::IFetchLine &&
+             it.kind != ItemKind::Load) ||
+            it.space != AddrSpace::Physical) {
+            pk.spinnable = false;
+            return;
+        }
+        // A hit costs its execution cycles and no stall.
+        pk.refs.push_back(i);
+        pk.offset.push_back(pk.period);
+        pk.period += it.kind == ItemKind::Load ? 1 : lineExecCycles;
+        if (it.kind == ItemKind::Load)
+            pk.dataLines.push_back(it.addr & ~Addr(cfg.lineBytes - 1));
+    }
+    pk.spinnable = !pk.refs.empty();
+}
+
+void
+Machine::unpark(Cpu &c, Cycle through)
+{
+    Park &pk = parks[c.id];
+    if (through < pk.start || through >= pk.wakeAt)
+        util::panic("cpu %u unparked through cycle %llu outside its "
+                    "park [%llu, %llu)", c.id,
+                    (unsigned long long)through,
+                    (unsigned long long)pk.start,
+                    (unsigned long long)pk.wakeAt);
+    mem.unpark(c.id);
+
+    // Ref i of pass k runs at start + k * period + offset[i].
+    const uint64_t nrefs = pk.refs.size();
+    const auto refAtOrAfter = [&](Cycle t) {
+        const Cycle d = t - pk.start;
+        const Cycle pass = d / pk.period;
+        const auto it = std::lower_bound(pk.offset.begin(),
+                                         pk.offset.end(), d % pk.period);
+        return pk.start + pass * pk.period +
+               (it == pk.offset.end() ? pk.period : *it);
+    };
+    const Cycle span = through - pk.start;
+    const uint64_t refsRun =
+        span / pk.period * nrefs +
+        uint64_t(std::upper_bound(pk.offset.begin(), pk.offset.end(),
+                                  span % pk.period) -
+                 pk.offset.begin());
+    const Cycle busy = refAtOrAfter(through + 1);
+
+    // Every activation at or past nextPollAt restarted the poll
+    // period; its poll was a no-op, the park ends before the deadline.
+    Cycle poll = pk.pollAt;
+    while (poll <= through) {
+        const Cycle at = refAtOrAfter(poll);
+        if (at > through)
+            break;
+        poll = at + pollPeriod;
+    }
+    c.nextPollAt = poll;
+
+    // Hits charge execution cycles only.
+    c.account.total[unsigned(c.ctx.mode)] += busy - pk.start;
+    c.busyUntil = busy;
+    parkedTotal += busy - pk.start;
+
+    // Leave the queue holding what follows the last reference run.
+    const uint32_t from = pk.refs[(refsRun - 1) % nrefs] + 1;
+    if (refsRun <= nrefs) {
+        for (uint32_t i = pk.refs.front(); i < from; ++i)
+            c.script.pop_front();
+    } else {
+        c.script.clear();
+        c.script.append(pk.chunk.data() + from, pk.chunk.size() - from);
+    }
+
+    // Associative caches: replaying the last pass's touches gives the
+    // LRU order the spin left. Other lines' invalidations during the
+    // park commute with them, and the park never filled a line.
+    CpuCaches &h = mem.caches(c.id);
+    for (uint64_t g = refsRun - std::min<uint64_t>(refsRun, nrefs);
+         g < refsRun; ++g) {
+        const ScriptItem &it = pk.chunk[pk.refs[g % nrefs]];
+        if (it.kind == ItemKind::IFetchLine)
+            h.icache.touch(it.addr);
+        else
+            h.l1d.touch(it.addr);
+    }
+
+    if (c.id < scanPos && busy < wakeNext)
+        wakeNext = busy;
+}
+
+void
+Machine::wakeParked(CpuId cpu)
+{
+    if (mem.parked() >> cpu & 1)
+        unpark(cpus[cpu], cpu < scanPos ? currentCycle : currentCycle - 1);
+}
+
+void
+Machine::wakeParked()
+{
+    for (uint64_t m = mem.parked(); m; m &= m - 1)
+        wakeParked(CpuId(std::countr_zero(m)));
+}
+
+void
+Machine::wakeParkedAfter(Cycle when)
+{
+    for (uint64_t m = mem.parked(); m; m &= m - 1) {
+        const auto cpu = CpuId(std::countr_zero(m));
+        if (parks[cpu].wakeAt > when)
+            wakeParked(cpu);
     }
 }
 

@@ -12,7 +12,10 @@
  * to the smallest per-CPU busyUntil instead of ticking through dead
  * cycles, which is observably identical because CPUs only act when
  * busyUntil <= now (MachineConfig::slowSim or MPOS_SLOW_SIM selects
- * the one-tick-at-a-time reference loop).
+ * the one-tick-at-a-time reference loop). It also parks CPUs that
+ * spin in a declared side-effect-free chunk whose references all hit
+ * (the idle loop), and computes their state arithmetically when
+ * something could change what they do.
  */
 
 #ifndef MPOS_SIM_MACHINE_HH
@@ -136,6 +139,29 @@ class Machine
     /** Aggregate cycle accounting over all CPUs. */
     CycleAccount totalAccount() const;
 
+    /// @name Idle-CPU parking
+    /// A CPU the executor refilled with a declared spin chunk
+    /// (Executor::declareSpin) whose references all hit is parked:
+    /// runFast stops stepping it until its deadline
+    /// (Executor::nextEventAt) or a wake, then brings its script
+    /// position, busyUntil, cycle account, poll schedule and LRU
+    /// ranks up to date arithmetically. A wake raised while CPU w is
+    /// active at cycle t brings CPU p < w up to date through t and
+    /// p > w through t - 1, as the scan order would have. No CPU is
+    /// parked outside run(). The reference scheduler never parks.
+    /// @{
+    /** Wake every parked CPU: the executor calls this when a spin's
+     *  premise ends (the kernel: its run queue became non-empty). */
+    void wakeParked();
+    /** Wake cpu if it is parked. */
+    void wakeParked(CpuId cpu);
+    /** Wake every parked CPU whose deadline lies after `when`: the
+     *  executor scheduled an event pollEvents delivers at `when`. */
+    void wakeParkedAfter(Cycle when);
+    /** CPU-cycles run arithmetically by parked CPUs so far. */
+    uint64_t parkedCycles() const { return parkedTotal; }
+    /// @}
+
     /// @name Snapshot save/restore
     /// Serializes every cycle-determining structure: the clock, each
     /// CPU's context/busy horizon/accounting/TLB/pending script, the
@@ -167,8 +193,38 @@ class Machine
     [[gnu::always_inline]] inline void activate(Cpu &c);
 
     /** Event-driven scheduler: scan, execute, jump to the next event.
-     */
+     *  Returns with every CPU up to date (none parked). */
     void runFast(Cycle target);
+
+    /** A parked CPU's spin (see wakeParked). The plan part describes
+     *  the declared chunk and is reused while the chunk is the same;
+     *  the rest is the state of the current park. */
+    struct Park
+    {
+        std::vector<ScriptItem> chunk; ///< The declared spin chunk.
+        std::vector<uint32_t> refs;    ///< Chunk indices of references.
+        std::vector<Cycle> offset;     ///< Cycle of ref i within a pass.
+        std::vector<Addr> dataLines;   ///< Lines the chunk's loads read.
+        Cycle period = 0;   ///< Cycles per pass through the chunk.
+        uint32_t markerCount = 0; ///< Markers in the chunk.
+        /** Only physical Loads/IFetchLines and markers, >= 1 ref. */
+        bool spinnable = false;
+        Cycle start = 0;    ///< Cycle ref 0 ran when the park began.
+        Cycle wakeAt = 0;   ///< Deadline: nextEventAt() at park time.
+        Cycle pollAt = 0;   ///< nextPollAt at park time.
+    };
+
+    /** Called right after refill() declared a spin chunk: run the
+     *  chunk's leading markers and park c if every reference hits. */
+    bool tryPark(Cpu &c, const std::vector<ScriptItem> &chunk,
+                 uint32_t &markers);
+
+    /** Rebuild park.chunk's plan for a newly declared chunk. */
+    void planSpin(Park &park, const std::vector<ScriptItem> &chunk);
+
+    /** Resume stepping parked c, its spin applied through cycle
+     *  `through` (every activation at or before it). */
+    void unpark(Cpu &c, Cycle through);
 
     /** One-cycle-at-a-time reference scheduler (slowSim). */
     void runReference(Cycle target);
@@ -233,6 +289,16 @@ class Machine
     Cycle currentCycle = 0;
     /** Reference mode: tick one cycle at a time (no cycle skipping). */
     bool slowSim = false;
+
+    /** Per CPU: its park plan and state (see Park). */
+    std::vector<Park> parks;
+    /** CPU whose activation runFast is in; CPUs below it have been
+     *  scanned at currentCycle. 0 between passes. */
+    CpuId scanPos = 0;
+    /** Smallest busyUntil of a CPU woken after the pass scanned it. */
+    Cycle wakeNext = 0;
+    /** See parkedCycles(). */
+    uint64_t parkedTotal = 0;
 
     /** External-event poll period in cycles. */
     static constexpr Cycle pollPeriod = 256;

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "sim/check/checker.hh"
+#include "sim/machine.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -41,7 +42,8 @@ MemorySystem::MemorySystem(const MachineConfig &config, Monitor &monitor)
       lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
       lineMask(~Addr(cfg.lineBytes - 1)),
       lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
-      slowSim(cfg.slowSim || slowSimForced())
+      slowSim(cfg.slowSim || slowSimForced()),
+      spinData(cfg.numCpus, nullptr)
 {
     hier.reserve(cfg.numCpus);
     for (CpuId c = 0; c < cfg.numCpus; ++c)
@@ -149,6 +151,8 @@ MemorySystem::snoopInvalidate(CpuId requester, Addr line)
         while (m) {
             CpuCaches &h = hier[uint32_t(std::countr_zero(m))];
             m &= m - 1;
+            if (parkedCpus >> h.cpu & 1)
+                wakeIfSpinLine(h.cpu, line);
             setCohState(h, line, Coh::Invalid);
             h.l2d.invalidate(line);
             h.l1d.invalidate(line);
@@ -166,6 +170,17 @@ MemorySystem::snoopInvalidate(CpuId requester, Addr line)
         h.l2d.invalidate(line);
         h.l1d.invalidate(line);
         mon.invalSharing(h.cpu, CacheKind::Data, line);
+    }
+}
+
+void
+MemorySystem::wakeIfSpinLine(CpuId cpu, Addr line)
+{
+    for (Addr a : *spinData[cpu]) {
+        if (a == line) {
+            parker->wakeParked(cpu);
+            return;
+        }
     }
 }
 
@@ -350,6 +365,9 @@ MemorySystem::flushICachesForPage(Addr ppage)
     // parallel probe never speculates past (markers cut the window).
     if (winCap)
         util::panic("speculative window reached an I-cache page flush");
+    // Every parked CPU spins on I-cache hits the flush removes.
+    while (parkedCpus)
+        parker->wakeParked(CpuId(std::countr_zero(parkedCpus)));
     for (CpuCaches &h : hier) {
         mon.flushPage(h.cpu, 0, 0); // 0 bytes = full-cache flush
         h.icache.invalidateRange(0, ~Addr(0), [&](Addr line) {

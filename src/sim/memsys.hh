@@ -32,6 +32,7 @@ namespace mpos::sim
 {
 
 class Checker;
+class Machine;
 
 /**
  * Capture sink for the parallel core's speculative windows: while a
@@ -208,6 +209,31 @@ class MemorySystem
     /** Attach the invariant checker (null = disabled). */
     void setChecker(Checker *c) { checker = c; }
 
+    /// @name Parked-CPU wake hooks
+    /// A parked CPU (see Machine::runFast) spins on references that
+    /// all hit in its own caches. Before any change that could turn
+    /// one of those hits into a miss -- a remote invalidation of one
+    /// of its spin data lines, or an I-cache flush -- the memory
+    /// system calls Machine::wakeParked(cpu). Other invalidations and
+    /// snoop downgrades leave a load hit a hit and wake nobody.
+    /// @{
+    void setParker(Machine *m) { parker = m; }
+
+    /** Mark cpu parked on loads of data_lines (kept by the caller
+     *  until unpark()). */
+    void
+    park(CpuId cpu, const std::vector<Addr> *data_lines)
+    {
+        spinData[cpu] = data_lines;
+        parkedCpus |= uint64_t(1) << cpu;
+    }
+
+    void unpark(CpuId cpu) { parkedCpus &= ~(uint64_t(1) << cpu); }
+
+    /** Bit c set iff CPU c is parked. */
+    uint64_t parked() const { return parkedCpus; }
+    /// @}
+
     /**
      * Install (or, with null, remove) the calling thread's capture
      * sink. Thread-local so each parallel worker captures its own
@@ -269,6 +295,9 @@ class MemorySystem
     /** Snoop others on ReadEx/Upgrade: invalidate all other copies. */
     void snoopInvalidate(CpuId requester, Addr line);
 
+    /** Wake parked cpu if line is one of its spin data lines. */
+    void wakeIfSpinLine(CpuId cpu, Addr line);
+
     void record(Cycle now, CpuId cpu, Addr line, BusOp op,
                 CacheKind kind, const MonitorContext &ctx);
 
@@ -308,6 +337,12 @@ class MemorySystem
     bool slowSim = false;
     /** Invariant checker; null unless checking is enabled. */
     Checker *checker = nullptr;
+    /** The machine to wake parked CPUs through; null = none park. */
+    Machine *parker = nullptr;
+    /** Bit c set iff CPU c is parked. */
+    uint64_t parkedCpus = 0;
+    /** Per CPU: the data lines its parked spin loads. */
+    std::vector<const std::vector<Addr> *> spinData;
     /** Per-thread capture sink; null outside speculative windows. */
     static thread_local WindowCapture *winCap;
 };

@@ -448,6 +448,8 @@ struct ScriptItem
     Addr addr = 0;   ///< Address, Think cycles, or marker arg.
     uint64_t arg2 = 0; ///< Secondary marker argument.
 
+    bool operator==(const ScriptItem &) const = default;
+
     static ScriptItem
     ifetch(Addr line, AddrSpace s = AddrSpace::Physical)
     {

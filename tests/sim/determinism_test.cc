@@ -10,12 +10,15 @@
  * MachineConfig::slowSim selecting the one-cycle-at-a-time reference
  * scheduler and full snoop walks -- and requires every observable
  * counter to be identical: bus transactions, per-class miss counts,
- * and the per-mode cycle accounting.
+ * and the per-mode cycle accounting. Wide, idle-heavy machines cover
+ * the parking of spinning idle CPUs, which only the fast scheduler
+ * does.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "workload/workload.hh"
 
 using namespace mpos;
 using core::MissCounts;
@@ -146,4 +149,76 @@ TEST(Determinism, SeedChangesTheSimulatedHistory)
         a.account().all() != b.account().all() ||
         a.misses().total() != b.misses().total();
     EXPECT_TRUE(differs);
+}
+
+namespace
+{
+
+/** Idle-heavy wide Pmake: 8 or 16 CPUs on the scaled workload. */
+core::ExperimentConfig
+wideConfig(uint32_t num_cpus, bool slow)
+{
+    core::ExperimentConfig cfg = matrixConfig(7, num_cpus, slow);
+    cfg.options = workload::scaledOptions(cfg.options, num_cpus);
+    return cfg;
+}
+
+/** Run fast and reference; the fast run must have parked CPUs. */
+void
+expectParkedRunMatchesReference(const core::ExperimentConfig &fast_cfg,
+                                const core::ExperimentConfig &slow_cfg)
+{
+    // One experiment alive at a time: the wide classifiers are large.
+    sim::Cycle now = 0;
+    uint64_t bus_tx = 0, elapsed = 0;
+    MissCounts misses;
+    sim::CycleAccount account;
+    {
+        core::Experiment fast(fast_cfg);
+        fast.run();
+        // MPOS_SLOW_SIM puts both runs on the reference scheduler,
+        // which never parks.
+        if (!sim::slowSimForced()) {
+            EXPECT_GT(fast.machine().parkedCycles(), 0u);
+        }
+        now = fast.machine().now();
+        bus_tx = fast.machine().memory().busTransactions();
+        misses = fast.misses();
+        account = fast.account();
+        elapsed = fast.elapsed();
+    }
+    core::Experiment slow(slow_cfg);
+    slow.run();
+    EXPECT_EQ(slow.machine().parkedCycles(), 0u);
+    EXPECT_EQ(now, slow.machine().now());
+    EXPECT_EQ(bus_tx, slow.machine().memory().busTransactions());
+    expectSameCounts(misses, slow.misses());
+    expectSameAccount(account, slow.account());
+    EXPECT_EQ(elapsed, slow.elapsed());
+}
+
+} // namespace
+
+/** Wide machines idle most of the time: parked CPUs must leave every
+ *  counter exactly where the reference scheduler's stepping does. */
+TEST(Determinism, WideIdleMachinesParkExactly)
+{
+    for (uint32_t cpus : {8u, 16u}) {
+        SCOPED_TRACE("cpus " + std::to_string(cpus));
+        expectParkedRunMatchesReference(wideConfig(cpus, false),
+                                        wideConfig(cpus, true));
+    }
+}
+
+/** Associative caches: an unparked CPU's LRU ranks must match. */
+TEST(Determinism, AssociativeCachesParkExactly)
+{
+    core::ExperimentConfig fast = wideConfig(8, false);
+    core::ExperimentConfig slow = wideConfig(8, true);
+    for (core::ExperimentConfig *cfg : {&fast, &slow}) {
+        cfg->machine.icacheAssoc = 2;
+        cfg->machine.l1dAssoc = 2;
+        cfg->machine.l2dAssoc = 2;
+    }
+    expectParkedRunMatchesReference(fast, slow);
 }

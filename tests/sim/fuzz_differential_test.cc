@@ -150,6 +150,26 @@ TEST(FuzzDifferential, SingleSeedMatchesAndChecks)
     EXPECT_GT(out.checksPerformed, 0u);
 }
 
+TEST(FuzzDifferential, FinishedCpusParkAndWakeExactly)
+{
+    // Short programs: CPUs that finish spin on pool lines the others
+    // still store to. The fast core parks them, the stores and
+    // I-cache flushes wake them, and the reference core must agree on
+    // every event. Under MI even the others' loads wake them.
+    FuzzOptions opt = quickOptions(4);
+    opt.scriptLen = 400;
+    for (uint64_t seed : {7u, 8u, 9u}) {
+        const sim::FuzzOutcome out = sim::runDifferential(seed, opt);
+        EXPECT_TRUE(out.ok) << "seed " << seed << ": " << out.detail;
+        EXPECT_GT(out.parkedCycles, 0u) << "seed " << seed;
+    }
+    opt.protocol = sim::Protocol::Mi;
+    for (uint64_t seed : {8u, 9u}) {
+        const sim::FuzzOutcome out = sim::runDifferential(seed, opt);
+        EXPECT_TRUE(out.ok) << "mi seed " << seed << ": " << out.detail;
+    }
+}
+
 TEST(FuzzDifferential, PrefixTruncationStillRuns)
 {
     const sim::FuzzOutcome out =
