@@ -1,9 +1,8 @@
 /**
  * @file
  * The per-figure analysis functions (one translation unit each, named
- * after the figure/table they regenerate). Each prints exactly what
- * the historical standalone binary printed; registry.cc wires them
- * into the unified driver.
+ * after the figure/table they regenerate). registry.cc wires them
+ * into the unified driver, where `--only NAME` runs one.
  */
 
 #ifndef MPOS_BENCH_ANALYSES_HH

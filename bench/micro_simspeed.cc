@@ -88,13 +88,11 @@ BENCHMARK(BM_MachineCyclesPmake)
 static void
 BM_MachineCyclesPmake8(benchmark::State &state)
 {
-    // The parallel-core headliner: an 8-CPU Pmake (maxJobs keeps all
-    // CPUs busy) driven with Arg(0) host sim-threads; Arg(0) == 1 is
-    // the serial baseline the speedup is measured against.
+    // The wide-machine point: an 8-CPU Pmake (maxJobs keeps all CPUs
+    // busy), so scans and snoop fan-out are twice the 4-CPU bench's.
     core::ExperimentConfig cfg;
     cfg.kind = workload::WorkloadKind::Pmake;
     cfg.machine.numCpus = 8;
-    cfg.machine.simThreads = uint32_t(state.range(0));
     cfg.warmupCycles = 1000000;
     cfg.measureCycles = 0;
     cfg.collectMisses = false;
@@ -106,9 +104,6 @@ BM_MachineCyclesPmake8(benchmark::State &state)
 }
 BENCHMARK(BM_MachineCyclesPmake8)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(100)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
+    ->Iterations(100);
 
 BENCHMARK_MAIN();

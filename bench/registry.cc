@@ -53,7 +53,6 @@ BenchContext::submitJob(const std::string &name,
         cfg.machine.metrics = true;
     if (obs_.profile)
         cfg.machine.profile = true;
-    cfg.machine.simThreads = simThreads_;
     if (!faultJob_.empty() && name == faultJob_) {
         // Guaranteed failure: pick the first seed whose fault plan
         // carries a synthetic watchdog trip inside this job's run.
@@ -133,7 +132,7 @@ BenchContext::get(const std::string &name)
 const std::vector<BenchEntry> &
 benchRegistry()
 {
-    // Paper presentation order; names match the wrapper binaries.
+    // Paper presentation order; the names are the --only names.
     static const std::vector<BenchEntry> entries = {
         {"table01_workloads", "Table 1: workload characteristics",
          NeedsAll, nullptr, run_table01},
@@ -375,7 +374,7 @@ writeJobProfile(FILE *f, const sim::trace::Profiler &pf)
 
 void
 writeJson(const std::string &path, bool smoke, unsigned jobs,
-          uint32_t sim_threads, const ObsOptions &obs,
+          const ObsOptions &obs,
           const core::WarmStartCache *warm_cache,
           core::ExperimentRunner &runner,
           const std::vector<AnalysisRecord> &analyses,
@@ -394,7 +393,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
     std::fprintf(f,
                  "  \"config\": {\"measure_cycles\": %llu, "
                  "\"warmup_cycles\": %llu, \"seed\": %llu, "
-                 "\"jobs\": %u, \"sim_threads\": %u, "
+                 "\"jobs\": %u, "
                  "\"protocol\": \"%s\", \"assoc\": %llu, "
                  "\"cpus\": %llu, \"smoke\": %s, "
                  "\"trace\": %s, "
@@ -402,7 +401,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                  (unsigned long long)envOr("MPOS_CYCLES", 20000000),
                  (unsigned long long)envOr("MPOS_WARMUP", 8000000),
                  (unsigned long long)envOr("MPOS_SEED", 7), jobs,
-                 sim_threads, sim::protocolName(proto),
+                 sim::protocolName(proto),
                  (unsigned long long)envOr("MPOS_ASSOC", 1),
                  (unsigned long long)envOr("MPOS_CPUS", 4),
                  smoke ? "true" : "false", obs.trace ? "true" : "false",
@@ -529,7 +528,7 @@ struct MergedJobRow
  */
 void
 writeJsonJournal(const std::string &path, bool smoke, unsigned jobs,
-                 uint32_t sim_threads, const std::string &cache_dir,
+                 const std::string &cache_dir,
                  bool have_cache,
                  const std::vector<MergedJobRow> &rows,
                  const std::vector<AnalysisRecord> &analyses)
@@ -547,14 +546,14 @@ writeJsonJournal(const std::string &path, bool smoke, unsigned jobs,
     std::fprintf(f,
                  "  \"config\": {\"measure_cycles\": %llu, "
                  "\"warmup_cycles\": %llu, \"seed\": %llu, "
-                 "\"jobs\": %u, \"sim_threads\": %u, "
+                 "\"jobs\": %u, "
                  "\"protocol\": \"%s\", \"assoc\": %llu, "
                  "\"cpus\": %llu, \"smoke\": %s, "
                  "\"journal\": true},\n",
                  (unsigned long long)envOr("MPOS_CYCLES", 20000000),
                  (unsigned long long)envOr("MPOS_WARMUP", 8000000),
                  (unsigned long long)envOr("MPOS_SEED", 7), jobs,
-                 sim_threads, sim::protocolName(proto),
+                 sim::protocolName(proto),
                  (unsigned long long)envOr("MPOS_ASSOC", 1),
                  (unsigned long long)envOr("MPOS_CPUS", 4),
                  smoke ? "true" : "false");
@@ -615,14 +614,6 @@ usage()
         "all\n"
         "  --jobs N        worker threads (default: MPOS_JOBS or all "
         "cores)\n"
-        "  --sim-threads N host threads per job's parallel "
-        "epoch/barrier core\n"
-        "                  (default: MPOS_SIM_THREADS or 1 = serial). "
-        "Composes with\n"
-        "                  --jobs: the pool is clamped so jobs x "
-        "sim-threads stays\n"
-        "                  within the hardware threads (floor of one "
-        "job)\n"
         "  --json PATH     machine-readable results (default "
         "mpos_bench_results.json)\n"
         "  --smoke         tiny-run smoke mode: sets "
@@ -728,9 +719,6 @@ benchMain(int argc, char **argv)
     bool check = false;
     bool keepGoing = false;
     unsigned jobs = 0;
-    uint32_t simThreads = sim::simThreadsForced();
-    if (!simThreads)
-        simThreads = 1;
     uint32_t retries = 1;
     double jobTimeout = 0;
     std::string snapshotDir;
@@ -778,11 +766,6 @@ benchMain(int argc, char **argv)
             only.push_back(value("--only"));
         } else if (arg == "--jobs") {
             jobs = unsigned(std::strtoul(value("--jobs"), nullptr, 10));
-        } else if (arg == "--sim-threads") {
-            simThreads = uint32_t(
-                std::strtoul(value("--sim-threads"), nullptr, 10));
-            if (!simThreads)
-                simThreads = 1;
         } else if (arg == "--keep-going") {
             keepGoing = true;
         } else if (arg == "--job-timeout") {
@@ -863,31 +846,6 @@ benchMain(int argc, char **argv)
         }
     }
 
-    // --sim-threads composes with the job pool: each job's machine
-    // may spin up simThreads host threads of its own, so the product
-    // is what actually lands on the cores. Clamp the pool so
-    // jobs * simThreads stays within the hardware (floor of one job;
-    // a single job wider than the machine is the user's call).
-    if (simThreads > 1) {
-        const unsigned eff_jobs =
-            jobs ? jobs : util::ThreadPool::defaultThreads();
-        unsigned hw = std::thread::hardware_concurrency();
-        if (!hw)
-            hw = 1;
-        if (eff_jobs * simThreads > hw) {
-            const unsigned clamped =
-                hw / simThreads ? hw / simThreads : 1;
-            if (clamped < eff_jobs) {
-                std::fprintf(stderr,
-                             "[bench] clamping jobs %u -> %u: %u "
-                             "sim-threads per job on %u hardware "
-                             "thread(s)\n",
-                             eff_jobs, clamped, simThreads, hw);
-                jobs = clamped;
-            }
-        }
-    }
-
     // Journal/resume/serve sanity: the observability layer writes
     // per-job side files and wall-clock-dependent report sections,
     // which can never be byte-identical across a kill+resume.
@@ -959,7 +917,6 @@ benchMain(int argc, char **argv)
     }
 
     BenchContext ctx(ropt);
-    ctx.setSimThreads(simThreads);
     if (!faultJob.empty())
         ctx.setFaultJob(faultJob);
     if (obs.any())
@@ -1035,12 +992,11 @@ benchMain(int argc, char **argv)
     core::banner("mpos_bench: the paper's figures/tables from shared "
                  "parallel runs");
     std::printf("Config: measure %llu cycles/CPU after %llu warmup, "
-                "seed %llu, %u host jobs, %u sim-thread(s)/job%s\n",
+                "seed %llu, %u host jobs%s\n",
                 (unsigned long long)envOr("MPOS_CYCLES", 20000000),
                 (unsigned long long)envOr("MPOS_WARMUP", 8000000),
                 (unsigned long long)envOr("MPOS_SEED", 7),
-                ctx.runner().jobs(), simThreads,
-                smoke ? " [smoke]" : "");
+                ctx.runner().jobs(), smoke ? " [smoke]" : "");
 
     const auto t0 = std::chrono::steady_clock::now();
 
@@ -1223,12 +1179,11 @@ benchMain(int argc, char **argv)
             rows.push_back(std::move(row));
         }
         writeJsonJournal(jsonPath, smoke, ctx.runner().jobs(),
-                         simThreads, snapshotDir,
-                         warmCache != nullptr, rows, records);
+                         snapshotDir, warmCache != nullptr, rows,
+                         records);
     } else {
-        writeJson(jsonPath, smoke, ctx.runner().jobs(), simThreads,
-                  obs, warmCache.get(), ctx.runner(), records,
-                  totalWall);
+        writeJson(jsonPath, smoke, ctx.runner().jobs(), obs,
+                  warmCache.get(), ctx.runner(), records, totalWall);
     }
     if (warmCache) {
         const core::WarmCacheStats ws = warmCache->stats();
@@ -1279,25 +1234,6 @@ benchMain(int argc, char **argv)
                  failedJobs, totalWall, ctx.runner().jobs(),
                  jsonPath.c_str());
     return failed || failedJobs || obsFailures ? 1 : 0;
-}
-
-int
-singleBenchMain(const char *name)
-{
-    const BenchEntry *e = findBench(name);
-    if (!e) {
-        std::fprintf(stderr, "unknown bench entry '%s'\n", name);
-        return 2;
-    }
-    BenchContext ctx;
-    for (int i = 0; i < 3; ++i) {
-        if (e->standardMask & (1u << i))
-            ctx.prepareStandard(allWorkloads[i]);
-    }
-    if (e->prepare)
-        e->prepare(ctx);
-    e->run(ctx);
-    return 0;
 }
 
 } // namespace mpos::bench

@@ -13,8 +13,8 @@
  * Results are consumed in submission order, so the printed tables are
  * byte-identical no matter how many host threads ran the sweep.
  *
- * `mpos_bench` runs every analysis; the historical per-figure
- * binaries are two-line wrappers that run exactly one.
+ * `mpos_bench` runs every analysis; `mpos_bench --only NAME` runs
+ * one.
  */
 
 #ifndef MPOS_BENCH_REGISTRY_HH
@@ -72,15 +72,6 @@ class BenchContext
     void setObservability(const ObsOptions &o) { obs_ = o; }
     const ObsOptions &observability() const { return obs_; }
 
-    /**
-     * Host threads for each job's parallel epoch/barrier core
-     * (MachineConfig::simThreads on every subsequently submitted
-     * job). The driver composes this with the job pool: it clamps
-     * the pool so jobs * simThreads stays within the hardware.
-     */
-    void setSimThreads(uint32_t n) { simThreads_ = n ? n : 1; }
-    uint32_t simThreads() const { return simThreads_; }
-
     /** Queue the standard run for a workload without waiting. */
     void prepareStandard(workload::WorkloadKind kind);
 
@@ -122,7 +113,6 @@ class BenchContext
     core::ExperimentRunner runner_;
     std::string faultJob_; ///< Job to sabotage; empty = none.
     ObsOptions obs_;       ///< Applied to every submitted job.
-    uint32_t simThreads_ = 1; ///< Parallel-core threads per job.
     core::SweepJournal *journal_ = nullptr;
     bool planOnly_ = false;
     std::vector<std::pair<std::string, core::ExperimentConfig>>
@@ -161,9 +151,6 @@ std::string standardJobName(workload::WorkloadKind kind);
 
 /** Entry point of the unified `mpos_bench` driver. */
 int benchMain(int argc, char **argv);
-
-/** Entry point of the historical single-figure wrapper binaries. */
-int singleBenchMain(const char *name);
 
 } // namespace mpos::bench
 

@@ -52,7 +52,7 @@ warmConfigHash(const ExperimentConfig &cfg)
     w.u64(m.faultHorizon);
     // Excluded on purpose (event-neutral by construction, so a warm
     // image is shareable across them): slowSim, check, watchdogCycles,
-    // trace/metrics/profile, simThreads -- and every measurement-phase
+    // trace/metrics/profile -- and every measurement-phase
     // knob (measureCycles, collectMisses, collectResim,
     // timeoutSeconds, useRecommendedPool, the cache pointer itself).
 

@@ -523,9 +523,8 @@ Kernel::nextEventAt(CpuId cpu) const
 {
     // pollEvents(cpu, t) is a complete no-op for every t below both
     // the CPU's next clock tick and the earliest queued global event:
-    // it neither pops, pushes, nor touches any CPU. The parallel core
-    // caps its speculation windows here so skipping the poll inside a
-    // window is provably equivalent to making it.
+    // it neither pops, pushes, nor touches any CPU. A parked CPU
+    // wakes by then, so the polls it skips are provably no-ops.
     const sim::Cycle clock = nextClockAt[cpu];
     if (events.empty())
         return clock;

@@ -131,22 +131,6 @@ class Cache
         }
     }
 
-    /** The set index the line holding addr maps to. */
-    uint64_t setOf(Addr addr) const { return setIndex(lineAddr(addr)); }
-
-    /** Call fn(lineAddr) for every resident line of one set (the
-     *  parallel core's conflict probe collects potential victims). */
-    template <typename Fn>
-    void
-    forEachInSet(uint64_t set, Fn &&fn) const
-    {
-        const Way *base = &ways[set * assoc_];
-        for (uint32_t i = 0; i < assoc_; ++i) {
-            if (base[i].valid())
-                fn(base[i].tag());
-        }
-    }
-
     /**
      * Structural self-check of the packed tag array: every valid way's
      * packed word is line-aligned and lives in the set its line maps

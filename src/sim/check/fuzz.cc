@@ -244,8 +244,8 @@ class ScriptedExecutor : public Executor
 
     void pollEvents(CpuId, Cycle) override {}
 
-    /** pollEvents is a no-op forever, so speculative windows never
-     *  need to cut short for an external event. */
+    /** pollEvents is a no-op forever, so a park never needs to end
+     *  for an external event. */
     Cycle nextEventAt(CpuId) const override { return ~Cycle(0); }
 
   private:
@@ -447,7 +447,7 @@ std::vector<Addr>
 spinLinesFor(uint64_t seed, const FuzzOptions &opt)
 {
     util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
-    std::vector<Addr> pool = buildPool(rng, opt, opt.machineConfig());
+    std::vector<Addr> pool = buildPool(rng, opt, opt.machineConfig(seed));
     pool.resize(std::min<size_t>(pool.size(), 4));
     return pool;
 }
@@ -468,7 +468,7 @@ identityValidator(Pid pid, Addr vpage, Addr ppage, bool writable)
 } // namespace
 
 MachineConfig
-FuzzOptions::machineConfig() const
+FuzzOptions::machineConfig(uint64_t seed) const
 {
     MachineConfig cfg;
     cfg.numCpus = numCpus;
@@ -479,11 +479,8 @@ FuzzOptions::machineConfig() const
     cfg.l2dBytes = 4096;
     cfg.memBytes = 1ULL * 1024 * 1024;
     cfg.tlbEntries = 16;
-    // Bus queueing is exercised in both serial cores; a parallel
-    // sweep instead levels the field, since speculative windows
-    // require an inert bus (the occupancy queue is the one shared
-    // write they would race on) and the runs must stay comparable.
-    cfg.busOccupancy = simThreads > 1 ? 0 : 2;
+    // Alternate the shipped inert bus with a queueing one.
+    cfg.busOccupancy = seed & 1 ? 0 : 2;
     cfg.check = true;
     return cfg;
 }
@@ -491,7 +488,7 @@ FuzzOptions::machineConfig() const
 std::vector<std::vector<ScriptItem>>
 buildFuzzScripts(uint64_t seed, const FuzzOptions &opt)
 {
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
     util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
     const std::vector<Addr> pool = buildPool(rng, opt, cfg);
     const uint64_t codeLines = cfg.memBytes / cfg.lineBytes / 2;
@@ -588,7 +585,7 @@ namespace
 {
 
 /** Which core one fuzz run exercises. */
-enum class RunMode { Fast, Slow, Parallel };
+enum class RunMode { Fast, Slow };
 
 /** One machine run; fills events/state/violations for comparison. */
 void
@@ -597,16 +594,8 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
        std::vector<std::string> &violations, uint64_t &checks,
        uint64_t &parked)
 {
-    MachineConfig cfg = opt.machineConfig();
+    MachineConfig cfg = opt.machineConfig(seed);
     cfg.slowSim = mode == RunMode::Slow;
-    if (mode == RunMode::Parallel) {
-        // A checker observes mid-window state and forces the serial
-        // fallback, so the parallel run drops it; the fast and slow
-        // runs keep theirs, so the same scripts are still invariant-
-        // checked in full.
-        cfg.check = false;
-        cfg.simThreads = opt.simThreads;
-    }
 
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
@@ -622,13 +611,9 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
     const std::vector<Addr> pool = buildPool(rng, opt, cfg);
 
     Machine m(cfg, opt.numLocks);
-    // Null only in parallel mode (unless MPOS_CHECK forces it back,
-    // which also forces the serial fallback -- still a valid run).
-    Checker *chk = m.checker();
-    if (chk) {
-        chk->setAbortOnViolation(false);
-        chk->setMappingValidator(identityValidator);
-    }
+    Checker *chk = m.checker(); // cfg.check is always set
+    chk->setAbortOnViolation(false);
+    chk->setMappingValidator(identityValidator);
 
     ScriptedExecutor exec(m, spinLinesFor(seed, opt));
     m.setExecutor(&exec);
@@ -647,11 +632,9 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
     // The same phase driver the experiment harness uses (no deadline
     // here), so fuzzed runs and measured runs slice identically.
     runPhase(m, opt.runCycles);
-    if (chk) {
-        chk->checkAll(m);
-        violations = chk->violations();
-        checks = chk->stats().total();
-    }
+    chk->checkAll(m);
+    violations = chk->violations();
+    checks = chk->stats().total();
 
     events = std::move(rec.events);
     state = capture(m, pool);
@@ -699,7 +682,7 @@ FuzzOutcome
 runSnapshotDifferential(uint64_t seed, const FuzzOptions &opt,
                         Cycle snapshot_at)
 {
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
     const Cycle cut = std::min(std::max<Cycle>(snapshot_at, 1),
                                opt.runCycles - 1);
 
@@ -845,30 +828,24 @@ FuzzOutcome
 runDifferential(uint64_t seed, const FuzzOptions &opt,
                 uint32_t prefix_len)
 {
-    std::vector<Event> fastEv, slowEv, parEv;
-    StateSnapshot fastState, slowState, parState;
-    std::vector<std::string> fastViol, slowViol, parViol;
-    uint64_t fastChecks = 0, slowChecks = 0, parChecks = 0;
-    uint64_t fastParked = 0, slowParked = 0, parParked = 0;
+    std::vector<Event> fastEv, slowEv;
+    StateSnapshot fastState, slowState;
+    std::vector<std::string> fastViol, slowViol;
+    uint64_t fastChecks = 0, slowChecks = 0;
+    uint64_t fastParked = 0, slowParked = 0;
 
     runOne(seed, opt, prefix_len, RunMode::Fast, fastEv, fastState,
            fastViol, fastChecks, fastParked);
     runOne(seed, opt, prefix_len, RunMode::Slow, slowEv, slowState,
            slowViol, slowChecks, slowParked);
-    const bool par = opt.simThreads > 1;
-    if (par)
-        runOne(seed, opt, prefix_len, RunMode::Parallel, parEv,
-               parState, parViol, parChecks, parParked);
 
     FuzzOutcome out;
     out.parkedCycles = fastParked;
-    out.eventsCompared = fastEv.size() + (par ? parEv.size() : 0);
-    out.checksPerformed = fastChecks + slowChecks + parChecks;
+    out.eventsCompared = fastEv.size();
+    out.checksPerformed = fastChecks + slowChecks;
     out.violations = fastViol;
     out.violations.insert(out.violations.end(), slowViol.begin(),
                           slowViol.end());
-    out.violations.insert(out.violations.end(), parViol.begin(),
-                          parViol.end());
 
     std::ostringstream detail;
     if (!out.violations.empty()) {
@@ -893,24 +870,6 @@ runDifferential(uint64_t seed, const FuzzOptions &opt,
         out.ok = false;
         detail << "final machine state differs between fast and "
                   "reference runs (identical event streams)";
-    } else if (par && parEv != fastEv) {
-        out.ok = false;
-        const size_t n = std::min(parEv.size(), fastEv.size());
-        size_t i = 0;
-        while (i < n && parEv[i] == fastEv[i])
-            ++i;
-        detail << "parallel-core event stream diverges from fast at "
-               << "index " << i << " (parallel " << parEv.size()
-               << " events, fast " << fastEv.size() << "): parallel="
-               << (i < parEv.size() ? describeEvent(parEv[i])
-                                    : std::string("<end>"))
-               << " fast="
-               << (i < fastEv.size() ? describeEvent(fastEv[i])
-                                     : std::string("<end>"));
-    } else if (par && !(parState == fastState)) {
-        out.ok = false;
-        detail << "final machine state differs between parallel and "
-                  "fast runs (identical event streams)";
     }
     out.detail = detail.str();
     return out;
@@ -934,7 +893,7 @@ minimizeFailingPrefix(uint64_t n,
 FaultRunRecord
 runFaulted(uint64_t seed, const FuzzOptions &opt)
 {
-    MachineConfig cfg = opt.machineConfig();
+    MachineConfig cfg = opt.machineConfig(seed);
     // The campaign exercises the failure paths, not the differential
     // property; the checkers stay out of the way (a forced MPOS_CHECK
     // still works, see below).
@@ -1122,7 +1081,7 @@ writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
 std::vector<uint8_t>
 buildCorruptBaseImage(uint64_t seed, const FuzzOptions &opt)
 {
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
     FuzzRig rig(cfg, opt, seed);
@@ -1150,7 +1109,7 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
 {
     CorruptCampaignResult out;
     const FuzzOptions opt = base;
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
 
     const std::vector<uint8_t> snapBase =
         buildCorruptBaseImage(seed, opt);

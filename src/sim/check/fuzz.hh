@@ -53,20 +53,13 @@ struct FuzzOptions
     LockPolicy lockPolicy = LockPolicy::TestAndSet;
 
     /**
-     * Host sim-threads for a third, parallel-core run (1 = off).
-     * When > 1 the differential becomes three-way -- fast vs
-     * reference vs parallel epoch/barrier core -- and every run
-     * models a zero-occupancy bus so the streams stay comparable
-     * (see machineConfig()).
-     */
-    uint32_t simThreads = 1;
-
-    /**
      * Machine shrunk so the pool thrashes every structure: small
      * caches force evictions and inclusion churn, a small TLB forces
-     * refill faults.
+     * refill faults. The seed picks the bus: odd seeds run the
+     * shipped zero-occupancy bus, even seeds a queueing one
+     * (busOccupancy 2), so every seed sweep covers both.
      */
-    MachineConfig machineConfig() const;
+    MachineConfig machineConfig(uint64_t seed) const;
 };
 
 /** Result of one differential run. */
@@ -96,9 +89,6 @@ buildFuzzScripts(uint64_t seed, const FuzzOptions &opt);
  * Run one seed through the fast and reference cores with checkers on
  * and compare everything. prefix_len > 0 truncates every CPU's script
  * to its first prefix_len items (the minimizer's knob); 0 = full.
- * opt.simThreads > 1 adds a third run under the parallel core (with
- * the checker off, since a checker forces the serial fallback) whose
- * event stream and final state must match the fast run bit for bit.
  */
 FuzzOutcome runDifferential(uint64_t seed, const FuzzOptions &opt,
                             uint32_t prefix_len = 0);

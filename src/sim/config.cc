@@ -107,11 +107,6 @@ validateConfig(const MachineConfig &cfg)
                     "nonzero", cfg.instrPerLine,
                     static_cast<unsigned long long>(cfg.cyclesPerInstr));
 
-    if (cfg.effectiveSimThreads() > 64)
-        util::raise(ErrCode::BadConfig,
-                    "simThreads %u exceeds the 64-thread cap",
-                    cfg.effectiveSimThreads());
-
     return cfg;
 }
 

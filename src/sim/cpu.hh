@@ -272,10 +272,10 @@ class Executor
 
     /**
      * Earliest cycle at which pollEvents(cpu, t) could do anything
-     * for any t below the returned value. The parallel core caps its
-     * speculation windows here so every poll inside a window is a
-     * provable no-op. The conservative default (0) disables window
-     * speculation entirely for executors that do not implement it.
+     * for any t below the returned value. Machine parks an idle CPU
+     * no later than this, so every poll it skips is a provable no-op.
+     * The conservative default (0) disables parking entirely for
+     * executors that do not implement it.
      */
     virtual Cycle nextEventAt(CpuId cpu) const
     {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/parallel.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -91,21 +90,7 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
         pfp = pf.get();
         mon.attach(pfp);
     }
-
-    // Parallel epoch/barrier core. Engages only when speculative
-    // windows can be proven serial-identical: the fast path (windows
-    // fall back to runFast), a bus with zero occupancy (the one
-    // shared-bus write the windows would race on), and none of the
-    // layers that observe mid-window state (checker, watchdog, fault
-    // plan). More host threads than simulated CPUs cannot help.
-    const uint32_t sim_threads =
-        std::min(cfg.effectiveSimThreads(), cfg.numCpus);
-    if (sim_threads > 1 && !slowSim && cfg.busOccupancy == 0 && !chk &&
-        !wdp && !plan)
-        par = std::make_unique<ParallelCore>(*this, sim_threads);
 }
-
-Machine::~Machine() = default;
 
 CycleAccount
 Machine::totalAccount() const
@@ -531,8 +516,6 @@ Machine::run(Cycle cycles)
     const Cycle target = currentCycle + cycles;
     if (slowSim)
         runReference(target);
-    else if (par)
-        par->run(target);
     else
         runFast(target);
 }

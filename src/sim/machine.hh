@@ -40,8 +40,6 @@
 namespace mpos::sim
 {
 
-class ParallelCore;
-
 /** The simulated multiprocessor. */
 class Machine
 {
@@ -52,7 +50,6 @@ class Machine
      *                   transport.
      */
     explicit Machine(const MachineConfig &cfg, uint32_t num_locks = 64);
-    ~Machine(); ///< Out of line: joins the parallel core's workers.
 
     /** Install the OS model; must happen before run(). */
     void setExecutor(Executor *executor) { exec = executor; }
@@ -116,15 +113,6 @@ class Machine
      */
     trace::Profiler *profiler() { return pfp; }
     const trace::Profiler *profiler() const { return pfp; }
-
-    /**
-     * The parallel epoch/barrier core, or null when the machine runs
-     * serially (MachineConfig::simThreads / MPOS_SIM_THREADS select
-     * it; it only engages when the machine qualifies: fast path,
-     * busOccupancy == 0, and no checker/watchdog/fault plan, all of
-     * which observe mid-window state and force the serial core).
-     */
-    const ParallelCore *parallel() const { return par.get(); }
 
     /**
      * Charge extra cycles to a CPU's current mode (used by the kernel
@@ -284,8 +272,6 @@ class Machine
     std::unique_ptr<trace::Profiler> pf;
     /** Raw alias of pf: the null gate. */
     trace::Profiler *pfp = nullptr;
-    /** Parallel epoch/barrier core; null when running serially. */
-    std::unique_ptr<ParallelCore> par;
     Cycle currentCycle = 0;
     /** Reference mode: tick one cycle at a time (no cycle skipping). */
     bool slowSim = false;
@@ -304,10 +290,6 @@ class Machine
     static constexpr Cycle pollPeriod = 256;
     /** Safety cap on zero-cost markers executed per step. */
     static constexpr uint32_t markerBudget = 256;
-
-    /** The parallel core drives step()/runFast() and the CPU array
-     *  directly; it is an extension of the scheduler, not a client. */
-    friend class ParallelCore;
 };
 
 } // namespace mpos::sim

@@ -56,17 +56,12 @@ MemorySystem::checkLineEvent(Addr line)
     checker->onLineEvent(line);
 }
 
-thread_local WindowCapture *MemorySystem::winCap = nullptr;
-
 Cycle
 MemorySystem::acquireBus(Cycle now)
 {
     // With zero occupancy the bus never back-pressures: activation
     // times are monotonic, so busBusyUntil (= some earlier now) can
     // never exceed the current now and the delay is provably zero.
-    // Skipping the update also removes the one shared-bus write from
-    // the parallel core's speculative windows, which require
-    // busOccupancy == 0 for exactly this reason.
     if (cfg.busOccupancy == 0)
         return 0;
     const Cycle delay = busBusyUntil > now ? busBusyUntil - now : 0;
@@ -78,14 +73,6 @@ void
 MemorySystem::record(Cycle now, CpuId cpu, Addr line, BusOp op,
                      CacheKind kind, const MonitorContext &ctx)
 {
-    // Speculative window: buffer the event for ordered replay; the
-    // transaction counter is deferred to replayBus so mid-window
-    // observers (there are none) and counters stay serial-identical.
-    if (winCap) {
-        winCap->events.push_back({{now, cpu, line, op, kind, ctx},
-                                  false});
-        return;
-    }
     ++txTotal;
     // Skip constructing the BusRecord when nobody is subscribed (the
     // collectMisses=false warmup mode); the always-on counters still
@@ -108,11 +95,6 @@ MemorySystem::snoopRead(CpuId requester, Addr line)
         uint64_t m = sharers[line >> lineShift] &
                      ~(uint64_t(1) << requester);
         const bool shared = m != 0;
-        // The parallel probe cuts every window before a miss with
-        // remote sharers, so a capturing thread can never reach a
-        // remote downgrade (a write to another CPU's state).
-        if (winCap && shared)
-            util::panic("speculative window snooped a shared line");
         while (m) {
             CpuCaches &h = hier[uint32_t(std::countr_zero(m))];
             m &= m - 1;
@@ -145,9 +127,6 @@ MemorySystem::snoopInvalidate(CpuId requester, Addr line)
     if (!slowSim) {
         uint64_t m = sharers[line >> lineShift] &
                      ~(uint64_t(1) << requester);
-        // See snoopRead: stores with remote sharers cut the window.
-        if (winCap && m)
-            util::panic("speculative window invalidated a shared line");
         while (m) {
             CpuCaches &h = hier[uint32_t(std::countr_zero(m))];
             m &= m - 1;
@@ -200,12 +179,7 @@ MemorySystem::l2Fill(CpuId cpu, Addr line, Coh st, Cycle now,
         setCohState(h, v.lineAddr, Coh::Invalid);
         // Inclusion: the L1 may not keep a line the L2 dropped.
         h.l1d.invalidate(v.lineAddr);
-        if (winCap)
-            winCap->events.push_back(
-                {{now, cpu, v.lineAddr, BusOp::Read, CacheKind::Data,
-                  ctx},
-                 true});
-        else if (mon.listening())
+        if (mon.listening())
             mon.evict(cpu, CacheKind::Data, v.lineAddr, ctx);
         if (checker)
             checker->onLineEvent(v.lineAddr);
@@ -302,15 +276,8 @@ MemorySystem::ifetchMiss(CpuId cpu, Addr line, Cycle now,
         snoopRead(cpu, line);
     record(now + delay, cpu, line, BusOp::Read, CacheKind::Instr, ctx);
     const Victim v = h.icache.fill(line);
-    if (v.valid) {
-        if (winCap)
-            winCap->events.push_back(
-                {{now, cpu, v.lineAddr, BusOp::Read, CacheKind::Instr,
-                  ctx},
-                 true});
-        else if (mon.listening())
-            mon.evict(cpu, CacheKind::Instr, v.lineAddr, ctx);
-    }
+    if (v.valid && mon.listening())
+        mon.evict(cpu, CacheKind::Instr, v.lineAddr, ctx);
     res.cycles += cfg.busMissStall + delay;
     res.busAccess = true;
     if (checker)
@@ -361,10 +328,6 @@ MemorySystem::flushICachesForPage(Addr ppage)
     // notes that this algorithm does not scale down with larger
     // caches, which is what creates the Inval saturation floor.
     (void)ppage;
-    // Page reallocation happens only inside kernel paths, which the
-    // parallel probe never speculates past (markers cut the window).
-    if (winCap)
-        util::panic("speculative window reached an I-cache page flush");
     // Every parked CPU spins on I-cache hits the flush removes.
     while (parkedCpus)
         parker->wakeParked(CpuId(std::countr_zero(parkedCpus)));

@@ -25,7 +25,6 @@
 #include "sim/cache.hh"
 #include "sim/monitor.hh"
 #include "sim/types.hh"
-#include "util/arena.hh"
 #include "util/binio.hh"
 
 namespace mpos::sim
@@ -33,29 +32,6 @@ namespace mpos::sim
 
 class Checker;
 class Machine;
-
-/**
- * Capture sink for the parallel core's speculative windows: while a
- * worker thread has one installed (setWindowCapture), monitor-visible
- * events are buffered here -- arena-backed, one record per bus event
- * or eviction -- instead of being delivered, and the bus-transaction
- * counter is deferred. The core merges all per-CPU buffers into the
- * serial event order and replays them through replayBus/replayEvict.
- */
-struct WindowCapture
-{
-    /** Evictions reuse the BusRecord fields (cycle orders the merge;
-     *  op is meaningless for them). */
-    struct Event
-    {
-        BusRecord rec;
-        bool isEvict;
-    };
-
-    explicit WindowCapture(util::Arena &arena) : events(arena) {}
-
-    util::ArenaVector<Event> events;
-};
 
 /**
  * Coherence line states, tracked at the L2. All protocols share this
@@ -234,36 +210,6 @@ class MemorySystem
     uint64_t parked() const { return parkedCpus; }
     /// @}
 
-    /**
-     * Install (or, with null, remove) the calling thread's capture
-     * sink. Thread-local so each parallel worker captures its own
-     * CPUs' events without sharing; serial execution never sets it
-     * and pays one thread-local null test per event.
-     */
-    static void setWindowCapture(WindowCapture *c) { winCap = c; }
-
-    /** Re-deliver one captured bus transaction in merge order:
-     *  exactly record()'s serial body, including the deferred
-     *  transaction count and the listening() fast path. */
-    void
-    replayBus(const BusRecord &rec)
-    {
-        ++txTotal;
-        if (mon.listening())
-            mon.busTransaction(rec);
-        else
-            mon.countTransaction(rec.ctx.mode);
-    }
-
-    /** Re-deliver one captured eviction in merge order. */
-    void
-    replayEvict(const WindowCapture::Event &ev)
-    {
-        if (mon.listening())
-            mon.evict(ev.rec.cpu, ev.rec.cache, ev.rec.lineAddr,
-                      ev.rec.ctx);
-    }
-
     /// @name Snapshot save/restore
     /// Every cache's packed tags, the per-CPU MESI arrays, the snoop
     /// filter, bus occupancy horizon and transaction counter; all
@@ -343,8 +289,6 @@ class MemorySystem
     uint64_t parkedCpus = 0;
     /** Per CPU: the data lines its parked spin loads. */
     std::vector<const std::vector<Addr> *> spinData;
-    /** Per-thread capture sink; null outside speculative windows. */
-    static thread_local WindowCapture *winCap;
 };
 
 } // namespace mpos::sim

@@ -143,17 +143,6 @@ profileForced()
     return forced;
 }
 
-/** MPOS_SIM_THREADS: forced host sim-thread count (0 = not set). */
-inline uint32_t
-simThreadsForced()
-{
-    static const uint32_t threads = [] {
-        const char *v = std::getenv("MPOS_SIM_THREADS");
-        return v ? uint32_t(std::strtoul(v, nullptr, 10)) : 0u;
-    }();
-    return threads;
-}
-
 /**
  * Coherence protocol policy for the data caches.
  *
@@ -353,29 +342,6 @@ struct MachineConfig
      * forced globally by MPOS_PROFILE.
      */
     bool profile = false;
-
-    /**
-     * Host threads for the parallel epoch/barrier core: partition the
-     * simulated CPUs across this many host threads and run them
-     * speculatively through conflict-free cycle windows, falling back
-     * to the lockstep fast path whenever the snoop filter reports
-     * potential cross-CPU interaction. Event-identical to the serial
-     * fast path by construction; zero-cost when 1 (the core is a null
-     * pointer). Engages only when the machine qualifies: !slowSim,
-     * busOccupancy == 0, and no checker/watchdog/fault plan attached
-     * (those layers observe mid-window state and force serial).
-     * Also forced globally by MPOS_SIM_THREADS=<n>.
-     */
-    uint32_t simThreads = 1;
-
-    /** simThreads merged with the MPOS_SIM_THREADS override. */
-    uint32_t
-    effectiveSimThreads() const
-    {
-        const uint32_t forced = simThreadsForced();
-        const uint32_t n = forced ? forced : simThreads;
-        return n ? n : 1;
-    }
 
     uint64_t numLines() const { return memBytes / lineBytes; }
     uint64_t numPages() const { return memBytes / pageBytes; }

@@ -4,12 +4,9 @@
  *
  * This is host-side orchestration machinery, not part of the simulated
  * machine: the pool lets several independent simulations run
- * concurrently, each remaining deterministic. (A single simulation
- * can additionally spread its simulated CPUs over host threads via
- * the epoch/barrier parallel core, sim/parallel.hh, which owns its
- * own gang rather than using this pool; mpos_bench clamps the
- * product of the two knobs to the host.) Sizing follows the
- * MPOS_JOBS environment knob (default: all hardware threads).
+ * concurrently, each remaining deterministic and single-threaded.
+ * Sizing follows the MPOS_JOBS environment knob (default: all
+ * hardware threads).
  */
 
 #ifndef MPOS_UTIL_THREADPOOL_HH

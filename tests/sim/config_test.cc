@@ -4,7 +4,7 @@
  *
  * Every geometry rule the simulator relies on (power-of-two sets,
  * line/page/memory divisibility, the 64-CPU sharer-bitmask width,
- * the protocol id, the sim-thread cap) is checked in one place --
+ * the protocol id) is checked in one place --
  * validateConfig, run from
  * the Machine and MemorySystem constructor init-lists -- and each
  * violation must surface as a typed SimError(BadConfig), not as an
@@ -142,17 +142,6 @@ TEST(ConfigValidation, TlbAndTiming)
     cfg = MachineConfig{};
     cfg.cyclesPerInstr = 0;
     expectRejected(cfg, "zero cycles per instruction");
-}
-
-TEST(ConfigValidation, SimThreadCap)
-{
-    MachineConfig cfg;
-    cfg.simThreads = 65; // far beyond any plausible host
-    expectRejected(cfg, "absurd sim-thread count");
-
-    cfg = MachineConfig{};
-    cfg.simThreads = 8;
-    EXPECT_NO_THROW(sim::validateConfig(cfg));
 }
 
 /** Constructors must route through the validator (init-list), so a

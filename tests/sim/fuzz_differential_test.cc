@@ -9,6 +9,8 @@
  * failing-prefix minimizer.
  */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "sim/check/fuzz.hh"
@@ -68,8 +70,8 @@ TEST(FuzzScripts, DifferentSeedsDiffer)
 TEST(FuzzScripts, GeneratorInvariants)
 {
     const FuzzOptions opt = quickOptions(4);
-    const sim::MachineConfig mc = opt.machineConfig();
     for (uint64_t seed : {3u, 17u, 99u}) {
+        const sim::MachineConfig mc = opt.machineConfig(seed);
         const auto scripts = sim::buildFuzzScripts(seed, opt);
         ASSERT_EQ(scripts.size(), opt.numCpus);
         for (const auto &script : scripts) {
@@ -179,6 +181,14 @@ TEST(FuzzDifferential, PrefixTruncationStillRuns)
 
 TEST(FuzzDifferential, SmallMatrixAllCpuCountsPass)
 {
+    // The four seeds alternate the shipped inert bus and a queueing
+    // one, so the matrix covers both bus occupancies.
+    std::set<sim::Cycle> occupancies;
+    for (uint64_t seed = 100; seed < 104; ++seed)
+        occupancies.insert(quickOptions(4).machineConfig(seed)
+                               .busOccupancy);
+    EXPECT_EQ(occupancies, (std::set<sim::Cycle>{0, 2}));
+
     const sim::FuzzMatrixResult res = sim::runFuzzMatrix(
         100, 4, {1, 2, 4}, quickOptions(4));
     EXPECT_EQ(res.runs, 12u);

@@ -31,7 +31,7 @@
  * Usage: mpos_fuzz [--seeds N] [--first-seed S] [--cpus a,b,c]
  *                  [--protocol p,q] [--lock-proto p,q]
  *                  [--script-len N] [--cycles N]
- *                  [--sim-threads N] [--snapshot-at C] [--quiet]
+ *                  [--snapshot-at C] [--quiet]
  *                  [--faults] [--dump-dir D]
  *                  [--corrupt N] [--tmp-dir D]
  *                  [--emit-corrupt-corpus D]
@@ -67,11 +67,6 @@ usage(const char *argv0)
         "                  futex,rcu (default tas)\n"
         "  --script-len N  script items per CPU (default 4000)\n"
         "  --cycles N      cycles per machine run (default 60000)\n"
-        "  --sim-threads N three-way differential: also run the "
-        "parallel\n"
-        "                  epoch/barrier core with N host threads "
-        "(default\n"
-        "                  MPOS_SIM_THREADS if set, else 1 = off)\n"
         "  --snapshot-at C snapshot differential: cut every run at "
         "cycle C,\n"
         "                  save/restore through the snapshot container "
@@ -324,11 +319,6 @@ main(int argc, char **argv)
     std::vector<mpos::sim::LockPolicy> lockPolicies = {
         mpos::sim::LockPolicy::TestAndSet};
     mpos::sim::FuzzOptions opt;
-    // MPOS_SIM_THREADS reaches every constructed Machine anyway (the
-    // env override beats the config field), so honor it here too and
-    // get the third parallel run instead of a silent serial fallback.
-    if (const uint32_t forced = mpos::sim::simThreadsForced())
-        opt.simThreads = forced;
     mpos::sim::Cycle snapshotAt = 0;
     bool quiet = false;
     bool faults = false;
@@ -361,10 +351,6 @@ main(int argc, char **argv)
             opt.scriptLen = uint32_t(std::strtoul(v, nullptr, 10));
         } else if (const char *v = arg("--cycles")) {
             opt.runCycles = std::strtoull(v, nullptr, 10);
-        } else if (const char *v = arg("--sim-threads")) {
-            opt.simThreads = uint32_t(std::strtoul(v, nullptr, 10));
-            if (!opt.simThreads)
-                opt.simThreads = 1;
         } else if (const char *v = arg("--snapshot-at")) {
             snapshotAt = std::strtoull(v, nullptr, 10);
         } else if (const char *v = arg("--dump-dir")) {
@@ -480,10 +466,9 @@ main(int argc, char **argv)
                 res.failures.size());
     for (size_t i = 0; i < res.failures.size(); ++i) {
         const mpos::sim::FuzzFailure &f = res.failures[i];
-        std::string extra = std::string(" --protocol ") + failProto[i] +
-                            " --lock-proto " + failPolicy[i];
-        if (opt.simThreads > 1)
-            extra += " --sim-threads " + std::to_string(opt.simThreads);
+        const std::string extra = std::string(" --protocol ") +
+                                  failProto[i] + " --lock-proto " +
+                                  failPolicy[i];
         if (snapshotAt) {
             std::printf("  seed %llu cpus %u protocol %s lock-proto "
                         "%s:\n    repro: "

@@ -98,7 +98,7 @@ TEST(SnapshotMachine, RestoreIntoWrongGeometryRaises)
     opt.numCpus = 2;
     opt.scriptLen = 200;
     opt.runCycles = 4000;
-    sim::MachineConfig cfg = opt.machineConfig();
+    sim::MachineConfig cfg = opt.machineConfig(1);
     cfg.check = false;
 
     sim::Machine m(cfg, opt.numLocks);
