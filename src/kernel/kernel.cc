@@ -1,6 +1,5 @@
 #include "kernel/kernel.hh"
 
-#include <bit>
 #include <cstdio>
 
 #include "util/error.hh"
@@ -393,23 +392,14 @@ Kernel::marker(CpuId cpu, const ScriptItem &item)
             pf->routineSwitch(m.now(), cpu, invalidRoutine);
         return;
       case MarkerOp::LockAcquire:
-        onLockAcquire(cpu, uint32_t(item.addr), item.arg2);
+      case MarkerOp::LockAcquireShared:
+      case MarkerOp::UserLockAcquire:
+        onLockAcquire(cpu, item);
         return;
       case MarkerOp::LockRelease:
-        onLockRelease(cpu, uint32_t(item.addr));
-        return;
-      case MarkerOp::LockAcquireShared:
-        onLockAcquireShared(cpu, uint32_t(item.addr));
-        return;
       case MarkerOp::LockReleaseShared:
-        onLockReleaseShared(cpu, uint32_t(item.addr));
-        return;
-      case MarkerOp::UserLockAcquire:
-        onUserLockAcquire(cpu, uint32_t(item.addr),
-                          uint32_t(item.arg2));
-        return;
       case MarkerOp::UserLockRelease:
-        onUserLockRelease(cpu, uint32_t(item.addr));
+        onLockRelease(cpu, item);
         return;
       case MarkerOp::Syscall:
         onSyscall(cpu, Sys(item.addr), item.arg2);
@@ -563,227 +553,113 @@ Kernel::onOsExit(CpuId cpu)
 }
 
 void
-Kernel::wonKernelLock(CpuId cpu, uint32_t lock_id, uint32_t waiters,
-                      LockEvent transport_ev)
+Kernel::chargeLock(CpuId cpu, uint32_t lock_id, LockEvent ev, int peer)
 {
-    LockState &l = locks[lock_id];
-    const Cycle now = m.now();
-    l.heldByCpu = int32_t(cpu);
-    l.spinMask &= ~(uint64_t(1) << cpu);
-    // Holding a spinlock raises the interrupt level (spl): defer
-    // external interrupts until release, as IRIX does.
-    ++m.cpu(cpu).intrDisable;
-    const Cycle cost = m.sync().access(cpu, lock_id, transport_ev);
-    m.charge(cpu, cost, true);
-    // Injected hold-time perturbation: stretch the critical
-    // section of the targeted locks.
-    if (fp) {
-        if (const Cycle extra = fp->holdExtra(lock_id))
-            m.charge(cpu, extra, true);
-    }
+    m.charge(cpu, m.sync().access(cpu, lock_id, ev, peer), true);
+}
+
+void
+Kernel::reportLock(CpuId cpu, uint32_t lock_id, LockEvent ev,
+                   uint32_t waiters)
+{
     // Statistics always see the logical event, whatever the primitive.
     if (lockListener)
-        lockListener->lockEvent(now, cpu, lock_id,
-                                LockEvent::AcquireSuccess, waiters);
+        lockListener->lockEvent(m.now(), cpu, lock_id, ev, waiters);
     if (mx)
-        mx->lockEvent(now, cpu, lock_id, LockEvent::AcquireSuccess);
+        mx->lockEvent(m.now(), cpu, lock_id, ev);
 }
 
 void
-Kernel::onLockAcquire(CpuId cpu, uint32_t lock_id, uint64_t state)
+Kernel::onLockAcquire(CpuId cpu, const ScriptItem &item)
 {
+    const uint32_t lock_id = uint32_t(item.addr);
     LockState &l = locks[lock_id];
-    const Cycle now = m.now();
-    const uint32_t waiters =
-        uint32_t(std::popcount(l.spinMask)) + l.napWaiters;
-    if (l.heldByCpu == int32_t(cpu))
-        util::panic("cpu %u re-acquiring kernel lock %u", cpu, lock_id);
-    sim::Cpu &c = m.cpu(cpu);
-
-    // The retry marker a spinning CPU executes after spinGap cycles.
-    const auto spinRetry = [&](LockEvent ev, uint64_t next_state) {
-        l.spinMask |= uint64_t(1) << cpu;
-        const Cycle cost = m.sync().access(cpu, lock_id, ev);
-        m.charge(cpu, cost, true);
-        if (lockListener)
-            lockListener->lockEvent(now, cpu, lock_id,
-                                    LockEvent::AcquireFail, waiters);
-        if (mx)
-            mx->lockEvent(now, cpu, lock_id, LockEvent::AcquireFail);
-        c.pushFront(ScriptItem::mark(MarkerOp::LockAcquire, lock_id,
-                                     next_state));
-        c.pushFront(ScriptItem::think(cfg.spinGap));
-    };
-
-    switch (m.config().lockPolicy) {
-      case sim::LockPolicy::Ticket: {
-        // state carries ticket+1 once one was taken (0 = no ticket).
-        uint32_t ticket;
-        LockEvent ev;
-        if (state == 0) {
-            ticket = l.nextTicket++;
-            ev = LockEvent::TicketTake; // the fetch-and-add
-        } else {
-            ticket = uint32_t(state - 1);
-            ev = LockEvent::TicketPoll; // re-read of now-serving
-        }
-        if (ticket == l.nowServing && l.heldByCpu < 0) {
-            wonKernelLock(cpu, lock_id, waiters, ev);
-            return;
-        }
-        spinRetry(ev, uint64_t(ticket) + 1);
-        return;
-      }
-      case sim::LockPolicy::Mcs: {
-        if (state == 0) {
-            if (l.heldByCpu < 0 && l.grantedTo < 0 &&
-                l.waitQueue.empty()) {
-                // Tail swap found the queue empty: uncontended.
-                wonKernelLock(cpu, lock_id, waiters,
-                              LockEvent::McsSwap);
-                return;
-            }
-            // Swap found a predecessor: link in and spin on our node.
-            l.waitQueue.push_back(cpu);
-            spinRetry(LockEvent::McsEnqueue, 1);
-            return;
-        }
-        if (l.grantedTo == int32_t(cpu)) {
-            // The predecessor's hand-off write flipped our node flag;
-            // this poll refetches the invalidated node and wins.
-            l.grantedTo = -1;
-            wonKernelLock(cpu, lock_id, waiters,
-                          LockEvent::McsLocalPoll);
-            return;
-        }
-        spinRetry(LockEvent::McsLocalPoll, 1);
-        return;
-      }
-      case sim::LockPolicy::TestAndSet:
-      case sim::LockPolicy::Futex: // kernel locks cannot sleep: TAS
-      case sim::LockPolicy::Rcu:   // writers take the plain spinlock
-      default:
-        if (l.heldByCpu < 0) {
-            wonKernelLock(cpu, lock_id, waiters,
-                          LockEvent::AcquireSuccess);
-            return;
-        }
-        spinRetry(LockEvent::AcquireFail, 0);
+    const uint32_t waiters = l.waiters();
+    // A user-library lock's arg2 counts spins; a kernel lock's carries
+    // the policy's resume state.
+    const bool user = item.marker == MarkerOp::UserLockAcquire;
+    const sim::LockAcquireStep st = user
+        ? sim::userLockAcquire(m.config().lockPolicy, l, cpu, curProc[cpu],
+                               uint32_t(item.arg2), cfg.userLockSpins)
+        : sim::lockAcquire(m.config().lockPolicy, l, lock_id, cpu,
+                           item.arg2,
+                           item.marker == MarkerOp::LockAcquireShared &&
+                               rcuManaged(lock_id));
+    chargeLock(cpu, lock_id, st.ev);
+    if (st.ev == LockEvent::RcuReadEnter) {
+        // RCU read side: free of bus operations; nobody waits on it.
+        reportLock(cpu, lock_id, LockEvent::AcquireSuccess, 0);
         return;
     }
+    if (st.won) {
+        // Holding a kernel spinlock raises the interrupt level (spl):
+        // defer external interrupts until release, as IRIX does.
+        if (!user)
+            ++m.cpu(cpu).intrDisable;
+        // Injected hold-time perturbation: stretch the critical section.
+        if (fp)
+            m.charge(cpu, fp->holdExtra(lock_id), true);
+        reportLock(cpu, lock_id, LockEvent::AcquireSuccess, waiters);
+        return;
+    }
+    reportLock(cpu, lock_id, LockEvent::AcquireFail, waiters);
+
+    // The retry marker goes back first: a nap or a futex block saves
+    // it as the continuation that re-attempts the acquire when the
+    // process next runs.
+    sim::Cpu &c = m.cpu(cpu);
+    c.pushFront(ScriptItem::mark(
+        user ? MarkerOp::UserLockAcquire : MarkerOp::LockAcquire, lock_id,
+        st.retryState));
+    if (st.wait == sim::LockWait::Spin) {
+        c.pushFront(ScriptItem::think(cfg.spinGap));
+        return;
+    }
+    Process &p = *procs[uint32_t(curProc[cpu])];
+    Script s = st.wait == sim::LockWait::Nap
+        ? pathSyscall(cpu, p, Sys::Sginap, 0)
+        : pathFutexWait(p, lock_id);
+    c.pushFrontSeq(s);
 }
 
 void
-Kernel::onLockRelease(CpuId cpu, uint32_t lock_id)
+Kernel::onLockRelease(CpuId cpu, const ScriptItem &item)
 {
+    const uint32_t lock_id = uint32_t(item.addr);
     LockState &l = locks[lock_id];
-    if (l.heldByCpu != int32_t(cpu))
-        util::panic("cpu %u releasing kernel lock %u it does not hold",
-                    cpu, lock_id);
-    l.heldByCpu = -1;
+    const uint32_t waiters = l.waiters();
+    if (item.marker == MarkerOp::UserLockRelease) {
+        const sim::LockReleaseStep st = sim::userLockRelease(
+            m.config().lockPolicy, l, lock_id, curProc[cpu]);
+        // A futex wake-one makes the granted waiter runnable.
+        if (st.peer >= 0)
+            makeReady(Pid(st.peer));
+        chargeLock(cpu, lock_id, st.ev);
+        reportLock(cpu, lock_id, LockEvent::Release, waiters);
+        return;
+    }
+    const bool managed = rcuManaged(lock_id);
+    const sim::LockReleaseStep st = sim::lockRelease(
+        m.config().lockPolicy, l, lock_id, cpu,
+        item.marker == MarkerOp::LockReleaseShared && managed, managed);
+    chargeLock(cpu, lock_id, st.ev, st.peer);
+    if (st.ev == LockEvent::RcuReadExit) {
+        reportLock(cpu, lock_id, LockEvent::Release, 0);
+        return;
+    }
     if (m.cpu(cpu).intrDisable == 0)
         util::panic("interrupt level underflow on lock release");
     --m.cpu(cpu).intrDisable;
-    const uint32_t waiters =
-        uint32_t(std::popcount(l.spinMask)) + l.napWaiters;
-
-    Cycle cost = 0;
-    switch (m.config().lockPolicy) {
-      case sim::LockPolicy::Ticket:
-        ++l.nowServing; // the write every poller's next read observes
-        cost = m.sync().access(cpu, lock_id, LockEvent::TicketRelease);
-        break;
-      case sim::LockPolicy::Mcs:
-        if (l.waitQueue.empty()) {
-            // Tail compare-and-swap back to empty.
-            cost = m.sync().access(cpu, lock_id,
-                                   LockEvent::McsReleaseFree);
-        } else {
-            // Write exactly the successor's node flag; only its spin
-            // copy is invalidated, everyone further back spins on.
-            const uint32_t succ = l.waitQueue.front();
-            l.waitQueue.erase(l.waitQueue.begin());
-            l.grantedTo = int32_t(succ);
-            cost = m.sync().access(cpu, lock_id, LockEvent::McsHandoff,
-                                   int(succ));
-        }
-        break;
-      case sim::LockPolicy::Rcu:
-        cost = m.sync().access(cpu, lock_id, LockEvent::Release);
-        if (rcuManaged(lock_id)) {
-            // The writer published a new version: wait out a grace
-            // period so pre-existing readers drain (one quiescence
-            // round-trip per other CPU).
-            cost += m.sync().access(cpu, lock_id, LockEvent::RcuSync);
-        }
-        break;
-      default:
-        cost = m.sync().access(cpu, lock_id, LockEvent::Release);
-        break;
-    }
-    m.charge(cpu, cost, true);
-    if (lockListener)
-        lockListener->lockEvent(m.now(), cpu, lock_id,
-                                LockEvent::Release, waiters);
-    if (mx)
-        mx->lockEvent(m.now(), cpu, lock_id, LockEvent::Release);
+    // The writer's grace period: one quiescence round-trip per other
+    // CPU so pre-existing readers drain.
+    if (st.gracePeriod)
+        chargeLock(cpu, lock_id, LockEvent::RcuSync);
+    reportLock(cpu, lock_id, LockEvent::Release, waiters);
 }
 
 void
-Kernel::onLockAcquireShared(CpuId cpu, uint32_t lock_id)
+Kernel::block(CpuId cpu, Process &p)
 {
-    if (m.config().lockPolicy == sim::LockPolicy::Rcu &&
-        rcuManaged(lock_id)) {
-        // RCU read side: no shared line is written, no bus operation
-        // is made, nothing can spin. Readers are only counted.
-        LockState &l = locks[lock_id];
-        ++l.rcuReaders;
-        m.sync().access(cpu, lock_id, LockEvent::RcuReadEnter);
-        if (lockListener)
-            lockListener->lockEvent(m.now(), cpu, lock_id,
-                                    LockEvent::AcquireSuccess, 0);
-        if (mx)
-            mx->lockEvent(m.now(), cpu, lock_id,
-                          LockEvent::AcquireSuccess);
-        return;
-    }
-    onLockAcquire(cpu, lock_id, 0);
-}
-
-void
-Kernel::onLockReleaseShared(CpuId cpu, uint32_t lock_id)
-{
-    if (m.config().lockPolicy == sim::LockPolicy::Rcu &&
-        rcuManaged(lock_id)) {
-        LockState &l = locks[lock_id];
-        if (l.rcuReaders == 0)
-            util::panic("cpu %u leaving rcu read section of lock %u "
-                        "with no readers", cpu, lock_id);
-        --l.rcuReaders;
-        m.sync().access(cpu, lock_id, LockEvent::RcuReadExit);
-        if (lockListener)
-            lockListener->lockEvent(m.now(), cpu, lock_id,
-                                    LockEvent::Release, 0);
-        if (mx)
-            mx->lockEvent(m.now(), cpu, lock_id, LockEvent::Release);
-        return;
-    }
-    onLockRelease(cpu, lock_id);
-}
-
-void
-Kernel::onFutexWait(CpuId cpu, uint32_t lock_id)
-{
-    LockState &l = locks[lock_id];
-    const Pid pid = curProc[cpu];
-    // The kernel re-checks the lock word before sleeping: a release
-    // between the user-level CAS and this point must not be lost.
-    if (l.heldByCpu < 0 &&
-        (l.grantedTo < 0 || l.grantedTo == int32_t(pid)))
-        return; // fall through to the epilogue; the retry marker wins
-    Process &p = *procs[uint32_t(pid)];
-    ++l.napWaiters; // blocked waiters ride the nap count (Table 12)
-    l.waitQueue.push_back(uint32_t(pid));
     p.state = ProcState::Blocked;
     sim::Cpu &c = m.cpu(cpu);
     p.savedScript = c.drainScript();
@@ -793,119 +669,12 @@ Kernel::onFutexWait(CpuId cpu, uint32_t lock_id)
 }
 
 void
-Kernel::onUserLockAcquire(CpuId cpu, uint32_t lock_id, uint32_t spins)
+Kernel::onFutexWait(CpuId cpu, uint32_t lock_id)
 {
-    LockState &l = locks[lock_id];
     const Pid pid = curProc[cpu];
-    const Cycle now = m.now();
-    const uint32_t waiters =
-        uint32_t(std::popcount(l.spinMask)) + l.napWaiters;
-    const bool futex =
-        m.config().lockPolicy == sim::LockPolicy::Futex;
-
-    // A futex release may have granted the lock directly to a woken
-    // waiter; nobody else may barge in ahead of it.
-    const bool free = l.heldByCpu < 0 &&
-        (!futex || l.grantedTo < 0 || l.grantedTo == int32_t(pid));
-    if (free) {
-        l.heldByCpu = int32_t(pid); // user locks are held by processes
-        l.spinMask &= ~(uint64_t(1) << cpu);
-        if (futex && l.grantedTo == int32_t(pid)) {
-            l.grantedTo = -1;
-            --l.napWaiters; // the woken waiter stops waiting here
-        } else if (!futex && l.napWaiters > 0 && spins == 0) {
-            --l.napWaiters;
-        }
-        const Cycle cost = m.sync().access(
-            cpu, lock_id,
-            futex ? LockEvent::FutexAcquire : LockEvent::AcquireSuccess);
-        m.charge(cpu, cost, true);
-        if (fp) {
-            if (const Cycle extra = fp->holdExtra(lock_id))
-                m.charge(cpu, extra, true);
-        }
-        if (lockListener)
-            lockListener->lockEvent(now, cpu, lock_id,
-                                    LockEvent::AcquireSuccess, waiters);
-        if (mx)
-            mx->lockEvent(now, cpu, lock_id, LockEvent::AcquireSuccess);
-        return;
-    }
-
-    const Cycle cost = m.sync().access(
-        cpu, lock_id,
-        futex ? LockEvent::FutexWait : LockEvent::AcquireFail);
-    m.charge(cpu, cost, true);
-    if (lockListener)
-        lockListener->lockEvent(now, cpu, lock_id,
-                                LockEvent::AcquireFail, waiters);
-    if (mx)
-        mx->lockEvent(now, cpu, lock_id, LockEvent::AcquireFail);
-
-    if (futex) {
-        // One losing CAS, then a FUTEX_WAIT-style syscall: the waiter
-        // blocks in the kernel, so a held futex generates no
-        // steady-state bus traffic at all. The retry marker goes back
-        // first: the continuation saved by the wait re-attempts the
-        // acquire when the wake reschedules this process.
-        sim::Cpu &cf = m.cpu(cpu);
-        cf.pushFront(ScriptItem::mark(MarkerOp::UserLockAcquire,
-                                      lock_id, 0));
-        Process &pf = *procs[uint32_t(pid)];
-        Script sf = pathFutexWait(pf, lock_id);
-        cf.pushFrontSeq(sf);
-        return;
-    }
-
-    sim::Cpu &c = m.cpu(cpu);
-    if (spins + 1 < cfg.userLockSpins) {
-        l.spinMask |= uint64_t(1) << cpu;
-        c.pushFront(ScriptItem::mark(MarkerOp::UserLockAcquire, lock_id,
-                                     spins + 1));
-        c.pushFront(ScriptItem::think(cfg.spinGap));
-        return;
-    }
-
-    // After 20 unsuccessful spins the library calls sginap (paper
-    // Sec. 4.1): reschedule, then retry from zero.
-    l.spinMask &= ~(uint64_t(1) << cpu);
-    ++l.napWaiters;
-    c.pushFront(ScriptItem::mark(MarkerOp::UserLockAcquire, lock_id, 0));
-    Process &p = *procs[uint32_t(pid)];
-    Script s = pathSyscall(cpu, p, Sys::Sginap, 0);
-    c.pushFrontSeq(s);
-}
-
-void
-Kernel::onUserLockRelease(CpuId cpu, uint32_t lock_id)
-{
-    LockState &l = locks[lock_id];
-    const Pid pid = curProc[cpu];
-    if (l.heldByCpu != int32_t(pid))
-        util::panic("pid %d releasing user lock %u it does not hold",
-                    int(pid), lock_id);
-    l.heldByCpu = -1;
-    const uint32_t waiters =
-        uint32_t(std::popcount(l.spinMask)) + l.napWaiters;
-
-    LockEvent ev = LockEvent::Release;
-    if (m.config().lockPolicy == sim::LockPolicy::Futex &&
-        !l.waitQueue.empty()) {
-        // Wake-one: grant the lock to the FIFO head and make it
-        // runnable; napWaiters drops when the grantee takes the lock.
-        const Pid w = Pid(l.waitQueue.front());
-        l.waitQueue.erase(l.waitQueue.begin());
-        l.grantedTo = int32_t(w);
-        makeReady(w);
-        ev = LockEvent::FutexWake;
-    }
-    const Cycle cost = m.sync().access(cpu, lock_id, ev);
-    m.charge(cpu, cost, true);
-    if (lockListener)
-        lockListener->lockEvent(m.now(), cpu, lock_id,
-                                LockEvent::Release, waiters);
-    if (mx)
-        mx->lockEvent(m.now(), cpu, lock_id, LockEvent::Release);
+    if (!sim::futexSleep(locks[lock_id], pid))
+        return; // fall through to the epilogue; the retry marker wins
+    block(cpu, *procs[uint32_t(pid)]);
 }
 
 void
@@ -932,12 +701,7 @@ Kernel::onSleepDisk(CpuId cpu, Cycle wake_at)
         --p.wakePending;
         return; // I/O already finished; fall through to the post-work
     }
-    p.state = ProcState::Blocked;
-    sim::Cpu &c = m.cpu(cpu);
-    p.savedScript = c.drainScript();
-    Script s;
-    emitReschedSeq(s);
-    c.pushFrontSeq(s);
+    block(cpu, p);
 }
 
 void
@@ -950,12 +714,7 @@ Kernel::onBlockWait(CpuId cpu)
         return;
     }
     p.waitingForChild = true;
-    p.state = ProcState::Blocked;
-    sim::Cpu &c = m.cpu(cpu);
-    p.savedScript = c.drainScript();
-    Script s;
-    emitReschedSeq(s);
-    c.pushFrontSeq(s);
+    block(cpu, p);
 }
 
 void
@@ -970,12 +729,7 @@ Kernel::onBlockTty(CpuId cpu, uint32_t session)
     }
     t.reader = pid;
     p.blockedOnTty = int32_t(session);
-    p.state = ProcState::Blocked;
-    sim::Cpu &c = m.cpu(cpu);
-    p.savedScript = c.drainScript();
-    Script s;
-    emitReschedSeq(s);
-    c.pushFrontSeq(s);
+    block(cpu, p);
 }
 
 void

@@ -255,6 +255,8 @@ class Kernel : public sim::Executor
     Script pathTtyInterrupt(CpuId cpu, uint32_t session);
     /** Run-queue requeue + pick sequence ending in a Resched marker. */
     void emitReschedSeq(Script &s);
+    /** Block p, running on cpu: save its continuation, reschedule. */
+    void block(CpuId cpu, Process &p);
     /// @}
 
     /// @name VM
@@ -283,22 +285,16 @@ class Kernel : public sim::Executor
     /// @{
     void onOsEnter(CpuId cpu, sim::OsOp op);
     void onOsExit(CpuId cpu);
-    /**
-     * Kernel spinlock acquire under the machine's lock policy. `state`
-     * is the policy's resume argument carried in the marker's arg2:
-     * 0 on the first attempt always; Ticket re-polls carry ticket+1,
-     * MCS re-polls carry 1 (enqueued). TestAndSet ignores it.
-     */
-    void onLockAcquire(CpuId cpu, uint32_t lock_id, uint64_t state);
-    void onLockRelease(CpuId cpu, uint32_t lock_id);
-    void onLockAcquireShared(CpuId cpu, uint32_t lock_id);
-    void onLockReleaseShared(CpuId cpu, uint32_t lock_id);
-    void onUserLockAcquire(CpuId cpu, uint32_t lock_id, uint32_t spins);
-    void onUserLockRelease(CpuId cpu, uint32_t lock_id);
-    /** Common success bookkeeping of a kernel-lock acquire; charges
-     *  the policy's transport event, reports logical AcquireSuccess. */
-    void wonKernelLock(CpuId cpu, uint32_t lock_id, uint32_t waiters,
-                       sim::LockEvent transport_ev);
+    /** Every lock marker (kernel, read-mostly and user-library),
+     *  stepped through the machine's lock policy (sim/lockpolicy.hh). */
+    void onLockAcquire(CpuId cpu, const ScriptItem &item);
+    void onLockRelease(CpuId cpu, const ScriptItem &item);
+    /** Charge a lock's transport event to cpu as stall. */
+    void chargeLock(CpuId cpu, uint32_t lock_id, sim::LockEvent ev,
+                    int peer = -1);
+    /** Report a logical lock event to the listener and metrics. */
+    void reportLock(CpuId cpu, uint32_t lock_id, sim::LockEvent ev,
+                    uint32_t waiters);
     /** Futex-style user lock: block the caller until release wakes it
      *  (re-checks the lock word first, closing the lost-wakeup race). */
     void onFutexWait(CpuId cpu, uint32_t lock_id);

@@ -148,19 +148,7 @@ Kernel::saveState(ByteWriter &w, const BehaviorCodec &codec) const
         w.u32(sk);
 
     // Locks.
-    w.u32(uint32_t(locks.size()));
-    for (const LockState &l : locks) {
-        w.i64(l.heldByCpu);
-        w.u64(l.spinMask);
-        w.u32(l.napWaiters);
-        w.u32(l.nextTicket);
-        w.u32(l.nowServing);
-        w.i64(l.grantedTo);
-        w.u32(uint32_t(l.waitQueue.size()));
-        for (uint32_t q : l.waitQueue)
-            w.u32(q);
-        w.u32(l.rcuReaders);
-    }
+    sim::saveLockTable(w, locks);
     w.u32(nUserLocks);
 
     // Images.
@@ -326,23 +314,8 @@ Kernel::restoreState(ByteReader &r, const BehaviorCodec &codec)
         rqSkips.push_back(r.u32());
 
     // Locks.
-    expect(r.u32(), locks.size(), "lock table size");
-    for (LockState &l : locks) {
-        l.heldByCpu = int32_t(r.i64());
-        l.spinMask = r.u64();
-        l.napWaiters = r.u32();
-        l.nextTicket = r.u32();
-        l.nowServing = r.u32();
-        l.grantedTo = int32_t(r.i64());
-        l.waitQueue.clear();
-        const uint32_t nq = r.u32();
-        if (nq > locks.size() + procs.size())
-            util::raise(util::ErrCode::SnapshotCorrupt,
-                        "lock wait queue implausibly long (%u)", nq);
-        for (uint32_t i = 0; i < nq; ++i)
-            l.waitQueue.push_back(r.u32());
-        l.rcuReaders = r.u32();
-    }
+    sim::restoreLockTable(r, locks, numKernelLocks, m.numCpus(),
+                          uint32_t(procs.size()));
     nUserLocks = r.u32();
 
     // Images (registered at construction; contents must agree).

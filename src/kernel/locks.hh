@@ -15,8 +15,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "sim/lockpolicy.hh"
 #include "sim/syncbus.hh"
 #include "sim/types.hh"
 
@@ -65,29 +65,9 @@ rcuManaged(uint32_t lock_id)
            (lock_id >= InoBase && lock_id < numKernelLocks);
 }
 
-/**
- * Runtime state of one lock. The first three fields are the paper's
- * test-and-set machine; the rest exist for the modern lock policies
- * (DESIGN.md section 14) and stay at their defaults under the default
- * primitive.
- */
-struct LockState
-{
-    int32_t heldByCpu = -1;   ///< CPU currently holding (kernel view).
-    uint64_t spinMask = 0;    ///< CPUs actively spinning on it.
-    uint32_t napWaiters = 0;  ///< Processes that sginapped on it.
-
-    uint32_t nextTicket = 0;  ///< Ticket: next ticket to hand out.
-    uint32_t nowServing = 0;  ///< Ticket: ticket currently served.
-    /** MCS/futex direct hand-off: the CPU (kernel locks) or pid (user
-     *  locks) the releaser granted the lock to, not yet observed by
-     *  the grantee; -1 when no hand-off is pending. */
-    int32_t grantedTo = -1;
-    /** FIFO of waiters: CPU ids for MCS kernel locks, pids for futex
-     *  user locks. */
-    std::vector<uint32_t> waitQueue;
-    uint32_t rcuReaders = 0;  ///< Active read-side sections (RCU).
-};
+/** The lock state machine lives in the sim layer, next to the
+ *  transport it drives, so the fuzzer can drive it too. */
+using sim::LockState;
 
 /**
  * Observer of lock activity. Implemented by core::LockStats; the

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/check/checker.hh"
+#include "sim/lockpolicy.hh"
 #include "sim/machine.hh"
 #include "sim/phase.hh"
 #include "sim/snapshot/container.hh"
@@ -63,6 +64,24 @@ describeEvent(const Event &e)
        << " addr=0x" << std::hex << e.addr << std::dec << " a=" << e.a
        << " b=" << e.b;
     return os.str();
+}
+
+/** "diverge(s) at index i (...)": the first event where a and b
+ *  differ, named an and bn. */
+void
+describeDivergence(std::ostream &os, const std::vector<Event> &a,
+                   const char *an, const std::vector<Event> &b,
+                   const char *bn)
+{
+    size_t i = 0;
+    while (i < a.size() && i < b.size() && a[i] == b[i])
+        ++i;
+    const auto at = [i](const std::vector<Event> &v) {
+        return i < v.size() ? describeEvent(v[i]) : std::string("<end>");
+    };
+    os << "diverge at index " << i << " (" << an << " " << a.size()
+       << " events, " << bn << " " << b.size() << "): " << an << "="
+       << at(a) << " " << bn << "=" << at(b);
 }
 
 /** MonitorObserver that flattens the whole stream into a vector. */
@@ -130,54 +149,41 @@ class EventRecorder : public MonitorObserver
     }
 };
 
+/** Cycles a CPU that lost a lock thinks before polling again (the
+ *  kernel's default spin gap). */
+constexpr Cycle fuzzSpinGap = 30;
+
 /**
  * Executor interpreting the fuzz scripts: OS enter/exit markers drive
- * the monitor context, lock markers drive the sync transport, TLB
- * faults install the identity mapping, and a CPU whose program is done
- * spins on a declared chunk -- two instruction fetches and loads of
- * pool lines the other CPUs' programs store to -- so the fast core
- * parks it and their stores and I-cache flushes wake it.
+ * the monitor context, lock markers drive the lock-policy state
+ * machine (sim/lockpolicy.hh) on the executor's own lock table and
+ * charge its transport events, TLB faults install the identity
+ * mapping, and a CPU whose program is done spins on a declared chunk
+ * -- two instruction fetches and loads of pool lines the other CPUs'
+ * programs store to -- so the fast core parks it and their stores and
+ * I-cache flushes wake it.
  */
 class ScriptedExecutor : public Executor
 {
   public:
-    /**
-     * Per-lock translation state for the non-TAS primitives: which
-     * CPUs are mid-attempt (took a ticket / enqueued a queue node /
-     * parked on the futex word) and, for MCS, the enqueue order the
-     * releaser hands off along. This is the fuzz harness's stand-in
-     * for the kernel's LockState; the snapshot differential carries
-     * it across the cut the same way kstate.cc serializes the real
-     * thing.
-     */
-    struct LockSim
-    {
-        std::vector<uint8_t> pending; ///< Per-CPU mid-attempt flag.
-        std::vector<CpuId> queue;     ///< MCS waiters, enqueue order.
-        uint32_t pendingCount = 0;
-    };
+    /** The lock table the policy steps run on, every lock a kernel
+     *  lock held by a CPU. A snapshot carries it in its Kernel
+     *  section, as the kernel's own snapshot carries its table. */
+    std::vector<LockState> locks;
+    /** What the state machine did during this executor's run. */
+    FuzzLockCoverage coverage;
 
     /** @param spin_lines Data lines the finished CPUs' spin loads. */
     ScriptedExecutor(Machine &machine,
                      const std::vector<Addr> &spin_lines,
                      FaultPlan *faults = nullptr)
-        : m(machine), fp(faults),
-          lsim(machine.sync().numLocks(),
-               LockSim{std::vector<uint8_t>(machine.numCpus(), 0),
-                       {}, 0})
+        : locks(machine.sync().numLocks()), m(machine), fp(faults)
     {
         const Addr code = machine.config().memBytes / 2;
         spin = {ScriptItem::ifetch(code),
                 ScriptItem::ifetch(code + machine.config().lineBytes)};
         for (Addr line : spin_lines)
             spin.push_back(ScriptItem::load(line));
-    }
-
-    const std::vector<LockSim> &lockSimState() const { return lsim; }
-    void
-    setLockSimState(std::vector<LockSim> state)
-    {
-        lsim = std::move(state);
     }
 
     void
@@ -191,6 +197,7 @@ class ScriptedExecutor : public Executor
     marker(CpuId cpu, const ScriptItem &item) override
     {
         Cpu &c = m.cpu(cpu);
+        const uint32_t id = uint32_t(item.addr);
         switch (item.marker) {
           case MarkerOp::OsEnter:
             m.monitor().osEnter(m.now(), cpu, OsOp(item.addr));
@@ -202,22 +209,15 @@ class ScriptedExecutor : public Executor
             c.ctx.mode = ExecMode::User;
             c.ctx.op = OsOp::None;
             break;
-          case MarkerOp::LockAcquire: {
-            chargeAcquire(cpu, uint32_t(item.addr), item.arg2 != 0);
-            if (fp && !item.arg2) {
-                // Fault injection: stretch the hold of perturbed
-                // locks (the extra cycles model a slow critical
-                // section).
-                if (const Cycle extra =
-                        fp->holdExtra(uint32_t(item.addr)))
-                    m.charge(cpu, extra, true);
-            }
+          case MarkerOp::LockAcquire:
+          case MarkerOp::LockAcquireShared:
+            acquire(cpu, id, item.arg2,
+                    item.marker == MarkerOp::LockAcquireShared);
             break;
-          }
-          case MarkerOp::LockRelease: {
-            chargeRelease(cpu, uint32_t(item.addr));
+          case MarkerOp::LockRelease:
+          case MarkerOp::LockReleaseShared:
+            release(cpu, id, item.marker == MarkerOp::LockReleaseShared);
             break;
-          }
           case MarkerOp::Resched:
             m.monitor().contextSwitch(m.now(), cpu, c.ctx.pid,
                                       Pid(item.addr));
@@ -249,11 +249,14 @@ class ScriptedExecutor : public Executor
     Cycle nextEventAt(CpuId) const override { return ~Cycle(0); }
 
   private:
-    /** Lower lock-id half plays the RCU-managed read-mostly tables. */
+    LockPolicy policy() const { return m.config().lockPolicy; }
+
+    /** The lower half of the lock ids plays the RCU-managed
+     *  read-mostly tables; the upper half stays exclusive. */
     bool
-    rcuManagedFuzz(uint32_t id) const
+    rcuManaged(uint32_t id) const
     {
-        return id < m.sync().numLocks() / 2;
+        return id < locks.size() / 2;
     }
 
     void
@@ -262,128 +265,48 @@ class ScriptedExecutor : public Executor
         m.charge(cpu, m.sync().access(cpu, id, ev, peer), true);
     }
 
-    /**
-     * Translate a generic scripted acquire (fail = a losing poll)
-     * into the active primitive's transport events. The translation
-     * is a function of (policy, this CPU's pending flag, fail), so
-     * every core replays the identical sequence.
-     */
+    /** As the kernel does: a loser spins on a retry marker. */
     void
-    chargeAcquire(CpuId cpu, uint32_t id, bool fail)
+    acquire(CpuId cpu, uint32_t id, uint64_t state, bool shared)
     {
-        LockSim &ls = lsim[id];
-        switch (m.config().lockPolicy) {
-          case LockPolicy::Ticket:
-            if (!ls.pending[cpu]) {
-                charge(cpu, id, LockEvent::TicketTake);
-                if (fail) {
-                    ls.pending[cpu] = 1;
-                    ++ls.pendingCount;
-                }
-            } else {
-                charge(cpu, id, LockEvent::TicketPoll);
-                if (!fail) {
-                    ls.pending[cpu] = 0;
-                    --ls.pendingCount;
-                }
-            }
-            break;
-          case LockPolicy::Mcs:
-            if (!ls.pending[cpu]) {
-                if (fail) {
-                    charge(cpu, id, LockEvent::McsEnqueue);
-                    ls.pending[cpu] = 1;
-                    ++ls.pendingCount;
-                    ls.queue.push_back(cpu);
-                } else {
-                    charge(cpu, id, LockEvent::McsSwap);
-                }
-            } else {
-                charge(cpu, id, LockEvent::McsLocalPoll);
-                if (!fail) {
-                    ls.pending[cpu] = 0;
-                    --ls.pendingCount;
-                    for (auto it = ls.queue.begin();
-                         it != ls.queue.end(); ++it) {
-                        if (*it == cpu) {
-                            ls.queue.erase(it);
-                            break;
-                        }
-                    }
-                }
-            }
-            break;
-          case LockPolicy::Futex:
-            if (fail) {
-                charge(cpu, id, LockEvent::FutexWait);
-                if (!ls.pending[cpu]) {
-                    ls.pending[cpu] = 1;
-                    ++ls.pendingCount;
-                }
-            } else {
-                charge(cpu, id, LockEvent::FutexAcquire);
-                if (ls.pending[cpu]) {
-                    ls.pending[cpu] = 0;
-                    --ls.pendingCount;
-                }
-            }
-            break;
-          case LockPolicy::Rcu:
-            if (rcuManagedFuzz(id)) {
-                // Read path: readers never spin, so a scripted
-                // losing poll melts away; entry is free of bus ops
-                // but still flows through the transport counters.
-                if (!fail)
-                    charge(cpu, id, LockEvent::RcuReadEnter);
-            } else {
-                charge(cpu, id,
-                       fail ? LockEvent::AcquireFail
-                            : LockEvent::AcquireSuccess);
-            }
-            break;
-          default:
-            charge(cpu, id,
-                   fail ? LockEvent::AcquireFail
-                        : LockEvent::AcquireSuccess);
+        const LockAcquireStep st = lockAcquire(
+            policy(), locks[id], id, cpu, state, shared && rcuManaged(id));
+        charge(cpu, id, st.ev);
+        if (st.ev == LockEvent::RcuReadEnter) {
+            ++coverage.readSections;
+            return;
         }
+        if (st.won) {
+            // Fault injection: stretch the hold of perturbed locks
+            // (the extra cycles model a slow critical section).
+            if (fp)
+                m.charge(cpu, fp->holdExtra(id), true);
+            return;
+        }
+        ++coverage.lostAcquires;
+        Cpu &c = m.cpu(cpu);
+        c.pushFront(
+            ScriptItem::mark(MarkerOp::LockAcquire, id, st.retryState));
+        c.pushFront(ScriptItem::think(fuzzSpinGap));
     }
 
     void
-    chargeRelease(CpuId cpu, uint32_t id)
+    release(CpuId cpu, uint32_t id, bool shared)
     {
-        LockSim &ls = lsim[id];
-        switch (m.config().lockPolicy) {
-          case LockPolicy::Ticket:
-            charge(cpu, id, LockEvent::TicketRelease);
-            break;
-          case LockPolicy::Mcs:
-            if (!ls.queue.empty())
-                charge(cpu, id, LockEvent::McsHandoff,
-                       int(ls.queue.front()));
-            else
-                charge(cpu, id, LockEvent::McsReleaseFree);
-            break;
-          case LockPolicy::Futex:
-            charge(cpu, id,
-                   ls.pendingCount ? LockEvent::FutexWake
-                                   : LockEvent::Release);
-            break;
-          case LockPolicy::Rcu:
-            if (rcuManagedFuzz(id)) {
-                charge(cpu, id, LockEvent::RcuReadExit);
-            } else {
-                charge(cpu, id, LockEvent::Release);
-                charge(cpu, id, LockEvent::RcuSync);
-            }
-            break;
-          default:
-            charge(cpu, id, LockEvent::Release);
+        const LockReleaseStep st =
+            lockRelease(policy(), locks[id], id, cpu,
+                        shared && rcuManaged(id), rcuManaged(id));
+        charge(cpu, id, st.ev, st.peer);
+        if (st.peer >= 0)
+            ++coverage.handoffs;
+        if (st.gracePeriod) {
+            charge(cpu, id, LockEvent::RcuSync);
+            ++coverage.gracePeriods;
         }
     }
 
     Machine &m;
     FaultPlan *fp; ///< Null outside fault-injection campaigns.
-    std::vector<LockSim> lsim; ///< Per-lock translation state.
     std::vector<ScriptItem> spin; ///< A finished CPU's spin chunk.
 };
 
@@ -441,15 +364,44 @@ buildPool(util::Rng &rng, const FuzzOptions &opt,
     return pool;
 }
 
+/** A seed's pool: the generator's first draw, rebuilt the same way. */
+std::vector<Addr>
+poolFor(uint64_t seed, const FuzzOptions &opt)
+{
+    util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
+    return buildPool(rng, opt, opt.machineConfig(seed));
+}
+
 /** The lines finished CPUs spin on: the pool's first few, which the
  *  programs load and store like every other pool line. */
 std::vector<Addr>
 spinLinesFor(uint64_t seed, const FuzzOptions &opt)
 {
-    util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
-    std::vector<Addr> pool = buildPool(rng, opt, opt.machineConfig(seed));
+    std::vector<Addr> pool = poolFor(seed, opt);
     pool.resize(std::min<size_t>(pool.size(), 4));
     return pool;
+}
+
+/** Give every CPU its script, running in user mode as a fuzz pid. */
+void
+startScripts(Machine &m, const std::vector<std::vector<ScriptItem>> &scripts)
+{
+    for (CpuId c = 0; c < m.numCpus(); ++c) {
+        Cpu &cpu = m.cpu(c);
+        cpu.ctx.mode = ExecMode::User;
+        cpu.ctx.op = OsOp::None;
+        cpu.ctx.pid = Pid(c % maxFuzzPid);
+        cpu.pushSeq(scripts[c]);
+    }
+}
+
+/** The release marker matching a scripted (id, shared) acquire. */
+ScriptItem
+releaseMarker(const std::pair<uint32_t, bool> &held)
+{
+    return ScriptItem::mark(held.second ? MarkerOp::LockReleaseShared
+                                        : MarkerOp::LockRelease,
+                            held.first);
 }
 
 /** The page-table oracle for the identity mapping the fuzzer uses. */
@@ -498,7 +450,8 @@ buildFuzzScripts(uint64_t seed, const FuzzOptions &opt)
         std::vector<ScriptItem> &s = scripts[c];
         s.reserve(opt.scriptLen);
         bool inOs = false;
-        std::vector<uint32_t> held;
+        /** Locks this CPU holds (or reads), in acquisition order. */
+        std::vector<std::pair<uint32_t, bool>> held; // id, shared
         while (s.size() < opt.scriptLen) {
             const uint64_t r = rng.below(100);
             if (r < 45) {
@@ -523,20 +476,22 @@ buildFuzzScripts(uint64_t seed, const FuzzOptions &opt)
             } else if (r < 68) {
                 s.push_back(ScriptItem::think(rng.range(1, 30)));
             } else if (r < 74) {
-                // Lock acquire: a few failed polls, then success.
+                // Lock acquire, half of them read sections. Whether it
+                // spins is the policy state machine's business; taking
+                // ids in ascending order keeps the CPUs deadlock-free.
                 const uint32_t id = uint32_t(rng.below(opt.numLocks));
-                const uint32_t polls = uint32_t(rng.below(3));
-                for (uint32_t p = 0; p < polls; ++p)
-                    s.push_back(
-                        ScriptItem::mark(MarkerOp::LockAcquire, id, 1));
-                s.push_back(
-                    ScriptItem::mark(MarkerOp::LockAcquire, id, 0));
-                held.push_back(id);
+                if (!held.empty() && id <= held.back().first)
+                    continue;
+                const bool shared = rng.chance(0.5);
+                s.push_back(ScriptItem::mark(
+                    shared ? MarkerOp::LockAcquireShared
+                           : MarkerOp::LockAcquire,
+                    id));
+                held.emplace_back(id, shared);
             } else if (r < 78) {
                 if (held.empty())
                     continue;
-                s.push_back(ScriptItem::mark(MarkerOp::LockRelease,
-                                             held.back()));
+                s.push_back(releaseMarker(held.back()));
                 held.pop_back();
             } else if (r < 86) {
                 // OS enter/exit, strictly alternating per CPU.
@@ -577,6 +532,9 @@ buildFuzzScripts(uint64_t seed, const FuzzOptions &opt)
                              0});
             }
         }
+        // A finished program holds nothing another CPU could spin on.
+        for (; !held.empty(); held.pop_back())
+            s.push_back(releaseMarker(held.back()));
     }
     return scripts;
 }
@@ -584,67 +542,10 @@ buildFuzzScripts(uint64_t seed, const FuzzOptions &opt)
 namespace
 {
 
-/** Which core one fuzz run exercises. */
-enum class RunMode { Fast, Slow };
-
-/** One machine run; fills events/state/violations for comparison. */
-void
-runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
-       RunMode mode, std::vector<Event> &events, StateSnapshot &state,
-       std::vector<std::string> &violations, uint64_t &checks,
-       uint64_t &parked)
-{
-    MachineConfig cfg = opt.machineConfig(seed);
-    cfg.slowSim = mode == RunMode::Slow;
-
-    std::vector<std::vector<ScriptItem>> scripts =
-        buildFuzzScripts(seed, opt);
-    if (prefix_len > 0) {
-        for (auto &s : scripts)
-            if (s.size() > prefix_len)
-                s.resize(prefix_len);
-    }
-
-    // The pool is the generator's first draw; rebuild it the same way
-    // for the state snapshot.
-    util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
-    const std::vector<Addr> pool = buildPool(rng, opt, cfg);
-
-    Machine m(cfg, opt.numLocks);
-    Checker *chk = m.checker(); // cfg.check is always set
-    chk->setAbortOnViolation(false);
-    chk->setMappingValidator(identityValidator);
-
-    ScriptedExecutor exec(m, spinLinesFor(seed, opt));
-    m.setExecutor(&exec);
-
-    EventRecorder rec;
-    m.monitor().attach(&rec);
-
-    for (CpuId c = 0; c < m.numCpus(); ++c) {
-        Cpu &cpu = m.cpu(c);
-        cpu.ctx.mode = ExecMode::User;
-        cpu.ctx.op = OsOp::None;
-        cpu.ctx.pid = Pid(c % maxFuzzPid);
-        cpu.pushSeq(scripts[c]);
-    }
-
-    // The same phase driver the experiment harness uses (no deadline
-    // here), so fuzzed runs and measured runs slice identically.
-    runPhase(m, opt.runCycles);
-    chk->checkAll(m);
-    violations = chk->violations();
-    checks = chk->stats().total();
-
-    events = std::move(rec.events);
-    state = capture(m, pool);
-    parked = m.parkedCycles();
-}
-
 /**
- * Common per-machine setup for the snapshot differential: checker in
- * collect mode with the identity oracle, scripted executor, recorder.
- * Wiring only -- none of this is snapshot state.
+ * Common per-machine setup of a fuzz run: checker in collect mode with
+ * the identity oracle, scripted executor, recorder. Wiring only --
+ * none of this is snapshot state.
  */
 struct FuzzRig
 {
@@ -652,9 +553,11 @@ struct FuzzRig
     ScriptedExecutor exec;
     EventRecorder rec;
 
+    /** @param faults Hand the machine's fault plan to the executor. */
     FuzzRig(const MachineConfig &cfg, const FuzzOptions &opt,
-            uint64_t seed)
-        : m(cfg, opt.numLocks), exec(m, spinLinesFor(seed, opt))
+            uint64_t seed, bool faults = false)
+        : m(cfg, opt.numLocks),
+          exec(m, spinLinesFor(seed, opt), faults ? m.faults() : nullptr)
     {
         if (Checker *chk = m.checker()) {
             chk->setAbortOnViolation(false);
@@ -662,6 +565,34 @@ struct FuzzRig
         }
         m.setExecutor(&exec);
         m.monitor().attach(&rec);
+    }
+
+    /** The rig as a snapshot image: the machine, plus the executor's
+     *  lock table in the Kernel section, serialized as the kernel
+     *  serializes its own. */
+    std::vector<uint8_t>
+    pack(uint64_t seed) const
+    {
+        util::ByteWriter mw, lw;
+        m.saveState(mw);
+        saveLockTable(lw, exec.locks);
+        std::vector<std::pair<snapshot::Section, std::vector<uint8_t>>>
+            sections;
+        sections.emplace_back(snapshot::Section::Machine, mw.take());
+        sections.emplace_back(snapshot::Section::Kernel, lw.take());
+        return snapshot::pack(seed, std::move(sections));
+    }
+
+    /** Restore what pack() saved; every lock is a CPU-held one. */
+    void
+    unpack(const std::vector<uint8_t> &image)
+    {
+        const snapshot::Parsed parsed = snapshot::parse(image);
+        util::ByteReader mr(parsed.section(snapshot::Section::Machine));
+        m.restoreState(mr);
+        util::ByteReader lr(parsed.section(snapshot::Section::Kernel));
+        restoreLockTable(lr, exec.locks, uint32_t(exec.locks.size()),
+                         m.numCpus(), 0);
     }
 
     void
@@ -676,6 +607,91 @@ struct FuzzRig
     }
 };
 
+/** Everything one machine run yields for comparison. */
+struct RunRecord
+{
+    std::vector<Event> events;
+    StateSnapshot state;
+    std::vector<std::string> violations;
+    uint64_t checks = 0;
+    uint64_t parked = 0;
+    FuzzLockCoverage locks;
+};
+
+/** One machine run on the fast or the reference core. */
+RunRecord
+runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
+       bool slow)
+{
+    MachineConfig cfg = opt.machineConfig(seed);
+    cfg.slowSim = slow;
+
+    std::vector<std::vector<ScriptItem>> scripts =
+        buildFuzzScripts(seed, opt);
+    if (prefix_len > 0) {
+        for (auto &s : scripts)
+            if (s.size() > prefix_len)
+                s.resize(prefix_len);
+    }
+
+    FuzzRig rig(cfg, opt, seed);
+    startScripts(rig.m, scripts);
+    // The same phase driver the experiment harness uses (no deadline
+    // here), so fuzzed runs and measured runs slice identically.
+    runPhase(rig.m, opt.runCycles);
+    RunRecord out;
+    rig.finish(out.violations, out.checks);
+    out.events = std::move(rig.rec.events);
+    out.state = capture(rig.m, poolFor(seed, opt));
+    out.parked = rig.m.parkedCycles();
+    out.locks = rig.exec.coverage;
+    return out;
+}
+
+/**
+ * The seed x CPU-count sweep both matrices share. With `minimize` a
+ * failing seed is reported with its shortest failing script prefix.
+ */
+FuzzMatrixResult
+sweep(uint64_t first_seed, uint32_t num_seeds,
+      const std::vector<uint32_t> &cpu_counts, const FuzzOptions &base,
+      const std::function<FuzzOutcome(uint64_t, const FuzzOptions &)>
+          &run,
+      bool minimize,
+      const std::function<void(uint64_t, uint32_t,
+                               const FuzzOutcome &)> &progress)
+{
+    FuzzMatrixResult result;
+    for (uint32_t cpus : cpu_counts) {
+        FuzzOptions opt = base;
+        opt.numCpus = cpus;
+        for (uint64_t s = first_seed; s < first_seed + num_seeds; ++s) {
+            const FuzzOutcome out = run(s, opt);
+            ++result.runs;
+            result.eventsCompared += out.eventsCompared;
+            result.checksPerformed += out.checksPerformed;
+            result.locks += out.locks;
+            if (!out.ok) {
+                FuzzFailure f{s, cpus, 0, out.detail};
+                if (minimize) {
+                    f.minimalPrefix = uint32_t(minimizeFailingPrefix(
+                        opt.scriptLen, [&](uint64_t len) {
+                            return !runDifferential(s, opt,
+                                                    uint32_t(len))
+                                        .ok;
+                        }));
+                    f.detail =
+                        runDifferential(s, opt, f.minimalPrefix).detail;
+                }
+                result.failures.push_back(std::move(f));
+            }
+            if (progress)
+                progress(s, cpus, out);
+        }
+    }
+    return result;
+}
+
 } // namespace
 
 FuzzOutcome
@@ -686,30 +702,15 @@ runSnapshotDifferential(uint64_t seed, const FuzzOptions &opt,
     const Cycle cut = std::min(std::max<Cycle>(snapshot_at, 1),
                                opt.runCycles - 1);
 
-    std::vector<std::vector<ScriptItem>> scripts =
+    const std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
-    util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
-    const std::vector<Addr> pool = buildPool(rng, opt, cfg);
-
-    FuzzOutcome out;
 
     // Uninterrupted reference run.
-    std::vector<Event> refEv;
-    StateSnapshot refState;
-    {
-        FuzzRig rig(cfg, opt, seed);
-        for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
-            Cpu &cpu = rig.m.cpu(c);
-            cpu.ctx.mode = ExecMode::User;
-            cpu.ctx.op = OsOp::None;
-            cpu.ctx.pid = Pid(c % maxFuzzPid);
-            cpu.pushSeq(scripts[c]);
-        }
-        runPhase(rig.m, opt.runCycles);
-        rig.finish(out.violations, out.checksPerformed);
-        refEv = std::move(rig.rec.events);
-        refState = capture(rig.m, pool);
-    }
+    const RunRecord ref = runOne(seed, opt, 0, false);
+    FuzzOutcome out;
+    out.violations = ref.violations;
+    out.checksPerformed = ref.checks;
+    out.locks = ref.locks;
 
     // Interrupted run: cut at `cut`, serialize through the container,
     // restore into a brand-new machine, continue there.
@@ -717,71 +718,40 @@ runSnapshotDifferential(uint64_t seed, const FuzzOptions &opt,
     StateSnapshot endState;
     {
         std::vector<uint8_t> image;
-        // The executor's lock-translation state is the harness's
-        // stand-in for the kernel's LockState (which kstate.cc
-        // serializes for real runs); carry it across the cut so the
-        // restored half translates mid-attempt polls identically.
-        std::vector<ScriptedExecutor::LockSim> cutLockSim;
         {
             FuzzRig rig(cfg, opt, seed);
-            for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
-                Cpu &cpu = rig.m.cpu(c);
-                cpu.ctx.mode = ExecMode::User;
-                cpu.ctx.op = OsOp::None;
-                cpu.ctx.pid = Pid(c % maxFuzzPid);
-                cpu.pushSeq(scripts[c]);
-            }
+            startScripts(rig.m, scripts);
             runPhase(rig.m, cut);
             rig.finish(out.violations, out.checksPerformed);
-            util::ByteWriter w;
-            rig.m.saveState(w);
-            std::vector<std::pair<snapshot::Section,
-                                  std::vector<uint8_t>>> sections;
-            sections.emplace_back(snapshot::Section::Machine, w.take());
-            image = snapshot::pack(seed, std::move(sections));
+            image = rig.pack(seed);
             ev = std::move(rig.rec.events);
-            cutLockSim = rig.exec.lockSimState();
         }
         {
             // The restored machine gets fresh wiring (executor,
             // recorder, checker); per-CPU contexts and script queues
             // come from the snapshot, so no re-initialization here.
             FuzzRig rig(cfg, opt, seed);
-            const auto parsed = snapshot::parse(image);
-            util::ByteReader r(
-                parsed.section(snapshot::Section::Machine));
-            rig.m.restoreState(r);
-            rig.exec.setLockSimState(std::move(cutLockSim));
+            rig.unpack(image);
             runPhase(rig.m, opt.runCycles - cut);
             rig.finish(out.violations, out.checksPerformed);
             ev.insert(ev.end(), rig.rec.events.begin(),
                       rig.rec.events.end());
-            endState = capture(rig.m, pool);
+            endState = capture(rig.m, poolFor(seed, opt));
         }
     }
 
-    out.eventsCompared = refEv.size();
+    out.eventsCompared = ref.events.size();
     std::ostringstream detail;
     if (!out.violations.empty()) {
         out.ok = false;
         detail << out.violations.size() << " invariant violation(s), "
                << "first: " << out.violations.front();
-    } else if (ev != refEv) {
+    } else if (ev != ref.events) {
         out.ok = false;
-        const size_t n = std::min(ev.size(), refEv.size());
-        size_t i = 0;
-        while (i < n && ev[i] == refEv[i])
-            ++i;
-        detail << "snapshot-at-" << cut
-               << " event stream diverges at index " << i
-               << " (snapshotted " << ev.size() << " events, reference "
-               << refEv.size() << "): snapshotted="
-               << (i < ev.size() ? describeEvent(ev[i])
-                                 : std::string("<end>"))
-               << " reference="
-               << (i < refEv.size() ? describeEvent(refEv[i])
-                                    : std::string("<end>"));
-    } else if (!(endState == refState)) {
+        detail << "snapshot-at-" << cut << " event stream ";
+        describeDivergence(detail, ev, "snapshotted", ref.events,
+                           "reference");
+    } else if (!(endState == ref.state)) {
         out.ok = false;
         detail << "final machine state differs after a snapshot at "
                << cut << " cycles (identical event streams)";
@@ -798,75 +768,42 @@ runSnapshotMatrix(uint64_t first_seed, uint32_t num_seeds,
                                            const FuzzOutcome &)>
                       &progress)
 {
-    FuzzMatrixResult result;
-    for (uint32_t cpus : cpu_counts) {
-        FuzzOptions opt = base;
-        opt.numCpus = cpus;
-        for (uint64_t s = first_seed; s < first_seed + num_seeds;
-             ++s) {
-            const FuzzOutcome out =
-                runSnapshotDifferential(s, opt, snapshot_at);
-            ++result.runs;
-            result.eventsCompared += out.eventsCompared;
-            result.checksPerformed += out.checksPerformed;
-            if (!out.ok) {
-                FuzzFailure f;
-                f.seed = s;
-                f.numCpus = cpus;
-                f.minimalPrefix = 0; // repro = seed + cut point
-                f.detail = out.detail;
-                result.failures.push_back(std::move(f));
-            }
-            if (progress)
-                progress(s, cpus, out);
-        }
-    }
-    return result;
+    // The repro is already just a seed and a cut point.
+    return sweep(
+        first_seed, num_seeds, cpu_counts, base,
+        [snapshot_at](uint64_t seed, const FuzzOptions &opt) {
+            return runSnapshotDifferential(seed, opt, snapshot_at);
+        },
+        false, progress);
 }
 
 FuzzOutcome
 runDifferential(uint64_t seed, const FuzzOptions &opt,
                 uint32_t prefix_len)
 {
-    std::vector<Event> fastEv, slowEv;
-    StateSnapshot fastState, slowState;
-    std::vector<std::string> fastViol, slowViol;
-    uint64_t fastChecks = 0, slowChecks = 0;
-    uint64_t fastParked = 0, slowParked = 0;
-
-    runOne(seed, opt, prefix_len, RunMode::Fast, fastEv, fastState,
-           fastViol, fastChecks, fastParked);
-    runOne(seed, opt, prefix_len, RunMode::Slow, slowEv, slowState,
-           slowViol, slowChecks, slowParked);
+    const RunRecord fast = runOne(seed, opt, prefix_len, false);
+    const RunRecord slow = runOne(seed, opt, prefix_len, true);
 
     FuzzOutcome out;
-    out.parkedCycles = fastParked;
-    out.eventsCompared = fastEv.size();
-    out.checksPerformed = fastChecks + slowChecks;
-    out.violations = fastViol;
-    out.violations.insert(out.violations.end(), slowViol.begin(),
-                          slowViol.end());
+    out.parkedCycles = fast.parked;
+    out.locks = fast.locks;
+    out.eventsCompared = fast.events.size();
+    out.checksPerformed = fast.checks + slow.checks;
+    out.violations = fast.violations;
+    out.violations.insert(out.violations.end(), slow.violations.begin(),
+                          slow.violations.end());
 
     std::ostringstream detail;
     if (!out.violations.empty()) {
         out.ok = false;
         detail << out.violations.size() << " invariant violation(s), "
                << "first: " << out.violations.front();
-    } else if (fastEv != slowEv) {
+    } else if (fast.events != slow.events) {
         out.ok = false;
-        const size_t n = std::min(fastEv.size(), slowEv.size());
-        size_t i = 0;
-        while (i < n && fastEv[i] == slowEv[i])
-            ++i;
-        detail << "event streams diverge at index " << i << " (fast "
-               << fastEv.size() << " events, slow " << slowEv.size()
-               << "): fast="
-               << (i < fastEv.size() ? describeEvent(fastEv[i])
-                                     : std::string("<end>"))
-               << " slow="
-               << (i < slowEv.size() ? describeEvent(slowEv[i])
-                                     : std::string("<end>"));
-    } else if (!(fastState == slowState)) {
+        detail << "event streams ";
+        describeDivergence(detail, fast.events, "fast", slow.events,
+                           "slow");
+    } else if (!(fast.state == slow.state)) {
         out.ok = false;
         detail << "final machine state differs between fast and "
                   "reference runs (identical event streams)";
@@ -896,7 +833,7 @@ runFaulted(uint64_t seed, const FuzzOptions &opt)
     MachineConfig cfg = opt.machineConfig(seed);
     // The campaign exercises the failure paths, not the differential
     // property; the checkers stay out of the way (a forced MPOS_CHECK
-    // still works, see below).
+    // still works: the rig puts it in collect mode).
     cfg.check = false;
     cfg.faultSeed = seed ? seed : 1;
     cfg.faultHorizon = opt.runCycles;
@@ -909,34 +846,17 @@ runFaulted(uint64_t seed, const FuzzOptions &opt)
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
 
-    Machine m(cfg, opt.numLocks);
-    FaultPlan *fp = m.faults();
+    FuzzRig rig(cfg, opt, seed, true);
+    FaultPlan *fp = rig.m.faults();
     rec.schedule = fp->describe();
-
-    if (Checker *chk = m.checker()) {
-        chk->setAbortOnViolation(false);
-        chk->setMappingValidator(identityValidator);
-    }
-
-    ScriptedExecutor exec(m, spinLinesFor(seed, opt), fp);
-    m.setExecutor(&exec);
-
-    for (CpuId c = 0; c < m.numCpus(); ++c) {
-        Cpu &cpu = m.cpu(c);
-        cpu.ctx.mode = ExecMode::User;
-        cpu.ctx.op = OsOp::None;
-        cpu.ctx.pid = Pid(c % maxFuzzPid);
-        std::vector<ScriptItem> &s = scripts[c];
-        // Scripted truncation: only ever drops a suffix, so no
-        // release-without-acquire can appear.
-        const auto keep = size_t(fp->truncatedLen(s.size()));
-        if (keep < s.size())
-            s.resize(keep);
-        cpu.pushSeq(s);
-    }
+    // Scripted truncation: only ever drops a suffix, so no
+    // release-without-acquire can appear.
+    for (std::vector<ScriptItem> &s : scripts)
+        s.resize(size_t(fp->truncatedLen(s.size())));
+    startScripts(rig.m, scripts);
 
     try {
-        runPhase(m, opt.runCycles);
+        runPhase(rig.m, opt.runCycles);
     } catch (const util::SimError &e) {
         rec.tripped = true;
         rec.errorCode = e.codeName();
@@ -984,33 +904,12 @@ runFuzzMatrix(uint64_t first_seed, uint32_t num_seeds,
               const std::function<void(uint64_t, uint32_t,
                                        const FuzzOutcome &)> &progress)
 {
-    FuzzMatrixResult result;
-    for (uint32_t cpus : cpu_counts) {
-        FuzzOptions opt = base;
-        opt.numCpus = cpus;
-        for (uint64_t s = first_seed; s < first_seed + num_seeds; ++s) {
-            const FuzzOutcome out = runDifferential(s, opt);
-            ++result.runs;
-            result.eventsCompared += out.eventsCompared;
-            result.checksPerformed += out.checksPerformed;
-            if (!out.ok) {
-                FuzzFailure f;
-                f.seed = s;
-                f.numCpus = cpus;
-                f.minimalPrefix = uint32_t(minimizeFailingPrefix(
-                    opt.scriptLen, [&](uint64_t len) {
-                        return !runDifferential(s, opt, uint32_t(len))
-                                    .ok;
-                    }));
-                f.detail =
-                    runDifferential(s, opt, f.minimalPrefix).detail;
-                result.failures.push_back(std::move(f));
-            }
-            if (progress)
-                progress(s, cpus, out);
-        }
-    }
-    return result;
+    return sweep(
+        first_seed, num_seeds, cpu_counts, base,
+        [](uint64_t seed, const FuzzOptions &opt) {
+            return runDifferential(seed, opt);
+        },
+        true, progress);
 }
 
 namespace
@@ -1085,20 +984,9 @@ buildCorruptBaseImage(uint64_t seed, const FuzzOptions &opt)
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
     FuzzRig rig(cfg, opt, seed);
-    for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
-        Cpu &cpu = rig.m.cpu(c);
-        cpu.ctx.mode = ExecMode::User;
-        cpu.ctx.op = OsOp::None;
-        cpu.ctx.pid = Pid(c % maxFuzzPid);
-        cpu.pushSeq(scripts[c]);
-    }
+    startScripts(rig.m, scripts);
     runPhase(rig.m, opt.runCycles / 2);
-    util::ByteWriter w;
-    rig.m.saveState(w);
-    std::vector<std::pair<snapshot::Section, std::vector<uint8_t>>>
-        sections;
-    sections.emplace_back(snapshot::Section::Machine, w.take());
-    return snapshot::pack(seed, std::move(sections));
+    return rig.pack(seed);
 }
 
 CorruptCampaignResult
@@ -1126,13 +1014,7 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
         std::vector<std::vector<ScriptItem>> scripts =
             buildFuzzScripts(seed ^ 1, opt);
         FuzzRig rig(tcfg, opt, seed ^ 1);
-        for (CpuId c = 0; c < rig.m.numCpus(); ++c) {
-            Cpu &cpu = rig.m.cpu(c);
-            cpu.ctx.mode = ExecMode::User;
-            cpu.ctx.op = OsOp::None;
-            cpu.ctx.pid = Pid(c % maxFuzzPid);
-            cpu.pushSeq(scripts[c]);
-        }
+        startScripts(rig.m, scripts);
         if (trace::Tracer *tr = rig.m.tracer())
             tr->setRoutineNames(
                 {"idle", "fork", "exec", "page_fault", "sched"});
@@ -1156,47 +1038,33 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
         if (snap && rng.below(2) == 0)
             fixupTrailingChecksum(img);
         ++out.runs;
-        if (snap) {
-            try {
-                const snapshot::Parsed parsed = snapshot::parse(img);
-                FuzzRig rig(cfg, opt, seed);
-                util::ByteReader r(
-                    parsed.section(snapshot::Section::Machine));
-                rig.m.restoreState(r);
-                ++out.accepted;
-            } catch (const util::SimError &) {
-                ++out.rejected;
-            } catch (const std::exception &e) {
-                out.failures.push_back(
-                    "snapshot mutation #" + std::to_string(i) +
-                    " escaped the typed-error contract: " + e.what());
-            } catch (...) {
-                out.failures.push_back(
-                    "snapshot mutation #" + std::to_string(i) +
-                    " threw a non-standard exception");
-            }
-        } else {
-            if (!writeBytes(mutPath, img)) {
-                out.failures.push_back(
-                    "trace mutation #" + std::to_string(i) +
-                    ": cannot write scratch file " + mutPath);
-                continue;
-            }
+        const std::string what = std::string(snap ? "snapshot" : "trace") +
+                                 " mutation #" + std::to_string(i);
+        if (!snap && !writeBytes(mutPath, img)) {
+            out.failures.push_back(what + ": cannot write scratch file " +
+                                   mutPath);
+            continue;
+        }
+        try {
             std::string err;
-            try {
-                if (trace::convertToJsonl(mutPath, outPath, &err))
-                    ++out.accepted;
-                else
-                    ++out.rejected;
-            } catch (const std::exception &e) {
+            bool decoded = true;
+            if (snap)
+                FuzzRig(cfg, opt, seed).unpack(img);
+            else
+                decoded = trace::convertToJsonl(mutPath, outPath, &err);
+            ++(decoded ? out.accepted : out.rejected);
+        } catch (const std::exception &e) {
+            // The snapshot decoders answer with a typed error; the
+            // trace reader reports a bad input by returning false.
+            if (snap && dynamic_cast<const util::SimError *>(&e))
+                ++out.rejected;
+            else
                 out.failures.push_back(
-                    "trace mutation #" + std::to_string(i) +
-                    " escaped the typed-error contract: " + e.what());
-            } catch (...) {
-                out.failures.push_back(
-                    "trace mutation #" + std::to_string(i) +
-                    " threw a non-standard exception");
-            }
+                    what + " escaped the typed-error contract: " +
+                    e.what());
+        } catch (...) {
+            out.failures.push_back(what +
+                                   " threw a non-standard exception");
         }
         if (progress)
             progress(i + 1, mutations);

@@ -43,12 +43,12 @@ struct FuzzOptions
     Protocol protocol = Protocol::Mesi;
 
     /**
-     * Lock primitive both machines run under. The generic scripted
-     * lock markers (a few failed polls, then success) are translated
-     * by the executor into the primitive's transport event sequence
-     * -- ticket take/poll, MCS swap/enqueue/local-poll/hand-off,
-     * futex CAS/wait/wake, RCU read-side -- so the differential
-     * property covers every primitive's accounting on both cores.
+     * Lock primitive both machines run under. The scripts carry plain
+     * exclusive and shared acquires; the executor drives the
+     * primitive's state machine (sim/lockpolicy.hh), the kernel's own,
+     * so who wins, who spins and who is handed the lock come from lock
+     * state on both cores. The fuzzer has no processes: futex user
+     * locks, which block, are left to the lock litmus suite.
      */
     LockPolicy lockPolicy = LockPolicy::TestAndSet;
 
@@ -60,6 +60,26 @@ struct FuzzOptions
      * (busOccupancy 2), so every seed sweep covers both.
      */
     MachineConfig machineConfig(uint64_t seed) const;
+};
+
+/** What the lock state machine did in a run (or a sum of runs), so a
+ *  matrix can prove it was contended. */
+struct FuzzLockCoverage
+{
+    uint64_t lostAcquires = 0; ///< Acquire attempts that must retry.
+    uint64_t handoffs = 0;     ///< MCS releases to a queued waiter.
+    uint64_t readSections = 0; ///< RCU read-side sections entered.
+    uint64_t gracePeriods = 0; ///< RCU writer grace periods.
+
+    FuzzLockCoverage &
+    operator+=(const FuzzLockCoverage &o)
+    {
+        lostAcquires += o.lostAcquires;
+        handoffs += o.handoffs;
+        readSections += o.readSections;
+        gracePeriods += o.gracePeriods;
+        return *this;
+    }
 };
 
 /** Result of one differential run. */
@@ -76,6 +96,8 @@ struct FuzzOutcome
     uint64_t checksPerformed = 0;
     /** CPU-cycles the fast run's parked CPUs ran arithmetically. */
     uint64_t parkedCycles = 0;
+    /** Lock activity of the fast (or uninterrupted) run. */
+    FuzzLockCoverage locks;
 };
 
 /**
@@ -116,6 +138,7 @@ struct FuzzMatrixResult
     uint32_t runs = 0;
     uint64_t eventsCompared = 0;
     uint64_t checksPerformed = 0;
+    FuzzLockCoverage locks;
     std::vector<FuzzFailure> failures;
 
     bool ok() const { return failures.empty(); }
@@ -135,8 +158,9 @@ FuzzMatrixResult runFuzzMatrix(
 /**
  * Snapshot differential: run a seed's scripts uninterrupted on the
  * fast core, then again with the run cut at snapshot_at cycles -- the
- * machine state is serialized through the snapshot container, restored
- * into a brand-new machine, and the run continued there. The property:
+ * machine state and the lock table are serialized through the
+ * snapshot container, restored into a brand-new machine, and the run
+ * continued there. The property:
  * the interrupted run's concatenated monitor event stream and its
  * final machine state must be bit-identical to the uninterrupted
  * run's, and the coherence checker must stay clean across the restore
@@ -181,7 +205,8 @@ struct CorruptCampaignResult
 /**
  * The pristine MPOSSNAP image the corrupt campaign mutates: a seeded
  * fuzz run cut midway, its Machine section packed exactly as the
- * warm-start cache packs snapshots. Exposed so the committed
+ * warm-start cache packs snapshots, its lock table in a Kernel
+ * section as the kernel serializes its own. Exposed so the committed
  * corrupt-input corpus under tests/golden/corrupt/ can be
  * regenerated deterministically (mpos_fuzz --emit-corrupt-corpus).
  */
@@ -191,7 +216,8 @@ std::vector<uint8_t> buildCorruptBaseImage(uint64_t seed,
 /**
  * Byte-mutation fuzz over the two untrusted binary decoders: the
  * MPOSSNAP snapshot container (through snapshot::parse *and* a full
- * Machine::restoreState of the Machine section) and the MPOSTRC1
+ * Machine::restoreState of the Machine section plus the lock table's
+ * restore from the Kernel section) and the MPOSTRC1
  * trace reader (through trace::convertToJsonl). One pristine image of
  * each kind is built from a seeded fuzz run, then `mutations` seeded
  * variants -- bit flips, byte rewrites, truncations, spliced garbage

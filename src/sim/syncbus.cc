@@ -146,6 +146,12 @@ SyncTransport::access(CpuId cpu, uint32_t lock_id, LockEvent ev,
                     "syncbus: lock id %u out of range (machine has %zu "
                     "locks)",
                     lock_id, perLock.size());
+    // A peer becomes a shift amount into the per-CPU masks.
+    if (peer >= int(cfg.numCpus))
+        util::raise(util::ErrCode::BadConfig,
+                    "syncbus: hand-off peer %d out of range (machine "
+                    "has %u cpus)",
+                    peer, cfg.numCpus);
 
     const uint32_t uops = uncachedOpsFor(ev);
     const uint32_t cops = cachedOpsFor(cpu, lock_id, ev, peer);
@@ -242,25 +248,18 @@ SyncTransport::restoreState(util::ByteReader &r)
     const uint64_t legal = cfg.numCpus >= 64
         ? ~uint64_t(0)
         : (uint64_t(1) << cfg.numCpus) - 1;
-    for (size_t i = 0; i < cachedAt.size(); ++i) {
-        const uint64_t m = r.u64();
-        if (m & ~legal)
-            util::raise(util::ErrCode::SnapshotCorrupt,
-                        "syncbus: lock %zu cachedAt mask %llx has "
-                        "sharers beyond cpu %u",
-                        i, static_cast<unsigned long long>(m),
-                        cfg.numCpus - 1);
-        cachedAt[i] = m;
-    }
-    for (size_t i = 0; i < qnodeAt.size(); ++i) {
-        const uint64_t m = r.u64();
-        if (m & ~legal)
-            util::raise(util::ErrCode::SnapshotCorrupt,
-                        "syncbus: lock %zu qnodeAt mask %llx has "
-                        "sharers beyond cpu %u",
-                        i, static_cast<unsigned long long>(m),
-                        cfg.numCpus - 1);
-        qnodeAt[i] = m;
+    for (auto [masks, name] : {std::pair{&cachedAt, "cachedAt"},
+                               std::pair{&qnodeAt, "qnodeAt"}}) {
+        for (size_t i = 0; i < masks->size(); ++i) {
+            const uint64_t m = r.u64();
+            if (m & ~legal)
+                util::raise(util::ErrCode::SnapshotCorrupt,
+                            "syncbus: lock %zu %s mask %llx has "
+                            "sharers beyond cpu %u",
+                            i, name, static_cast<unsigned long long>(m),
+                            cfg.numCpus - 1);
+            (*masks)[i] = m;
+        }
     }
     const uint32_t nc = r.u32();
     if (nc != stall.size())

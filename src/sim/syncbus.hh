@@ -36,10 +36,10 @@ class Watchdog;
  * The first three events are the paper's test-and-set machine and the
  * only ones the statistics layer ever sees; the rest are the
  * per-primitive transport events of the modern lock policies
- * (DESIGN.md section 14). The kernel translates each policy's
- * acquire/release state machine into these so SyncTransport can charge
- * the primitive's distinct bus-operation pattern under both the
- * uncached sync bus and the cached-RMW transport.
+ * (DESIGN.md section 14). Each policy's acquire/release state machine
+ * (sim/lockpolicy.hh) emits these so SyncTransport can charge the
+ * primitive's distinct bus-operation pattern under both the uncached
+ * sync bus and the cached-RMW transport.
  */
 enum class LockEvent : uint8_t
 {
@@ -109,9 +109,10 @@ class SyncTransport
      * releaser writes, invalidating the successor's locally cached
      * copy); pass -1 when the event has no peer.
      *
-     * Raises SimError(BadConfig) on an out-of-range lock id — ids
-     * arrive from snapshots and --serve requests, so a malformed one
-     * must travel the typed error channel, not abort the process.
+     * Raises SimError(BadConfig) on an out-of-range lock id or a
+     * peer that is no CPU of this machine — both arrive from
+     * snapshots and --serve requests, so a malformed one must travel
+     * the typed error channel, not abort the process.
      */
     Cycle access(CpuId cpu, uint32_t lock_id, LockEvent ev,
                  int peer = -1);

@@ -168,7 +168,8 @@ class ByteReader
     raw(void *out, size_t n)
     {
         need(n);
-        std::memcpy(out, p, n);
+        if (n) // an empty destination may be null, which memcpy forbids
+            std::memcpy(out, p, n);
         p += n;
     }
 

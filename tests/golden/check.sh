@@ -8,12 +8,17 @@
 # an analysis that vanished, or a stale committed file -- is a hard
 # failure, never a skip. Regenerate intentionally with update.sh.
 #
-# Usage: check.sh <mpos_bench binary> [golden dir]
+# Usage: check.sh <mpos_bench binary> [golden dir [mpos_bench args...]]
+#
+# Trailing arguments go to mpos_bench, e.g. the per-policy lock corpora
+# in lockproto/<policy>/ pass --lock-proto <policy> and one --only per
+# analysis they hold.
 
 set -u
 
-bench="${1:?usage: check.sh <mpos_bench binary> [golden dir]}"
+bench="${1:?usage: check.sh <mpos_bench binary> [golden dir [mpos_bench args...]]}"
 golden="${2:-$(cd "$(dirname "$0")" && pwd)}"
+shift $(( $# < 2 ? $# : 2 ))
 
 if [ ! -x "$bench" ]; then
     echo "FAIL: mpos_bench binary '$bench' not found or not executable"
@@ -46,9 +51,10 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 if ! "$bench" --smoke --check --golden-dir "$tmp/fresh" \
-        --json "$tmp/results.json" > "$tmp/stdout.log" 2> "$tmp/stderr.log"
+        --json "$tmp/results.json" "$@" > "$tmp/stdout.log" \
+        2> "$tmp/stderr.log"
 then
-    echo "FAIL: mpos_bench --smoke --check exited non-zero"
+    echo "FAIL: mpos_bench --smoke --check $* exited non-zero"
     tail -n 40 "$tmp/stderr.log"
     exit 1
 fi

@@ -4,15 +4,20 @@
 # Review the resulting diff before committing: every changed line is a
 # claimed intentional change to a paper figure/table.
 #
-# Usage: update.sh <mpos_bench binary> [sim_tests binary]
+# Usage: update.sh <mpos_bench binary> [sim_tests binary
+#                                        [mpos_bench args...]]
 #
 # When the sim_tests binary is also given, the pinned trace golden
-# (trace_smoke.trace / trace_smoke.jsonl) is regenerated as well.
+# (trace_smoke.trace / trace_smoke.jsonl) is regenerated as well (pass
+# "" to skip it). Trailing arguments go to mpos_bench, as in check.sh.
+# Regenerating the default corpus also regenerates the per-policy lock
+# corpora lockproto/<policy>/ (see lockproto.sh).
 
 set -eu
 
-bench="${1:?usage: update.sh <mpos_bench binary> [sim_tests binary]}"
+bench="${1:?usage: update.sh <mpos_bench binary> [sim_tests binary [mpos_bench args...]]}"
 sim_tests="${2:-}"
+shift $(( $# < 2 ? $# : 2 ))
 # MPOS_GOLDEN_DIR regenerates an alternate corpus (e.g. smoke8/);
 # combine with MPOS_GOLDEN_CPUS/MPOS_GOLDEN_PROTOCOL, as in check.sh.
 golden="${MPOS_GOLDEN_DIR:-$(cd "$(dirname "$0")" && pwd)}"
@@ -32,7 +37,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 "$bench" --smoke --check --golden-dir "$tmp/fresh" \
-    --json "$tmp/results.json" > /dev/null
+    --json "$tmp/results.json" "$@" > /dev/null
 
 # Replace the corpus wholesale so removed analyses don't leave stale
 # golden files behind.
@@ -46,4 +51,8 @@ if [ -n "$sim_tests" ]; then
     MPOS_UPDATE_GOLDEN=1 "$sim_tests" \
         --gtest_filter='Trace.GoldenByteIdentical' > /dev/null
     echo "trace golden updated: trace_smoke.trace + trace_smoke.jsonl"
+fi
+
+if [ -z "${MPOS_GOLDEN_DIR:-}" ] && [ $# -eq 0 ]; then
+    bash "$(dirname "$0")/lockproto.sh" update "$bench"
 fi

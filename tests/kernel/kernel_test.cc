@@ -1,10 +1,13 @@
 /** @file Behavioral tests of the synthetic kernel. */
 
+#include <algorithm>
 #include <functional>
 #include <gtest/gtest.h>
 
 #include "kernel/kernel.hh"
 #include "sim/machine.hh"
+#include "util/binio.hh"
+#include "util/error.hh"
 
 using namespace mpos;
 using namespace mpos::kernel;
@@ -327,4 +330,90 @@ TEST_F(KernelTest, InterruptsDeferredWhileKernelLockHeld)
     m->cpu(0).push(ScriptItem::mark(MarkerOp::LockRelease, Runqlk));
     m->run(mcfg.clockTickCycles * 2 + 1000);
     EXPECT_EQ(k->lockState(Runqlk).heldByCpu, -1);
+}
+
+namespace
+{
+
+/** A codec for kernels with no processes: never asked to do anything. */
+struct NoBehaviors : BehaviorCodec
+{
+    void save(util::ByteWriter &, const AppBehavior &) const override {}
+    std::unique_ptr<AppBehavior>
+    load(util::ByteReader &) const override
+    {
+        return nullptr;
+    }
+};
+
+} // namespace
+
+TEST(KernelSnapshot, RestoreRejectsWaitQueueEntryBeyondCpus)
+{
+    // Three CPUs contend for an MCS Memlock: CPU 0 holds it, CPUs 1
+    // and 2 wait in its queue when the kernel is saved.
+    sim::MachineConfig mcfg;
+    mcfg.numCpus = 3;
+    mcfg.lockPolicy = sim::LockPolicy::Mcs;
+    KernelConfig kcfg;
+    kcfg.layout.maxProcs = 16;
+    kcfg.userPoolPages = 600;
+    sim::Machine m(mcfg, 128);
+    Kernel k(m, kcfg);
+    for (sim::CpuId c = 0; c < 3; ++c) {
+        m.cpu(c).push(ScriptItem::think(1 + 50 * c));
+        m.cpu(c).push(ScriptItem::mark(MarkerOp::LockAcquire, Memlock));
+        m.cpu(c).push(ScriptItem::think(2000));
+        m.cpu(c).push(ScriptItem::mark(MarkerOp::LockRelease, Memlock));
+    }
+    m.run(600);
+    const LockState &held = k.lockState(Memlock);
+    ASSERT_EQ(held.heldByCpu, 0);
+    ASSERT_EQ(held.waitQueue, (std::vector<uint32_t>{1, 2}));
+
+    const NoBehaviors codec;
+    util::ByteWriter w;
+    k.saveState(w, codec);
+    std::vector<uint8_t> image = w.take();
+
+    // The lock table opens with its size and then Memlock (id 0):
+    // holder, spinners, nappers, ticket pair, grantee, queue, readers.
+    util::ByteWriter pw;
+    pw.u32(k.numLocks());
+    pw.i64(0);
+    pw.u64(held.spinMask);
+    pw.u32(0);
+    pw.u32(0);
+    pw.u32(0);
+    pw.i64(-1);
+    pw.u32(2);
+    pw.u32(1);
+    pw.u32(2);
+    const std::vector<uint8_t> pattern = pw.take();
+    const auto at = std::search(image.begin(), image.end(),
+                                pattern.begin(), pattern.end());
+    ASSERT_NE(at, image.end()) << "lock table not found in the image";
+    const size_t entry = size_t(at - image.begin()) + pattern.size() - 8;
+
+    {
+        // The pristine image restores.
+        sim::Machine m2(mcfg, 128);
+        Kernel k2(m2, kcfg);
+        util::ByteReader r(image);
+        k2.restoreState(r, codec);
+        EXPECT_EQ(k2.lockState(Memlock).waitQueue, held.waitQueue);
+    }
+
+    // Queue entry 64 would later be an MCS hand-off peer, i.e. a shift
+    // by 64 in the transport's masks.
+    image[entry] = 64;
+    sim::Machine m3(mcfg, 128);
+    Kernel k3(m3, kcfg);
+    util::ByteReader r(image);
+    try {
+        k3.restoreState(r, codec);
+        FAIL() << "queue entry 64 on a 3-CPU machine was accepted";
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(e.code(), util::ErrCode::SnapshotCorrupt) << e.what();
+    }
 }

@@ -10,6 +10,8 @@
  */
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -75,11 +77,12 @@ TEST(FuzzScripts, GeneratorInvariants)
         const auto scripts = sim::buildFuzzScripts(seed, opt);
         ASSERT_EQ(scripts.size(), opt.numCpus);
         for (const auto &script : scripts) {
-            // The last draw may emit a short burst (lock polls), so
-            // the generator can overshoot by a few items.
+            // A program ends by releasing what it still holds, so the
+            // generator can overshoot by one release per lock.
             EXPECT_GE(script.size(), opt.scriptLen);
-            EXPECT_LE(script.size(), opt.scriptLen + 3);
+            EXPECT_LE(script.size(), opt.scriptLen + opt.numLocks);
             int os_depth = 0;
+            std::vector<std::pair<uint64_t, MarkerOp>> held;
             for (const ScriptItem &it : script) {
                 // Cached references stay inside modeled memory;
                 // uncached ones are the only out-of-range traffic.
@@ -111,7 +114,30 @@ TEST(FuzzScripts, GeneratorInvariants)
                         os_depth = 0;
                     }
                 }
+                // Locks are taken in ascending id order (so no two
+                // CPUs can deadlock), as plain first attempts, and
+                // released innermost first with the matching kind.
+                if (it.kind != ItemKind::Marker)
+                    continue;
+                if (it.marker == MarkerOp::LockAcquire ||
+                    it.marker == MarkerOp::LockAcquireShared) {
+                    EXPECT_LT(it.addr, opt.numLocks);
+                    EXPECT_EQ(it.arg2, 0u);
+                    if (!held.empty()) {
+                        EXPECT_GT(it.addr, held.back().first);
+                    }
+                    held.emplace_back(it.addr, it.marker);
+                } else if (it.marker == MarkerOp::LockRelease ||
+                           it.marker == MarkerOp::LockReleaseShared) {
+                    ASSERT_FALSE(held.empty());
+                    EXPECT_EQ(it.addr, held.back().first);
+                    EXPECT_EQ(it.marker == MarkerOp::LockReleaseShared,
+                              held.back().second ==
+                                  MarkerOp::LockAcquireShared);
+                    held.pop_back();
+                }
             }
+            EXPECT_TRUE(held.empty()) << "a program ends holding a lock";
         }
     }
 }
@@ -200,4 +226,33 @@ TEST(FuzzDifferential, SmallMatrixAllCpuCountsPass)
     }
     EXPECT_GT(res.eventsCompared, 0u);
     EXPECT_GT(res.checksPerformed, 0u);
+}
+
+TEST(FuzzDifferential, EveryLockPolicyIsContended)
+{
+    // Outcomes come from lock state, not from the scripts, so prove
+    // the matrix really exercises each policy's contended paths.
+    for (const sim::LockPolicy policy :
+         {sim::LockPolicy::TestAndSet, sim::LockPolicy::Ticket,
+          sim::LockPolicy::Mcs, sim::LockPolicy::Futex,
+          sim::LockPolicy::Rcu}) {
+        FuzzOptions opt = quickOptions(4);
+        opt.lockPolicy = policy;
+        const sim::FuzzMatrixResult res =
+            sim::runFuzzMatrix(100, 2, {2, 4}, opt);
+        const char *name = sim::lockPolicyName(policy);
+        EXPECT_TRUE(res.ok()) << name;
+        for (const sim::FuzzFailure &f : res.failures) {
+            ADD_FAILURE() << name << " seed " << f.seed << " cpus "
+                          << f.numCpus << ": " << f.detail;
+        }
+        EXPECT_GT(res.locks.lostAcquires, 0u) << name;
+        if (policy == sim::LockPolicy::Mcs) {
+            EXPECT_GT(res.locks.handoffs, 0u);
+        }
+        if (policy == sim::LockPolicy::Rcu) {
+            EXPECT_GT(res.locks.readSections, 0u);
+            EXPECT_GT(res.locks.gracePeriods, 0u);
+        }
+    }
 }

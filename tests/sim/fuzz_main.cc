@@ -450,6 +450,7 @@ main(int argc, char **argv)
             res.runs += sub.runs;
             res.eventsCompared += sub.eventsCompared;
             res.checksPerformed += sub.checksPerformed;
+            res.locks += sub.locks;
             for (const mpos::sim::FuzzFailure &f : sub.failures) {
                 res.failures.push_back(f);
                 failProto.push_back(pname);
@@ -464,6 +465,12 @@ main(int argc, char **argv)
                 (unsigned long long)res.eventsCompared,
                 (unsigned long long)res.checksPerformed,
                 res.failures.size());
+    std::printf("  locks: %llu losing acquires, %llu hand-offs, %llu "
+                "read sections, %llu grace periods\n",
+                (unsigned long long)res.locks.lostAcquires,
+                (unsigned long long)res.locks.handoffs,
+                (unsigned long long)res.locks.readSections,
+                (unsigned long long)res.locks.gracePeriods);
     for (size_t i = 0; i < res.failures.size(); ++i) {
         const mpos::sim::FuzzFailure &f = res.failures[i];
         const std::string extra = std::string(" --protocol ") +

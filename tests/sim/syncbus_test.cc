@@ -132,6 +132,25 @@ TEST(SyncBus, OutOfRangeLockIdRaisesTypedError)
     }
 }
 
+TEST(SyncBus, OutOfRangeHandoffPeerRaisesTypedError)
+{
+    MachineConfig cfg;
+    cfg.cachedLockRmw = true;
+    SyncTransport st(cfg, 4);
+    // A hand-off peer comes from a lock's wait queue, which a snapshot
+    // restores; one that is no CPU (here 64, a shift past the mask's
+    // width) must be refused before it indexes a per-CPU mask.
+    for (const int peer : {int(cfg.numCpus), 64}) {
+        try {
+            st.access(0, 0, LockEvent::McsHandoff, peer);
+            FAIL() << "hand-off to peer " << peer << " was accepted";
+        } catch (const mpos::util::SimError &e) {
+            EXPECT_EQ(e.code(), mpos::util::ErrCode::BadConfig);
+        }
+    }
+    EXPECT_EQ(st.counts(0).cachedOps, 0u); // nothing was charged
+}
+
 TEST(SyncBus, TicketCostsUnderBothModels)
 {
     MachineConfig cfg; // active: sync bus
