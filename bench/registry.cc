@@ -1,5 +1,6 @@
 #include "bench/registry.hh"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -489,15 +490,20 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
             (unsigned long long)ws.bytesRead,
             (unsigned long long)ws.bytesWritten);
     }
+    // Peak resident set of the whole process so far (ru_maxrss is in
+    // KiB on Linux): the memory budget the bench_smoke test enforces.
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
     std::fprintf(f,
                  "  \"monitor_events_total\": %llu,\n"
                  "  \"events_per_second\": %.0f,\n"
                  "  \"simulation_seconds\": %.3f,\n"
+                 "  \"peak_rss_mb\": %.1f,\n"
                  "  \"total_wall_seconds\": %.3f\n}\n",
                  (unsigned long long)monitorEvents,
                  simSeconds > 0 ? double(monitorEvents) / simSeconds
                                 : 0.0,
-                 simSeconds, totalWall);
+                 simSeconds, double(ru.ru_maxrss) / 1024.0, totalWall);
     std::fclose(f);
 }
 

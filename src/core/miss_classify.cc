@@ -68,11 +68,10 @@ MissCounts::total() const
 MissClassifier::MissClassifier(uint32_t num_cpus, uint64_t mem_bytes,
                                uint32_t line_bytes)
     : nCpus(num_cpus), nLines(mem_bytes / line_bytes),
-      lineBytes(line_bytes), appEpoch(num_cpus, 1)
+      lineBytes(line_bytes),
+      chunkAt((((nLines - 1) >> chunkShift) + 1) * num_cpus * 2, 0),
+      appEpoch(num_cpus, 1)
 {
-    state.resize(size_t(num_cpus) * 2);
-    for (auto &v : state)
-        v.assign(nLines, 0);
 }
 
 uint32_t &
@@ -82,8 +81,14 @@ MissClassifier::slot(CpuId cpu, CacheKind kind, Addr line)
     if (idx >= nLines)
         util::panic("classifier: line %llx beyond physical memory",
                     static_cast<unsigned long long>(line));
-    return state[size_t(cpu) * 2 + (kind == CacheKind::Instr ? 0 : 1)]
-                [idx];
+    uint32_t &chunk = chunkAt[((idx >> chunkShift) * nCpus + cpu) * 2 +
+                              (kind == CacheKind::Instr ? 0 : 1)];
+    if (chunk == 0) {
+        words.resize(words.size() + (size_t(1) << chunkShift), 0);
+        chunk = uint32_t(words.size() >> chunkShift);
+    }
+    return words[(size_t(chunk - 1) << chunkShift) |
+                 (idx & ((uint64_t(1) << chunkShift) - 1))];
 }
 
 void

@@ -141,8 +141,16 @@ class MissClassifier : public sim::MonitorObserver
     uint32_t nCpus;
     uint64_t nLines;
     uint32_t lineBytes;
-    /** [cpu][kind] flat arrays of tracking words. */
-    std::vector<std::vector<uint32_t>> state;
+    /** log2 of the lines in a chunk: 256, one 4 KB page of 16 B lines. */
+    static constexpr uint32_t chunkShift = 8;
+    /**
+     * Tracking words live in zero-filled chunks allocated on first
+     * touch, back to back in words, so memory follows the lines a run
+     * touches rather than CPUs x physical memory. chunkAt[chunk][cpu]
+     * [kind] is 1 + the chunk's number in words, or 0 if untouched.
+     */
+    std::vector<uint32_t> chunkAt;
+    std::vector<uint32_t> words;
     /** Application-invocation epoch per CPU. */
     std::vector<uint32_t> appEpoch;
 

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "util/error.hh"
-#include "util/logging.hh"
 
 namespace mpos::sim
 {
@@ -25,10 +24,10 @@ Cache::Cache(std::string name, uint64_t bytes, uint32_t assoc,
         util::raise(ErrCode::BadConfig,
                     "cache %s: line size %u not a power of two",
                     label.c_str(), line_bytes);
-    if (line_bytes < 4)
+    if (line_bytes < 8)
         util::raise(ErrCode::BadConfig,
                     "cache %s: line size %u leaves no room for the "
-                    "packed valid/dirty tag bits", label.c_str(),
+                    "packed valid/state tag bits", label.c_str(),
                     line_bytes);
     lineShift_ = uint32_t(std::countr_zero(line_bytes));
     numSets = bytes / (uint64_t(assoc) * line_bytes);
@@ -38,23 +37,6 @@ Cache::Cache(std::string name, uint64_t bytes, uint32_t assoc,
                     label.c_str(),
                     static_cast<unsigned long long>(numSets));
     ways.resize(numSets * assoc_);
-}
-
-Cache::Way *
-Cache::findWay(Addr line)
-{
-    const uint64_t set = setIndex(line);
-    Way *base = &ways[set * assoc_];
-    for (uint32_t i = 0; i < assoc_; ++i)
-        if ((base[i].tv & ~uint64_t(2)) == (line | 1))
-            return &base[i];
-    return nullptr;
-}
-
-const Cache::Way *
-Cache::findWay(Addr line) const
-{
-    return const_cast<Cache *>(this)->findWay(line);
 }
 
 void
@@ -69,12 +51,6 @@ Cache::promote(uint64_t set, Way &way)
 }
 
 bool
-Cache::contains(Addr addr) const
-{
-    return findWay(lineAddr(addr)) != nullptr;
-}
-
-bool
 Cache::touchAssoc(Addr line)
 {
     Way *w = findWay(line);
@@ -85,7 +61,7 @@ Cache::touchAssoc(Addr line)
 }
 
 Victim
-Cache::fill(Addr addr, bool dirty)
+Cache::fill(Addr addr, Coh st)
 {
     const Addr line = lineAddr(addr);
     const uint64_t set = setIndex(line);
@@ -94,14 +70,10 @@ Cache::fill(Addr addr, bool dirty)
         // Direct-mapped: the single way is replaced outright; no LRU
         // bookkeeping, no empty-way scan.
         Way &w = ways[set];
-        if ((w.tv & ~uint64_t(2)) == (line | 1)) {
-            w.tv |= uint64_t(dirty) << 1;
-            return {};
-        }
         Victim victim;
-        if (w.valid())
-            victim = {w.tag(), true, w.dirty()};
-        w.set(line, true, dirty);
+        if (w.valid() && w.tag() != line)
+            victim = {w.tag(), true, w.state()};
+        w.set(line, st);
         w.lru = 0;
         return victim;
     }
@@ -110,7 +82,7 @@ Cache::fill(Addr addr, bool dirty)
 
     if (Way *w = findWay(line)) {
         promote(set, *w);
-        w->tv |= uint64_t(dirty) << 1;
+        w->set(line, st);
         return {};
     }
 
@@ -129,41 +101,12 @@ Cache::fill(Addr addr, bool dirty)
             if (base[i].lru > base[worst].lru)
                 worst = i;
         slot = &base[worst];
-        victim = {slot->tag(), true, slot->dirty()};
+        victim = {slot->tag(), true, slot->state()};
     }
-    slot->set(line, true, dirty);
+    slot->set(line, st);
     slot->lru = assoc_; // promote() pulls it to 0
     promote(set, *slot);
     return victim;
-}
-
-bool
-Cache::markDirty(Addr addr)
-{
-    Way *w = findWay(lineAddr(addr));
-    if (!w)
-        return false;
-    w->tv |= 2;
-    return true;
-}
-
-bool
-Cache::isDirty(Addr addr) const
-{
-    const Way *w = findWay(lineAddr(addr));
-    return w && w->dirty();
-}
-
-bool
-Cache::invalidateAssoc(Addr line)
-{
-    Way *w = findWay(line);
-    if (!w)
-        return false;
-    compactRanks(setIndex(line), w->lru);
-    w->tv = 0;
-    w->lru = 0;
-    return true;
 }
 
 void
@@ -213,13 +156,15 @@ Cache::checkIntegrity(
             const Way &w = base[i];
             if (!w.valid()) {
                 // invalidate()/reset() clear the whole packed word; a
-                // surviving dirty bit or tag means a stray write.
+                // surviving state bit or tag means a stray write.
                 if (w.tv != 0)
                     fail(set, i, "invalid way with non-zero packed word");
                 continue;
             }
-            if ((w.tv & (lineBytes_ - 1) & ~uint64_t(3)) != 0)
+            if ((w.tv & (lineBytes_ - 1) & ~(validBit | stateBits)) != 0)
                 fail(set, i, "tag not line-aligned");
+            if ((w.tv & stateBits) == stateBits)
+                fail(set, i, "both Modified and Exclusive bits set");
             if (setIndex(w.tag()) != set)
                 fail(set, i, "resident line maps to a different set");
             if (w.lru >= assoc_)

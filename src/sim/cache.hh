@@ -19,16 +19,25 @@
 
 #include "sim/types.hh"
 #include "util/binio.hh"
+#include "util/logging.hh"
 
 namespace mpos::sim
 {
+
+/**
+ * Coherence line states, kept in each way next to the tag; caches
+ * outside the protocol fill every line Shared. A protocol never
+ * produces the states it lacks (MSI never fills Exclusive, MI never
+ * Shared or Exclusive); the checker enforces that.
+ */
+enum class Coh : uint8_t { Invalid, Shared, Exclusive, Modified };
 
 /** Result of a fill: the displaced line, if any. */
 struct Victim
 {
     Addr lineAddr = 0;
     bool valid = false;
-    bool dirty = false;
+    Coh state = Coh::Invalid; ///< The displaced line's state.
 };
 
 /** Set-associative cache of 16-byte lines with true-LRU replacement. */
@@ -46,7 +55,7 @@ class Cache
           uint32_t line_bytes);
 
     /** True if the line holding addr is present (no LRU update). */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return findWay(lineAddr(addr)); }
 
     /**
      * Access for read/fetch: returns hit and updates LRU. Inline with
@@ -60,39 +69,62 @@ class Cache
         const Addr line = lineAddr(addr);
         if (assoc_ == 1) {
             // valid && tag == line, as a single load and compare on
-            // the packed word (the dirty bit is masked out).
-            return (ways[setIndex(line)].tv & ~uint64_t(2)) ==
-                   (line | 1);
+            // the packed word (the state bits are masked out).
+            return (ways[setIndex(line)].tv & ~stateBits) ==
+                   (line | validBit);
         }
         return touchAssoc(line);
     }
 
     /**
-     * Install the line holding addr, evicting the LRU way if the set is
-     * full. Returns the victim (valid = false if an empty way was used
-     * or the line was already present).
+     * Install the line holding addr in state st (not Invalid),
+     * evicting the LRU way if the set is full. Returns the victim
+     * (valid = false if an empty way was used or the line was already
+     * present, in which case only its state is replaced).
      */
-    Victim fill(Addr addr, bool dirty = false);
+    Victim fill(Addr addr, Coh st = Coh::Shared);
 
-    /** Mark the line dirty; returns false if not present. */
-    bool markDirty(Addr addr);
+    /** State of the line holding addr; Invalid if not present. No
+     *  LRU update. */
+    Coh
+    state(Addr addr) const
+    {
+        const Way *w = findWay(lineAddr(addr));
+        return w ? w->state() : Coh::Invalid;
+    }
 
-    /** True if present and dirty. */
-    bool isDirty(Addr addr) const;
+    /**
+     * Set the state of the line holding addr. Invalid removes the line
+     * (a no-op if absent); any other state requires the line to be
+     * present, since a state cannot exist without its tag.
+     */
+    void
+    setState(Addr addr, Coh st)
+    {
+        if (st == Coh::Invalid) {
+            invalidate(addr);
+            return;
+        }
+        Way *w = findWay(lineAddr(addr));
+        if (!w)
+            util::panic("cache %s: state set for absent line %llx",
+                        label.c_str(), (unsigned long long)addr);
+        w->tv = (w->tv & ~stateBits) | encode(st);
+    }
 
     /** Remove the line; returns true if it was present. */
     bool
     invalidate(Addr addr)
     {
         const Addr line = lineAddr(addr);
-        if (assoc_ == 1) {
-            Way &w = ways[setIndex(line)];
-            if ((w.tv & ~uint64_t(2)) != (line | 1))
-                return false;
-            w.tv = 0;
-            return true;
-        }
-        return invalidateAssoc(line);
+        Way *w = findWay(line);
+        if (!w)
+            return false;
+        if (assoc_ > 1)
+            compactRanks(setIndex(line), w->lru);
+        w->tv = 0;
+        w->lru = 0;
+        return true;
     }
 
     /**
@@ -120,24 +152,25 @@ class Cache
     /** Drop everything (power-on state). */
     void reset();
 
-    /** Call fn(lineAddr, dirty) for every resident line. */
+    /** Call fn(lineAddr, state) for every resident line. */
     template <typename Fn>
     void
     forEachResident(Fn &&fn) const
     {
         for (const auto &w : ways) {
             if (w.valid())
-                fn(w.tag(), w.dirty());
+                fn(w.tag(), w.state());
         }
     }
 
     /**
      * Structural self-check of the packed tag array: every valid way's
-     * packed word is line-aligned and lives in the set its line maps
-     * to, no line is resident twice in one set, invalidated ways are
-     * fully cleared, and the LRU ranks of a set's valid ways are
-     * distinct and in range. Calls report(description) once per
-     * violation; returns the violation count.
+     * packed word is line-aligned, carries a legal state encoding and
+     * lives in the set its line maps to, no line is resident twice in
+     * one set, invalidated ways are fully cleared, and the LRU ranks
+     * of a set's valid ways are distinct and in range. Calls
+     * report(description) once per violation; returns the violation
+     * count.
      */
     uint32_t checkIntegrity(
         const std::function<void(const std::string &)> &report) const;
@@ -154,9 +187,9 @@ class Cache
     const std::string &name() const { return label; }
 
     /// @name Snapshot save/restore
-    /// The packed tag/valid/dirty words and LRU ranks are the whole
-    /// mutable state; geometry comes from the constructor and is
-    /// validated on restore.
+    /// The packed tag/state words and LRU ranks are the whole mutable
+    /// state; geometry comes from the constructor and is validated on
+    /// restore, as is every way's state encoding.
     /// @{
     void
     saveState(util::ByteWriter &w) const
@@ -181,31 +214,59 @@ class Cache
         for (Way &way : ways) {
             way.tv = r.u64();
             way.lru = r.u32();
+            // An invalid way is all zero; Modified and Exclusive are
+            // exclusive of each other.
+            if (way.valid() ? (way.tv & stateBits) == stateBits
+                            : way.tv != 0)
+                util::raise(util::ErrCode::SnapshotCorrupt,
+                            "cache %s: illegal packed way %016llx",
+                            label.c_str(), (unsigned long long)way.tv);
         }
     }
     /// @}
 
   private:
+    /**
+     * Flag bits of the packed word: bit 0 = valid, bit 1 = Modified,
+     * bit 2 = Exclusive (neither = Shared). Line sizes are >= 8, so
+     * these bits are free in a line-aligned address.
+     */
+    static constexpr uint64_t validBit = 1;
+    static constexpr uint64_t modifiedBit = 2;
+    static constexpr uint64_t exclusiveBit = 4;
+    static constexpr uint64_t stateBits = modifiedBit | exclusiveBit;
+
+    /** State bits of a valid line in state st (not Invalid). */
+    static uint64_t
+    encode(Coh st)
+    {
+        static constexpr uint64_t bits[] = {0, 0, exclusiveBit,
+                                            modifiedBit};
+        return bits[uint8_t(st)];
+    }
+
+    /** The state a packed word's low three bits encode, as a table so
+     *  the snoop paths do not branch to decode it. Only 0, 1, 3 and 5
+     *  occur; restoreState rejects the rest. */
+    static constexpr Coh decoded[8] = {
+        Coh::Invalid, Coh::Shared,    Coh::Invalid, Coh::Modified,
+        Coh::Invalid, Coh::Exclusive, Coh::Invalid, Coh::Invalid};
+
     struct Way
     {
         /**
-         * Tag and flags packed into one word: bit 0 = valid, bit 1 =
-         * dirty, the rest the full line address (line sizes are >= 4,
-         * so those bits are free in a line-aligned address). The
-         * direct-mapped hit probe -- the hottest operation in the
-         * simulator -- is then a single load and masked compare.
+         * Tag, valid bit and coherence state packed into one word,
+         * the full line address in the high bits. The direct-mapped
+         * hit probe -- the hottest operation in the simulator -- is
+         * then a single load and masked compare.
          */
         uint64_t tv = 0;
         uint32_t lru = 0;   // lower = more recently used
 
-        Addr tag() const { return Addr(tv & ~uint64_t(3)); }
-        bool valid() const { return tv & 1; }
-        bool dirty() const { return tv & 2; }
-        void
-        set(Addr line, bool valid_, bool dirty_)
-        {
-            tv = line | uint64_t(valid_) | (uint64_t(dirty_) << 1);
-        }
+        Addr tag() const { return Addr(tv & ~(validBit | stateBits)); }
+        bool valid() const { return tv & validBit; }
+        Coh state() const { return decoded[tv & 7]; }
+        void set(Addr line, Coh st) { tv = line | validBit | encode(st); }
     };
 
     Addr lineAddr(Addr addr) const { return addr & ~Addr(lineBytes_ - 1); }
@@ -217,15 +278,31 @@ class Cache
     /** touch() for the associative case: probe ways, update LRU. */
     bool touchAssoc(Addr line);
 
-    /** invalidate() for the associative case. */
-    bool invalidateAssoc(Addr line);
-
     /** Re-densify a set's LRU ranks after the way holding rank
      *  `removed` was invalidated. */
     void compactRanks(uint64_t set, uint32_t removed);
 
-    Way *findWay(Addr line);
-    const Way *findWay(Addr line) const;
+    /** The way holding line, or null. */
+    Way *
+    findWay(Addr line)
+    {
+        if (assoc_ == 1) {
+            Way &w = ways[setIndex(line)];
+            return (w.tv & ~stateBits) == (line | validBit) ? &w
+                                                            : nullptr;
+        }
+        Way *base = &ways[setIndex(line) * assoc_];
+        for (uint32_t i = 0; i < assoc_; ++i)
+            if ((base[i].tv & ~stateBits) == (line | validBit))
+                return &base[i];
+        return nullptr;
+    }
+
+    const Way *
+    findWay(Addr line) const
+    {
+        return const_cast<Cache *>(this)->findWay(line);
+    }
     void promote(uint64_t set, Way &way);
 
     std::string label;

@@ -61,9 +61,9 @@ Checker::onLineEvent(Addr line)
     uint32_t owners = 0; // CPUs holding the line Modified or Exclusive
     for (CpuId c = 0; c < cfg.numCpus; ++c) {
         const CpuCaches &h = mem->caches(c);
+        // The state lives in the L2 way: non-Invalid means resident.
         const Coh st = h.getState(line);
-        const bool inL2 = h.l2d.contains(line);
-        const bool inL1 = h.l1d.contains(line);
+        const bool inL2 = st != Coh::Invalid;
 
         if ((st == Coh::Exclusive && cfg.protocol != Protocol::Mesi) ||
             (st == Coh::Shared && cfg.protocol == Protocol::Mi)) {
@@ -72,18 +72,12 @@ Checker::onLineEvent(Addr line)
                       c, (unsigned long long)line, unsigned(st),
                       protocolName(cfg.protocol));
         }
-        if ((st != Coh::Invalid) != inL2) {
-            violation("tag/state mismatch: cpu %u line %llx state %u "
-                      "but L2 tag array %s it",
-                      c, (unsigned long long)line, unsigned(st),
-                      inL2 ? "holds" : "lacks");
-        }
-        if (inL1 && !inL2) {
+        if (!inL2 && h.l1d.contains(line)) {
             violation("inclusion: cpu %u line %llx resident in L1 but "
                       "not in the inclusive L2",
                       c, (unsigned long long)line);
         }
-        if (st != Coh::Invalid)
+        if (inL2)
             trueMask |= uint64_t(1) << c;
         if (st == Coh::Modified || st == Coh::Exclusive)
             ++owners;
@@ -311,9 +305,9 @@ Checker::checkAll(const Machine &m)
         // onLineEvent re-checks the line across every CPU, so lines
         // shared by several caches are just checked repeatedly).
         h.l2d.forEachResident(
-            [this](Addr line, bool) { onLineEvent(line); });
+            [this](Addr line, Coh) { onLineEvent(line); });
         h.l1d.forEachResident(
-            [this](Addr line, bool) { onLineEvent(line); });
+            [this](Addr line, Coh) { onLineEvent(line); });
 
         const Tlb &tlb = m.cpu(c).tlb;
         for (uint32_t i = 0; i < tlb.size(); ++i) {

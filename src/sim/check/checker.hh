@@ -14,9 +14,8 @@
  *  - Snoop-filter soundness: the per-line sharers bitmask is a
  *    superset of the true sharer set (a filter that under-reports
  *    would skip a required snoop and silently corrupt miss classes).
- *  - Tag/state consistency: a line's L2 coherence state is non-Invalid
- *    exactly when the packed L2 tag array holds it, and the inclusive
- *    L1 never keeps a line the L2 dropped.
+ *  - Inclusion: the L1 never keeps a line the L2 dropped. (Tag/state
+ *    agreement needs no check: the state lives in the L2 way.)
  *  - TLB/page-table agreement: every TLB entry used for translation
  *    matches the OS page table (validator installed by the kernel
  *    layer; the sim layer knows no page-table format).
@@ -95,8 +94,8 @@ class Checker : public MonitorObserver
     /// @{
     /**
      * A bus transaction or coherence action settled the state of
-     * line: verify SWMR, filter soundness and tag/state consistency
-     * across every CPU for that line.
+     * line: verify SWMR, protocol legality, filter soundness and
+     * inclusion across every CPU for that line.
      */
     void onLineEvent(Addr line);
 

@@ -73,10 +73,10 @@ validateConfig(const MachineConfig &cfg)
     if (!std::has_single_bit(cfg.lineBytes))
         util::raise(ErrCode::BadConfig,
                     "line size %u not a power of two", cfg.lineBytes);
-    if (cfg.lineBytes < 4)
+    if (cfg.lineBytes < 8)
         util::raise(ErrCode::BadConfig,
                     "line size %u leaves no room for the packed "
-                    "valid/dirty tag bits", cfg.lineBytes);
+                    "valid/state tag bits", cfg.lineBytes);
 
     if (!std::has_single_bit(cfg.pageBytes))
         util::raise(ErrCode::BadConfig,

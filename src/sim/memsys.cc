@@ -1,5 +1,6 @@
 #include "sim/memsys.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/check/checker.hh"
@@ -17,10 +18,7 @@ CpuCaches::CpuCaches(CpuId id, const MachineConfig &cfg)
       l1d("l1d" + std::to_string(id), cfg.l1dBytes, cfg.l1dAssoc,
           cfg.lineBytes),
       l2d("l2d" + std::to_string(id), cfg.l2dBytes, cfg.l2dAssoc,
-          cfg.lineBytes),
-      l2state(cfg.numLines(), Coh::Invalid),
-      lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
-      memBytes(cfg.memBytes)
+          cfg.lineBytes)
 {
     // Geometry is validated centrally (validateConfig) before any
     // hierarchy is built; the Cache constructors re-check their own
@@ -28,12 +26,12 @@ CpuCaches::CpuCaches(CpuId id, const MachineConfig &cfg)
 }
 
 void
-CpuCaches::rangePanic(Addr line) const
+MemorySystem::rangePanic(Addr line) const
 {
     util::panic("coherence state for line %llx outside the "
                 "%llu-byte configured memory",
                 static_cast<unsigned long long>(line),
-                static_cast<unsigned long long>(memBytes));
+                static_cast<unsigned long long>(cfg.memBytes));
 }
 
 MemorySystem::MemorySystem(const MachineConfig &config, Monitor &monitor)
@@ -83,39 +81,31 @@ MemorySystem::record(Cycle now, CpuId cpu, Addr line, BusOp op,
         mon.countTransaction(ctx.mode);
 }
 
-bool
-MemorySystem::snoopRead(CpuId requester, Addr line)
+uint64_t
+MemorySystem::snoopTargets(CpuId requester, Addr line) const
 {
     // Snoop filter: a walk over caches whose state is Invalid has no
     // effect, so the fast mode visits only the CPUs whose sharers bit
-    // is set (ascending id, the same order as the full walk). The
-    // reference mode always walks everything to double-check the
-    // filter.
-    if (!slowSim) {
-        uint64_t m = sharers[line >> lineShift] &
-                     ~(uint64_t(1) << requester);
-        const bool shared = m != 0;
-        while (m) {
-            CpuCaches &h = hier[uint32_t(std::countr_zero(m))];
-            m &= m - 1;
-            const Coh st = h.getState(line);
-            if (st == Coh::Modified || st == Coh::Exclusive) {
-                // Dirty copy flushes; both downgrade to Shared.
-                h.setState(line, Coh::Shared);
-            }
-        }
-        return shared;
-    }
+    // is set. The reference mode walks every CPU's L2 way to
+    // double-check the filter. Both go in ascending CPU order.
+    const uint64_t filter = sharers[lineIndex(line)];
+    const uint64_t m = slowSim ? ~uint64_t(0) >> (64 - cfg.numCpus)
+                               : filter;
+    return m & ~(uint64_t(1) << requester);
+}
 
+bool
+MemorySystem::snoopRead(CpuId requester, Addr line)
+{
     bool shared = false;
-    for (CpuCaches &h : hier) {
-        if (h.cpu == requester)
-            continue;
+    for (uint64_t m = snoopTargets(requester, line); m; m &= m - 1) {
+        CpuCaches &h = hier[uint32_t(std::countr_zero(m))];
         const Coh st = h.getState(line);
         if (st == Coh::Invalid)
             continue;
         shared = true;
-        if (st == Coh::Modified || st == Coh::Exclusive)
+        // A dirty copy flushes; M and E both downgrade to Shared.
+        if (st != Coh::Shared)
             h.setState(line, Coh::Shared);
     }
     return shared;
@@ -124,30 +114,16 @@ MemorySystem::snoopRead(CpuId requester, Addr line)
 void
 MemorySystem::snoopInvalidate(CpuId requester, Addr line)
 {
-    if (!slowSim) {
-        uint64_t m = sharers[line >> lineShift] &
-                     ~(uint64_t(1) << requester);
-        while (m) {
-            CpuCaches &h = hier[uint32_t(std::countr_zero(m))];
-            m &= m - 1;
-            if (parkedCpus >> h.cpu & 1)
-                wakeIfSpinLine(h.cpu, line);
-            setCohState(h, line, Coh::Invalid);
-            h.l2d.invalidate(line);
-            h.l1d.invalidate(line);
-            mon.invalSharing(h.cpu, CacheKind::Data, line);
-        }
-        return;
-    }
-
-    for (CpuCaches &h : hier) {
-        if (h.cpu == requester)
+    for (uint64_t m = snoopTargets(requester, line); m; m &= m - 1) {
+        CpuCaches &h = hier[uint32_t(std::countr_zero(m))];
+        // Wake before the line goes. Only holders can be parked: the
+        // reference walk, which also visits non-holders, never parks.
+        if (parkedCpus >> h.cpu & 1)
+            wakeIfSpinLine(h.cpu, line);
+        if (!h.l2d.invalidate(line))
             continue;
-        if (h.getState(line) == Coh::Invalid)
-            continue;
-        setCohState(h, line, Coh::Invalid);
-        h.l2d.invalidate(line);
         h.l1d.invalidate(line);
+        clearSharer(h.cpu, line);
         mon.invalSharing(h.cpu, CacheKind::Data, line);
     }
 }
@@ -168,23 +144,24 @@ MemorySystem::l2Fill(CpuId cpu, Addr line, Coh st, Cycle now,
                      const MonitorContext &ctx)
 {
     CpuCaches &h = hier[cpu];
-    const Victim v = h.l2d.fill(line);
+    // Index first: a line outside memory panics before it is cached.
+    uint64_t &bits = sharers[lineIndex(line)];
+    const Victim v = h.l2d.fill(line, st);
     if (v.valid) {
-        const Coh vst = h.getState(v.lineAddr);
-        if (vst == Coh::Modified) {
+        if (v.state == Coh::Modified) {
             // Dirty writeback; buffered, so the CPU is not charged.
             record(now, cpu, v.lineAddr, BusOp::Writeback,
                    CacheKind::Data, ctx);
         }
-        setCohState(h, v.lineAddr, Coh::Invalid);
         // Inclusion: the L1 may not keep a line the L2 dropped.
         h.l1d.invalidate(v.lineAddr);
+        clearSharer(cpu, v.lineAddr);
         if (mon.listening())
             mon.evict(cpu, CacheKind::Data, v.lineAddr, ctx);
         if (checker)
             checker->onLineEvent(v.lineAddr);
     }
-    setCohState(h, line, st);
+    bits |= uint64_t(1) << cpu;
 }
 
 AccessResult
@@ -215,7 +192,7 @@ MemorySystem::dataAccessSlow(CpuId cpu, Addr addr, bool is_write,
                 res.cycles += cfg.busMissStall + delay;
                 res.busAccess = true;
             }
-            setCohState(h, line, Coh::Modified);
+            h.setState(line, Coh::Modified);
         }
         if (checker)
             checker->onLineEvent(line);
@@ -347,12 +324,7 @@ MemorySystem::saveState(util::ByteWriter &w) const
         h.icache.saveState(w);
         h.l1d.saveState(w);
         h.l2d.saveState(w);
-        w.u64(uint64_t(h.l2state.size()));
-        w.raw(h.l2state.data(), h.l2state.size());
     }
-    w.u64(uint64_t(sharers.size()));
-    for (uint64_t m : sharers)
-        w.u64(m);
     w.u64(busBusyUntil);
     w.u64(txTotal);
 }
@@ -365,23 +337,18 @@ MemorySystem::restoreState(util::ByteReader &r)
         util::raise(util::ErrCode::SnapshotCorrupt,
                     "memsys: snapshot has %u cpus, machine has %zu",
                     ncpus, hier.size());
+    std::fill(sharers.begin(), sharers.end(), 0);
     for (CpuCaches &h : hier) {
         h.icache.restoreState(r);
         h.l1d.restoreState(r);
         h.l2d.restoreState(r);
-        const uint64_t ns = r.u64();
-        if (ns != h.l2state.size())
-            util::raise(util::ErrCode::SnapshotCorrupt,
-                        "memsys: l2state size %llu vs %zu",
-                        (unsigned long long)ns, h.l2state.size());
-        r.raw(h.l2state.data(), h.l2state.size());
-        for (Coh s : h.l2state) {
-            if (uint8_t(s) > uint8_t(Coh::Modified))
+        h.l2d.forEachResident([&](Addr line, Coh s) {
+            // A snapshot may only contain lines in memory and states
+            // its protocol can produce (MSI never E; MI never S or E).
+            if (line >> lineShift >= sharers.size())
                 util::raise(util::ErrCode::SnapshotCorrupt,
-                            "memsys: invalid coherence state byte %u",
-                            unsigned(s));
-            // A snapshot may only contain states its protocol can
-            // produce (MSI never E; MI never S or E).
+                            "memsys: line %llx beyond memory",
+                            (unsigned long long)line);
             if ((s == Coh::Exclusive &&
                  cfg.protocol != Protocol::Mesi) ||
                 (s == Coh::Shared && cfg.protocol == Protocol::Mi))
@@ -389,15 +356,9 @@ MemorySystem::restoreState(util::ByteReader &r)
                             "memsys: state %u illegal under protocol "
                             "%s", unsigned(s),
                             protocolName(cfg.protocol));
-        }
+            sharers[line >> lineShift] |= uint64_t(1) << h.cpu;
+        });
     }
-    const uint64_t nf = r.u64();
-    if (nf != sharers.size())
-        util::raise(util::ErrCode::SnapshotCorrupt,
-                    "memsys: snoop filter size %llu vs %zu",
-                    (unsigned long long)nf, sharers.size());
-    for (uint64_t &m : sharers)
-        m = r.u64();
     busBusyUntil = r.u64();
     txTotal = r.u64();
 }

@@ -33,14 +33,6 @@ namespace mpos::sim
 class Checker;
 class Machine;
 
-/**
- * Coherence line states, tracked at the L2. All protocols share this
- * one state space; a protocol simply never produces the states it
- * lacks (MSI never fills Exclusive, MI never Shared or Exclusive),
- * and the checker enforces that per MachineConfig::protocol.
- */
-enum class Coh : uint8_t { Invalid, Shared, Exclusive, Modified };
-
 /** Outcome of one reference through the hierarchy. */
 struct AccessResult
 {
@@ -48,7 +40,10 @@ struct AccessResult
     bool busAccess = false; ///< True if a bus transaction was needed.
 };
 
-/** The caches of one CPU: I-cache, L1 D and L2 D (inclusive). */
+/**
+ * The caches of one CPU: I-cache, L1 D and L2 D (inclusive). A data
+ * line's coherence state lives in its L2 way, next to the tag.
+ */
 struct CpuCaches
 {
     CpuCaches(CpuId id, const MachineConfig &cfg);
@@ -57,37 +52,12 @@ struct CpuCaches
     Cache icache;
     Cache l1d;
     Cache l2d;
-    /** Coherence state per resident L2 line, indexed by line. */
-    std::vector<Coh> l2state;
 
-    Coh
-    getState(Addr line) const
-    {
-        const uint64_t idx = line >> lineShift;
-        if (idx >= l2state.size())
-            rangePanic(line);
-        return l2state[idx];
-    }
+    /** The line's coherence state; Invalid if the L2 lacks it. */
+    Coh getState(Addr line) const { return l2d.state(line); }
 
-    void
-    setState(Addr line, Coh s)
-    {
-        const uint64_t idx = line >> lineShift;
-        if (idx >= l2state.size())
-            rangePanic(line);
-        l2state[idx] = s;
-    }
-
-  private:
-    /** Line outside configured memory: report it and abort. */
-    [[noreturn]] void rangePanic(Addr line) const;
-
-    /** log2(lineBytes): line -> l2state index without dividing. */
-    uint32_t lineShift;
-    /** Configured memory size, for range-check diagnostics. */
-    uint64_t memBytes;
-
-    friend class MemorySystem;
+    /** Write the state of a line the L2 holds (Invalid drops it). */
+    void setState(Addr line, Coh s) { l2d.setState(line, s); }
 };
 
 /**
@@ -117,13 +87,14 @@ class MemorySystem
             if (!is_write)
                 return {1, false};
             // An L1 hit implies the line is resident in the inclusive
-            // L2, hence in range: skip getState's bounds check.
-            const Coh st = h.l2state[line >> lineShift];
+            // L2, whose way holds its state (and whose sharers bit is
+            // already set).
+            const Coh st = h.getState(line);
             if (st != Coh::Shared) {
                 // Silent E -> M upgrade; M stays M. Shared needs the
                 // bus and falls through to the slow path.
                 if (st != Coh::Modified) {
-                    setCohState(h, line, Coh::Modified);
+                    h.setState(line, Coh::Modified);
                     if (checker)
                         checkLineEvent(line);
                 }
@@ -170,14 +141,13 @@ class MemorySystem
     uint64_t busTransactions() const { return txTotal; }
 
     /**
-     * Snoop-filter bitmask of CPUs whose L2 holds the line in a
-     * non-Invalid state (bit c = CPU c). Maintained alongside the
-     * per-CPU l2state arrays so bus transactions on unshared lines
-     * skip the snoop walk entirely.
+     * Snoop-filter bitmask of CPUs whose L2 holds the line (bit c =
+     * CPU c). Maintained alongside the L2 ways so bus transactions on
+     * unshared lines skip the snoop walk entirely.
      */
     uint64_t sharersMask(Addr line) const
     {
-        return sharers[line >> lineShift];
+        return sharers[lineIndex(line)];
     }
 
     const MachineConfig &config() const { return cfg; }
@@ -211,9 +181,10 @@ class MemorySystem
     /// @}
 
     /// @name Snapshot save/restore
-    /// Every cache's packed tags, the per-CPU MESI arrays, the snoop
-    /// filter, bus occupancy horizon and transaction counter; all
-    /// geometry is reconstructed from config and validated.
+    /// Every cache's packed tag/state words, the bus occupancy horizon
+    /// and the transaction counter; all geometry is reconstructed from
+    /// config and validated, and the snoop filter is rebuilt from the
+    /// L2 ways.
     /// @{
     void saveState(util::ByteWriter &w) const;
     void restoreState(util::ByteReader &r);
@@ -235,6 +206,9 @@ class MemorySystem
     /** Charge bus arbitration and occupancy; returns queueing delay. */
     Cycle acquireBus(Cycle now);
 
+    /** CPUs a snoop on line by requester visits (filter or all). */
+    uint64_t snoopTargets(CpuId requester, Addr line) const;
+
     /** Snoop others on a read; true if any other cache held the line. */
     bool snoopRead(CpuId requester, Addr line);
 
@@ -251,17 +225,25 @@ class MemorySystem
     void l2Fill(CpuId cpu, Addr line, Coh st, Cycle now,
                 const MonitorContext &ctx);
 
-    /** Set/clear a line's coherence state and keep sharers in sync. */
+    /** The L2 of cpu no longer holds line. */
     void
-    setCohState(CpuCaches &h, Addr line, Coh st)
+    clearSharer(CpuId cpu, Addr line)
     {
-        h.setState(line, st);
-        const uint64_t idx = line >> lineShift;
-        if (st == Coh::Invalid)
-            sharers[idx] &= ~(uint64_t(1) << h.cpu);
-        else
-            sharers[idx] |= uint64_t(1) << h.cpu;
+        sharers[lineIndex(line)] &= ~(uint64_t(1) << cpu);
     }
+
+    /** Snoop-filter index of a line; panics outside memory. */
+    uint64_t
+    lineIndex(Addr line) const
+    {
+        const uint64_t idx = line >> lineShift;
+        if (idx >= sharers.size())
+            rangePanic(line);
+        return idx;
+    }
+
+    /** Line outside configured memory: report it and abort. */
+    [[noreturn]] void rangePanic(Addr line) const;
 
     MachineConfig cfg;
     Monitor &mon;
@@ -269,7 +251,8 @@ class MemorySystem
      *  the extra pointer chase of unique_ptr would be on the hottest
      *  path in the simulator. */
     std::vector<CpuCaches> hier;
-    /** Per-line snoop filter: bit c set iff CPU c holds the line. */
+    /** Per-line snoop filter: bit c set iff CPU c's L2 holds the
+     *  line. The one per-line structure in the memory system. */
     std::vector<uint64_t> sharers;
     /** log2(lineBytes). */
     uint32_t lineShift = 0;

@@ -33,8 +33,9 @@ namespace mpos::sim::snapshot
 
 /** Bumped whenever the serialized state layout changes.
  *  v2: sharer/spin/cached-at bitmasks widened to 64 bits for N-CPU
- *  machines. */
-constexpr uint32_t formatVersion = 3;
+ *  machines. v4: coherence state lives in the L2 ways; the per-CPU
+ *  state arrays and the snoop filter (rebuilt on restore) are gone. */
+constexpr uint32_t formatVersion = 4;
 
 /** Section tags (stable 32-bit constants, not an index). */
 enum class Section : uint32_t

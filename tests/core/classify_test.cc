@@ -199,3 +199,32 @@ TEST_F(ClassifyTest, IdleMissesTrackedSeparately)
     EXPECT_EQ(mc.counts().idleI[unsigned(MissClass::Cold)], 1u);
     EXPECT_EQ(mc.counts().osTotal(), 0u);
 }
+
+TEST_F(ClassifyTest, TrackingWordsIndependentAcrossPageChunks)
+{
+    // Tracking words live in per-(CPU, cache) chunks of one 4 KB page
+    // of lines, allocated on first touch. Lines either side of a chunk
+    // boundary, the last line of memory, and the same line in the
+    // other cache or on another CPU must never share a word.
+    const sim::Addr last = (1 << 20) - 16;
+    for (sim::Addr line : {sim::Addr(0xff0), sim::Addr(0x1000), last})
+        mc.busTransaction(rec(3, line, BusOp::Read, CacheKind::Data,
+                              osCtx()));
+    mc.evict(3, CacheKind::Data, 0xff0, osCtx());
+    mc.evict(3, CacheKind::Data, 0x1000, appCtx());
+    mc.invalSharing(3, CacheKind::Data, last);
+    for (sim::Addr line : {sim::Addr(0xff0), sim::Addr(0x1000), last})
+        mc.busTransaction(rec(3, line, BusOp::Read, CacheKind::Data,
+                              osCtx()));
+    // Untouched twins: the I-cache word and CPU 2's word are cold.
+    mc.busTransaction(rec(3, 0x1000, BusOp::Read, CacheKind::Instr,
+                          osCtx()));
+    mc.busTransaction(rec(2, 0x1000, BusOp::Read, CacheKind::Data,
+                          osCtx()));
+    EXPECT_EQ(mc.counts().osD[unsigned(MissClass::Cold)], 4u);
+    EXPECT_EQ(mc.counts().osD[unsigned(MissClass::Dispos)], 1u);
+    EXPECT_EQ(mc.counts().osD[unsigned(MissClass::Dispap)], 1u);
+    EXPECT_EQ(mc.counts().osD[unsigned(MissClass::Sharing)], 1u);
+    EXPECT_EQ(mc.counts().osI[unsigned(MissClass::Cold)], 1u);
+    EXPECT_EQ(mc.counts().total(), 8u);
+}

@@ -6,6 +6,7 @@
 #include "util/rng.hh"
 
 using mpos::sim::Cache;
+using mpos::sim::Coh;
 using mpos::sim::Victim;
 
 TEST(Cache, MissThenHit)
@@ -58,17 +59,35 @@ TEST(Cache, RefillExistingLineIsSilent)
     EXPECT_FALSE(v.valid);
 }
 
-TEST(Cache, DirtyTracking)
+TEST(Cache, CoherenceStateTracking)
 {
     Cache c("t", 1024, 1, 16);
+    EXPECT_EQ(c.state(0x100), Coh::Invalid); // absent
     c.fill(0x100);
-    EXPECT_FALSE(c.isDirty(0x100));
-    EXPECT_TRUE(c.markDirty(0x100));
-    EXPECT_TRUE(c.isDirty(0x100));
-    EXPECT_FALSE(c.markDirty(0x999999)); // absent
-    const Victim v = c.fill(0x500); // conflicting set
+    EXPECT_EQ(c.state(0x100), Coh::Shared); // the plain fill
+    c.setState(0x100, Coh::Exclusive);
+    EXPECT_EQ(c.state(0x100), Coh::Exclusive);
+    EXPECT_TRUE(c.touch(0x100)); // state bits leave the probe alone
+    c.setState(0x100, Coh::Modified);
+    EXPECT_EQ(c.state(0x100), Coh::Modified);
+    const Victim v = c.fill(0x500, Coh::Exclusive); // conflicting set
     EXPECT_TRUE(v.valid);
-    EXPECT_TRUE(v.dirty);
+    EXPECT_EQ(v.lineAddr, 0x100u);
+    EXPECT_EQ(v.state, Coh::Modified);
+    EXPECT_EQ(c.state(0x500), Coh::Exclusive);
+    c.setState(0x500, Coh::Invalid); // drops the line
+    EXPECT_FALSE(c.contains(0x500));
+    EXPECT_EQ(c.residentLines(), 0u);
+
+    // Associative ways keep their states apart.
+    Cache a("a", 2048, 2, 16);
+    a.fill(0x100, Coh::Modified);
+    a.fill(0x500, Coh::Shared); // same set, other way
+    EXPECT_EQ(a.state(0x100), Coh::Modified);
+    EXPECT_EQ(a.state(0x500), Coh::Shared);
+    const Victim av = a.fill(0x900); // evicts LRU 0x100
+    EXPECT_EQ(av.lineAddr, 0x100u);
+    EXPECT_EQ(av.state, Coh::Modified);
 }
 
 TEST(Cache, Invalidate)

@@ -68,13 +68,20 @@ TEST(CorruptCorpus, EveryCommittedImageIsRejectedWithATypedError)
 
 TEST(CorruptCorpus, GarbageMachineSectionIsRejectedByStateDecoders)
 {
-    // The container framing of this image is intact -- parse must
-    // accept it -- but its Machine section is a 256-byte pattern, so
+    // The container framing of this image is intact, but it predates
+    // the current format, so parse rejects it at the version gate.
+    // Restamped with the current version (and checksum), parse must
+    // accept it -- yet its Machine section is a 256-byte pattern, so
     // the deep state decoders have to reject it through the typed
     // error channel.
-    const std::vector<uint8_t> img =
-        corpusImage("garbage_section.snap");
-    ASSERT_FALSE(img.empty());
+    std::vector<uint8_t> img = corpusImage("garbage_section.snap");
+    ASSERT_GE(img.size(), 20u);
+    EXPECT_THROW(snapshot::parse(img), util::SimError);
+    for (unsigned i = 0; i < 4; ++i) // format version field
+        img[8 + i] = uint8_t(snapshot::formatVersion >> (8 * i));
+    const uint64_t sum = snapshot::fnv1a(img.data(), img.size() - 8);
+    for (unsigned i = 0; i < 8; ++i)
+        img[img.size() - 8 + i] = uint8_t(sum >> (8 * i));
     const snapshot::Parsed parsed = snapshot::parse(img);
     MachineConfig cfg;
     cfg.numCpus = 2;
@@ -93,8 +100,8 @@ TEST(CorruptCorpus, WarmCacheTreatsACorruptDiskFileAsAMiss)
     // Plant every corpus image under the exact name the cache would
     // look up; a poisoned-by-corruption cache entry must read as a
     // miss (cold warmup), never an error or a crash.
-    // garbage_section.snap parses but carries a foreign config hash,
-    // so the cache must also read it as a miss.
+    // garbage_section.snap has an older format version and a
+    // foreign config hash, so the cache must also read it as a miss.
     const char *names[] = {"truncated.snap", "flipped_crc.snap",
                            "oversize_len.snap", "bad_version.snap",
                            "garbage_section.snap"};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -111,6 +112,79 @@ TEST(SnapshotMachine, RestoreIntoWrongGeometryRaises)
     sim::Machine m2(other, opt.numLocks);
     util::ByteReader r(state);
     EXPECT_THROW(m2.restoreState(r), util::SimError);
+}
+
+/**
+ * Coherence state travels inside the L2 ways (format v4), so restore
+ * validates it there: a packed word with both the Modified and the
+ * Exclusive bit set, or a state the machine's protocol cannot produce
+ * (Exclusive under MSI, Shared under MI), is a typed SnapshotCorrupt.
+ */
+TEST(SnapshotMachine, RestoreRejectsForgedL2States)
+{
+    constexpr sim::Addr line = 0x1000;
+    const auto configFor = [](sim::Protocol proto) {
+        sim::MachineConfig cfg;
+        cfg.numCpus = 2;
+        cfg.protocol = proto;
+        cfg.check = false;
+        return cfg;
+    };
+    // A machine image whose CPU 1 L2 holds line in state st.
+    const auto machineSection = [&](sim::Protocol proto, sim::Coh st) {
+        sim::Machine m(configFor(proto), 8);
+        m.memory().caches(1).l2d.fill(line, st);
+        util::ByteWriter w;
+        m.saveState(w);
+        return w.take();
+    };
+    // Pack, parse and restore; the error text, or "" if accepted.
+    const auto restore = [&](sim::Protocol proto,
+                             std::vector<uint8_t> section) {
+        std::vector<std::pair<Section, std::vector<uint8_t>>> secs;
+        secs.emplace_back(Section::Machine, std::move(section));
+        const sim::snapshot::Parsed p =
+            sim::snapshot::parse(sim::snapshot::pack(1, std::move(secs)));
+        sim::Machine m(configFor(proto), 8);
+        util::ByteReader r(p.section(Section::Machine));
+        try {
+            m.restoreState(r);
+        } catch (const util::SimError &e) {
+            EXPECT_EQ(e.code(), util::ErrCode::SnapshotCorrupt);
+            return std::string(e.what());
+        }
+        EXPECT_EQ(m.memory().caches(1).getState(line), sim::Coh::Exclusive);
+        EXPECT_EQ(m.memory().sharersMask(line), 0b10u);
+        return std::string();
+    };
+
+    // The legal image restores, snoop filter rebuilt from the way.
+    std::vector<uint8_t> mesi =
+        machineSection(sim::Protocol::Mesi, sim::Coh::Exclusive);
+    EXPECT_EQ(restore(sim::Protocol::Mesi, mesi), "");
+
+    EXPECT_NE(restore(sim::Protocol::Msi,
+                      machineSection(sim::Protocol::Msi,
+                                     sim::Coh::Exclusive))
+                  .find("illegal under protocol"),
+              std::string::npos);
+    EXPECT_NE(restore(sim::Protocol::Mi,
+                      machineSection(sim::Protocol::Mi,
+                                     sim::Coh::Shared))
+                  .find("illegal under protocol"),
+              std::string::npos);
+
+    // Forge the Exclusive way's packed word (line | valid | E) into
+    // line | valid | M | E, which no state encodes.
+    util::ByteWriter want, forged;
+    want.u64(line | 1 | 4);
+    forged.u64(line | 1 | 2 | 4);
+    const std::vector<uint8_t> a = want.take(), b = forged.take();
+    auto at = std::search(mesi.begin(), mesi.end(), a.begin(), a.end());
+    ASSERT_NE(at, mesi.end());
+    std::copy(b.begin(), b.end(), at);
+    EXPECT_NE(restore(sim::Protocol::Mesi, mesi).find("illegal packed way"),
+              std::string::npos);
 }
 
 /**
