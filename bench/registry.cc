@@ -3,12 +3,13 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 
 #include "bench/analyses.hh"
-#include "core/service.hh"
 #include "core/warmcache.hh"
 #include "sim/trace/trace.hh"
 #include "util/json.hh"
@@ -373,11 +374,76 @@ writeJobProfile(FILE *f, const sim::trace::Profiler &pf)
                  (unsigned long long)busTx, (unsigned long long)stall);
 }
 
+/**
+ * One job row of the report, built either from a live runner slot or,
+ * on --resume, from a replayed JobEnd record.
+ */
+struct JobRow
+{
+    std::string name;
+    std::string workload = "?";
+    uint32_t cpus = 0;
+    uint64_t measureCycles = 0;
+    double wallSeconds = 0;
+    uint64_t invariantChecks = 0;
+    uint64_t monitorTransactions = 0;
+    std::string status = "pending";
+    std::string error;
+    uint32_t attempts = 0;
+    bool ok = false;
+    /** The finished experiment (live, successful slots only). */
+    core::Experiment *exp = nullptr;
+};
+
+JobRow
+rowFromSlot(const core::ExperimentResult &r)
+{
+    JobRow row;
+    row.name = r.name;
+    row.workload = workload::workloadName(r.cfg.kind);
+    row.cpus = r.cfg.machine.numCpus;
+    row.measureCycles = r.cfg.measureCycles;
+    row.wallSeconds = r.wallSeconds;
+    row.invariantChecks = r.invariantChecks;
+    row.monitorTransactions = r.monitorTransactions;
+    row.status = core::jobStatusName(r.status);
+    row.error = r.error;
+    row.attempts = r.attempts;
+    row.ok = r.ok();
+    if (row.ok)
+        row.exp = r.exp.get();
+    return row;
+}
+
+JobRow
+rowFromJournal(const core::JournalJobRow &j)
+{
+    JobRow row;
+    row.name = j.name;
+    row.workload =
+        workload::workloadName(workload::WorkloadKind(j.kind));
+    row.cpus = j.cpus;
+    row.measureCycles = j.measureCycles;
+    row.invariantChecks = j.invariantChecks;
+    row.monitorTransactions = j.monitorTransactions;
+    row.status = core::jobStatusName(core::JobStatus(j.status));
+    row.error = j.error;
+    row.attempts = j.attempts;
+    row.ok = core::JobStatus(j.status) == core::JobStatus::Ok;
+    return row;
+}
+
+/**
+ * The results report. With journal set, every wall-clock, RSS and
+ * observability field is left out, so a sweep that was killed and
+ * resumed writes a byte-identical file to one that ran uninterrupted
+ * (the crash-recovery matrix diffs exactly this).
+ */
 void
 writeJson(const std::string &path, bool smoke, unsigned jobs,
-          const ObsOptions &obs,
+          const ObsOptions &obs, bool journal,
           const core::WarmStartCache *warm_cache,
-          core::ExperimentRunner &runner,
+          const std::vector<JobRow> &rows,
           const std::vector<AnalysisRecord> &analyses,
           double totalWall)
 {
@@ -387,6 +453,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                      path.c_str());
         return;
     }
+    auto flag = [](bool on) { return on ? "true" : "false"; };
     sim::Protocol proto = sim::Protocol::Mesi;
     if (const char *p = std::getenv("MPOS_PROTOCOL"))
         sim::parseProtocol(p, proto);
@@ -396,49 +463,58 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                  "\"warmup_cycles\": %llu, \"seed\": %llu, "
                  "\"jobs\": %u, "
                  "\"protocol\": \"%s\", \"assoc\": %llu, "
-                 "\"cpus\": %llu, \"smoke\": %s, "
-                 "\"trace\": %s, "
-                 "\"metrics\": %s, \"profile\": %s},\n",
+                 "\"cpus\": %llu, \"smoke\": %s, ",
                  (unsigned long long)envOr("MPOS_CYCLES", 20000000),
                  (unsigned long long)envOr("MPOS_WARMUP", 8000000),
                  (unsigned long long)envOr("MPOS_SEED", 7), jobs,
                  sim::protocolName(proto),
                  (unsigned long long)envOr("MPOS_ASSOC", 1),
                  (unsigned long long)envOr("MPOS_CPUS", 4),
-                 smoke ? "true" : "false", obs.trace ? "true" : "false",
-                 obs.metrics ? "true" : "false",
-                 obs.profile ? "true" : "false");
+                 flag(smoke));
+    if (journal) {
+        std::fprintf(f, "\"journal\": true},\n");
+    } else {
+        std::fprintf(f,
+                     "\"trace\": %s, \"metrics\": %s, "
+                     "\"profile\": %s},\n",
+                     flag(obs.trace), flag(obs.metrics),
+                     flag(obs.profile));
+    }
 
     std::fprintf(f, "  \"jobs\": [\n");
     double simSeconds = 0;
     uint64_t monitorEvents = 0;
-    for (size_t i = 0; i < runner.size(); ++i) {
-        // result() never throws: failures are recorded in the slot.
-        const auto &r = runner.result(i);
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const JobRow &r = rows[i];
         simSeconds += r.wallSeconds;
         monitorEvents += r.monitorTransactions;
-        // Host self-profiling: how fast the simulator chewed through
-        // monitor-visible events, per job.
-        const double evps =
-            r.wallSeconds > 0
-                ? double(r.monitorTransactions) / r.wallSeconds
-                : 0.0;
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"workload\": \"%s\", "
-            "\"cpus\": %u, \"measure_cycles\": %llu, "
-            "\"wall_seconds\": %.3f, \"invariant_checks\": %llu, "
-            "\"monitor_events\": %llu, \"events_per_second\": %.0f, "
-            "\"status\": \"%s\", \"attempts\": %u, "
-            "\"error\": \"%s\", \"ok\": %s",
-            jsonEscape(r.name).c_str(),
-            workload::workloadName(r.cfg.kind), r.cfg.machine.numCpus,
-            (unsigned long long)r.cfg.measureCycles, r.wallSeconds,
-            (unsigned long long)r.invariantChecks,
-            (unsigned long long)r.monitorTransactions, evps,
-            core::jobStatusName(r.status), r.attempts,
-            jsonEscape(r.error).c_str(), r.ok() ? "true" : "false");
-        if (r.ok() && r.exp) {
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"workload\": \"%s\", "
+                     "\"cpus\": %u, \"measure_cycles\": %llu, ",
+                     jsonEscape(r.name).c_str(), r.workload.c_str(),
+                     r.cpus, (unsigned long long)r.measureCycles);
+        if (!journal)
+            std::fprintf(f, "\"wall_seconds\": %.3f, ", r.wallSeconds);
+        std::fprintf(f,
+                     "\"invariant_checks\": %llu, "
+                     "\"monitor_events\": %llu, ",
+                     (unsigned long long)r.invariantChecks,
+                     (unsigned long long)r.monitorTransactions);
+        if (!journal) {
+            // Host self-profiling: how fast the simulator chewed
+            // through monitor-visible events, per job.
+            std::fprintf(f, "\"events_per_second\": %.0f, ",
+                         r.wallSeconds > 0
+                             ? double(r.monitorTransactions) /
+                                   r.wallSeconds
+                             : 0.0);
+        }
+        std::fprintf(f,
+                     "\"status\": \"%s\", \"attempts\": %u, "
+                     "\"error\": \"%s\", \"ok\": %s",
+                     r.status.c_str(), r.attempts,
+                     jsonEscape(r.error).c_str(), flag(r.ok));
+        if (!journal && r.exp) {
             if (const sim::trace::Metrics *mx =
                     r.exp->machine().metrics())
                 writeJobMetrics(f, *mx);
@@ -459,7 +535,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                 }
             }
         }
-        std::fprintf(f, "}%s\n", i + 1 < runner.size() ? "," : "");
+        std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
 
@@ -468,27 +544,38 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
         const auto &a = analyses[i];
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"status\": \"%s\", "
-                     "\"error\": \"%s\", \"wall_seconds\": %.3f}%s\n",
+                     "\"error\": \"%s\"",
                      a.name, a.ok ? "ok" : "error",
-                     jsonEscape(a.error).c_str(), a.wallSeconds,
-                     i + 1 < analyses.size() ? "," : "");
+                     jsonEscape(a.error).c_str());
+        if (!journal)
+            std::fprintf(f, ", \"wall_seconds\": %.3f", a.wallSeconds);
+        std::fprintf(f, "}%s\n", i + 1 < analyses.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     if (warm_cache) {
-        // Host self-profile: how much warmup simulation the warm-start
-        // cache saved (or banked) this invocation.
-        const core::WarmCacheStats ws = warm_cache->stats();
-        std::fprintf(
-            f,
-            "  \"snapshot_cache\": {\"dir\": \"%s\", "
-            "\"hits\": %llu, \"misses\": %llu, \"stores\": %llu, "
-            "\"bytes_read\": %llu, \"bytes_written\": %llu},\n",
-            jsonEscape(warm_cache->directory()).c_str(),
-            (unsigned long long)ws.hits,
-            (unsigned long long)ws.misses,
-            (unsigned long long)ws.stores,
-            (unsigned long long)ws.bytesRead,
-            (unsigned long long)ws.bytesWritten);
+        std::fprintf(f, "  \"snapshot_cache\": {\"dir\": \"%s\"",
+                     jsonEscape(warm_cache->directory()).c_str());
+        if (!journal) {
+            // Host self-profile: how much warmup simulation the
+            // warm-start cache saved (or banked) this invocation.
+            const core::WarmCacheStats ws = warm_cache->stats();
+            std::fprintf(f,
+                         ", \"hits\": %llu, \"misses\": %llu, "
+                         "\"stores\": %llu, \"bytes_read\": %llu, "
+                         "\"bytes_written\": %llu",
+                         (unsigned long long)ws.hits,
+                         (unsigned long long)ws.misses,
+                         (unsigned long long)ws.stores,
+                         (unsigned long long)ws.bytesRead,
+                         (unsigned long long)ws.bytesWritten);
+        }
+        std::fprintf(f, "},\n");
+    }
+    if (journal) {
+        std::fprintf(f, "  \"monitor_events_total\": %llu\n}\n",
+                     (unsigned long long)monitorEvents);
+        std::fclose(f);
+        return;
     }
     // Peak resident set of the whole process so far (ru_maxrss is in
     // KiB on Linux): the memory budget the bench_smoke test enforces.
@@ -507,106 +594,54 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
     std::fclose(f);
 }
 
-/**
- * One job row of the deterministic (journal-mode) report, built
- * either from a live runner slot or from a replayed JobEnd record.
- */
-struct MergedJobRow
-{
-    std::string name;
-    std::string workload;
-    uint32_t cpus = 0;
-    uint64_t measureCycles = 0;
-    uint64_t invariantChecks = 0;
-    uint64_t monitorTransactions = 0;
-    std::string status = "pending";
-    std::string error;
-    uint32_t attempts = 0;
-    bool ok = false;
-};
+/** Largest --jobs value: far more threads than any host has cores. */
+constexpr unsigned long maxJobs = 1024;
 
 /**
- * Journal-mode report: the same shape as writeJson, but every
- * wall-clock-derived field is zeroed and the rows come from the
- * merged plan -- so a sweep that was killed and resumed writes a
- * byte-identical file to one that ran uninterrupted (the
- * crash-recovery matrix diffs exactly this).
+ * Parse a flag's value as a whole decimal number in [lo, hi], or exit
+ * 2 naming the flag. The whole string must be digits, so "-1" cannot
+ * wrap to 4294967295 and "abc" cannot silently become 0.
  */
-void
-writeJsonJournal(const std::string &path, bool smoke, unsigned jobs,
-                 const std::string &cache_dir,
-                 bool have_cache,
-                 const std::vector<MergedJobRow> &rows,
-                 const std::vector<AnalysisRecord> &analyses)
+unsigned long
+wholeNumber(const char *flag, const char *text, unsigned long lo,
+            unsigned long hi)
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "mpos_bench: cannot write %s\n",
-                     path.c_str());
-        return;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long v =
+        std::isdigit((unsigned char)text[0])
+            ? std::strtoul(text, &end, 10)
+            : 0;
+    if (!end || *end || errno || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "mpos_bench: %s wants a whole number from %lu to "
+                     "%lu, got '%s'\n",
+                     flag, lo, hi, text);
+        std::exit(2);
     }
-    sim::Protocol proto = sim::Protocol::Mesi;
-    if (const char *p = std::getenv("MPOS_PROTOCOL"))
-        sim::parseProtocol(p, proto);
-    std::fprintf(f, "{\n  \"driver\": \"mpos_bench\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"measure_cycles\": %llu, "
-                 "\"warmup_cycles\": %llu, \"seed\": %llu, "
-                 "\"jobs\": %u, "
-                 "\"protocol\": \"%s\", \"assoc\": %llu, "
-                 "\"cpus\": %llu, \"smoke\": %s, "
-                 "\"journal\": true},\n",
-                 (unsigned long long)envOr("MPOS_CYCLES", 20000000),
-                 (unsigned long long)envOr("MPOS_WARMUP", 8000000),
-                 (unsigned long long)envOr("MPOS_SEED", 7), jobs,
-                 sim::protocolName(proto),
-                 (unsigned long long)envOr("MPOS_ASSOC", 1),
-                 (unsigned long long)envOr("MPOS_CPUS", 4),
-                 smoke ? "true" : "false");
+    return v;
+}
 
-    std::fprintf(f, "  \"jobs\": [\n");
-    uint64_t monitorEvents = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const MergedJobRow &r = rows[i];
-        monitorEvents += r.monitorTransactions;
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"workload\": \"%s\", "
-            "\"cpus\": %u, \"measure_cycles\": %llu, "
-            "\"invariant_checks\": %llu, "
-            "\"monitor_events\": %llu, "
-            "\"status\": \"%s\", \"attempts\": %u, "
-            "\"error\": \"%s\", \"ok\": %s}%s\n",
-            jsonEscape(r.name).c_str(), r.workload.c_str(), r.cpus,
-            (unsigned long long)r.measureCycles,
-            (unsigned long long)r.invariantChecks,
-            (unsigned long long)r.monitorTransactions,
-            r.status.c_str(), r.attempts, jsonEscape(r.error).c_str(),
-            r.ok ? "true" : "false",
-            i + 1 < rows.size() ? "," : "");
+/**
+ * Parse a flag's value as a finite, non-negative decimal number of
+ * seconds, or exit 2 naming the flag.
+ */
+double
+seconds(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const bool digits =
+        std::isdigit((unsigned char)text[0]) || text[0] == '.';
+    const double v = digits ? std::strtod(text, &end) : 0;
+    if (!end || *end || errno) {
+        std::fprintf(stderr,
+                     "mpos_bench: %s wants a number of seconds, 0 or "
+                     "more, got '%s'\n",
+                     flag, text);
+        std::exit(2);
     }
-    std::fprintf(f, "  ],\n");
-
-    std::fprintf(f, "  \"analyses\": [\n");
-    for (size_t i = 0; i < analyses.size(); ++i) {
-        const auto &a = analyses[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"status\": \"%s\", "
-                     "\"error\": \"%s\"}%s\n",
-                     a.name, a.ok ? "ok" : "error",
-                     jsonEscape(a.error).c_str(),
-                     i + 1 < analyses.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    if (have_cache) {
-        std::fprintf(f,
-                     "  \"snapshot_cache\": {\"dir\": \"%s\"},\n",
-                     jsonEscape(cache_dir).c_str());
-    }
-    std::fprintf(f,
-                 "  \"monitor_events_total\": %llu\n}\n",
-                 (unsigned long long)monitorEvents);
-    std::fclose(f);
+    return v;
 }
 
 void
@@ -695,13 +730,6 @@ usage()
         "  --dry-run       print the planned job list (validated "
         "JSON) and exit\n"
         "                  without simulating\n"
-        "  --serve PATH    persistent daemon on a Unix socket: "
-        "newline-delimited\n"
-        "                  JSON requests, admission control, journal "
-        "recovery\n"
-        "  --queue N       --serve admission bound: reject run "
-        "requests beyond\n"
-        "                  N in flight (default 8; 0 rejects all)\n"
         "  --help          this text\n\n"
         "Environment: MPOS_CYCLES, MPOS_WARMUP, MPOS_SEED, "
         "MPOS_JOBS, MPOS_CHECK,\n"
@@ -731,10 +759,8 @@ benchMain(int argc, char **argv)
     if (const char *env = std::getenv("MPOS_SNAPSHOT_DIR"))
         snapshotDir = env;
     std::string journalDir;
-    std::string servePath;
     bool resume = false;
     bool dryRun = false;
-    unsigned queueMax = 8;
     ObsOptions obs;
     obs.dir = "mpos_bench_obs";
 
@@ -771,16 +797,18 @@ benchMain(int argc, char **argv)
         } else if (arg == "--only") {
             only.push_back(value("--only"));
         } else if (arg == "--jobs") {
-            jobs = unsigned(std::strtoul(value("--jobs"), nullptr, 10));
+            jobs = unsigned(wholeNumber("--jobs", value("--jobs"), 0,
+                                        maxJobs));
         } else if (arg == "--keep-going") {
             keepGoing = true;
         } else if (arg == "--job-timeout") {
-            jobTimeout = std::strtod(value("--job-timeout"), nullptr);
+            jobTimeout = seconds("--job-timeout", value("--job-timeout"));
         } else if (arg == "--snapshot-dir") {
             snapshotDir = value("--snapshot-dir");
         } else if (arg == "--retries") {
-            retries = uint32_t(
-                std::strtoul(value("--retries"), nullptr, 10));
+            retries = uint32_t(wholeNumber("--retries",
+                                           value("--retries"), 1,
+                                           UINT32_MAX));
         } else if (arg == "--fault-job") {
             faultJob = value("--fault-job");
         } else if (arg == "--trace") {
@@ -797,11 +825,6 @@ benchMain(int argc, char **argv)
             resume = true;
         } else if (arg == "--dry-run") {
             dryRun = true;
-        } else if (arg == "--serve") {
-            servePath = value("--serve");
-        } else if (arg == "--queue") {
-            queueMax = unsigned(
-                std::strtoul(value("--queue"), nullptr, 10));
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -852,7 +875,7 @@ benchMain(int argc, char **argv)
         }
     }
 
-    // Journal/resume/serve sanity: the observability layer writes
+    // Journal/resume sanity: the observability layer writes
     // per-job side files and wall-clock-dependent report sections,
     // which can never be byte-identical across a kill+resume.
     if (resume && journalDir.empty()) {
@@ -866,16 +889,10 @@ benchMain(int argc, char **argv)
                      "combined with --trace/--metrics/--profile\n");
         return 2;
     }
-    if (dryRun && !servePath.empty()) {
-        std::fprintf(stderr,
-                     "mpos_bench: --dry-run and --serve are "
-                     "mutually exclusive\n");
-        return 2;
-    }
 
     core::RunnerOptions ropt;
     ropt.jobs = jobs;
-    ropt.maxAttempts = retries ? retries : 1;
+    ropt.maxAttempts = retries;
     ropt.jobTimeoutSec = jobTimeout;
     // The warm-start cache outlives the runner (jobs hold a raw
     // pointer); null when disabled, so the default path is untouched.
@@ -890,9 +907,7 @@ benchMain(int argc, char **argv)
     if (!journalDir.empty() && !dryRun) {
         std::filesystem::create_directories(journalDir);
         journal = std::make_unique<core::SweepJournal>();
-        // A daemon always resumes its journal: restart recovery is
-        // the point of running one.
-        journal->open(journalDir, resume || !servePath.empty());
+        journal->open(journalDir, resume);
         ropt.journal = journal.get();
         if (warmCache) {
             // Re-quarantine before any job can look up a warm image:
@@ -911,15 +926,6 @@ benchMain(int argc, char **argv)
                 journal->state().truncatedTail ? " (torn tail dropped)"
                                                : "");
         }
-    }
-
-    if (!servePath.empty()) {
-        core::ServiceOptions sopt;
-        sopt.socketPath = servePath;
-        sopt.maxQueue = queueMax;
-        sopt.runner = ropt;
-        core::SweepService service(sopt);
-        return service.serve();
     }
 
     BenchContext ctx(ropt);
@@ -1125,7 +1131,7 @@ benchMain(int argc, char **argv)
     }
 
     const double totalWall = secondsSince(t0);
-    size_t journalFailedJobs = 0;
+    std::vector<JobRow> rows;
     if (journal) {
         // Deterministic report from the merged plan: replayed plan
         // order first (the killed run's submissions), then anything
@@ -1143,54 +1149,27 @@ benchMain(int argc, char **argv)
                 order.emplace_back(
                     name, core::SweepJournal::jobConfigHash(cfg));
         }
-        std::vector<MergedJobRow> rows;
         for (const auto &[name, hash] : order) {
-            MergedJobRow row;
-            row.name = name;
             const size_t idx = ctx.runner().find(name);
+            auto it = journal->state().jobs.find(name);
             if (idx != core::ExperimentRunner::npos) {
-                const auto &r = ctx.runner().result(idx);
-                row.workload = workload::workloadName(r.cfg.kind);
-                row.cpus = r.cfg.machine.numCpus;
-                row.measureCycles = r.cfg.measureCycles;
-                row.invariantChecks = r.invariantChecks;
-                row.monitorTransactions = r.monitorTransactions;
-                row.status = core::jobStatusName(r.status);
-                row.error = r.error;
-                row.attempts = r.attempts;
-                row.ok = r.ok();
+                rows.push_back(rowFromSlot(ctx.runner().result(idx)));
+            } else if (it != journal->state().jobs.end() &&
+                       it->second.configHash == hash) {
+                rows.push_back(rowFromJournal(it->second));
             } else {
-                auto it = journal->state().jobs.find(name);
-                if (it != journal->state().jobs.end() &&
-                    it->second.configHash == hash) {
-                    const core::JournalJobRow &j = it->second;
-                    row.workload = workload::workloadName(
-                        workload::WorkloadKind(j.kind));
-                    row.cpus = j.cpus;
-                    row.measureCycles = j.measureCycles;
-                    row.invariantChecks = j.invariantChecks;
-                    row.monitorTransactions = j.monitorTransactions;
-                    row.status = core::jobStatusName(
-                        core::JobStatus(j.status));
-                    row.error = j.error;
-                    row.attempts = j.attempts;
-                    row.ok = core::JobStatus(j.status) ==
-                             core::JobStatus::Ok;
-                } else {
-                    row.workload = "?";
-                }
+                JobRow row;
+                row.name = name;
+                rows.push_back(std::move(row));
             }
-            if (!row.ok)
-                ++journalFailedJobs;
-            rows.push_back(std::move(row));
         }
-        writeJsonJournal(jsonPath, smoke, ctx.runner().jobs(),
-                         snapshotDir, warmCache != nullptr, rows,
-                         records);
     } else {
-        writeJson(jsonPath, smoke, ctx.runner().jobs(), obs,
-                  warmCache.get(), ctx.runner(), records, totalWall);
+        for (const auto &r : ctx.runner().results())
+            rows.push_back(rowFromSlot(r));
     }
+    writeJson(jsonPath, smoke, ctx.runner().jobs(), obs,
+              journal != nullptr, warmCache.get(), rows, records,
+              totalWall);
     if (warmCache) {
         const core::WarmCacheStats ws = warmCache->stats();
         std::fprintf(stderr,
@@ -1208,8 +1187,9 @@ benchMain(int argc, char **argv)
     size_t failed = 0;
     for (const auto &r : records)
         failed += !r.ok;
-    size_t failedJobs =
-        journal ? journalFailedJobs : ctx.runner().failedCount();
+    size_t failedJobs = 0;
+    for (const JobRow &r : rows)
+        failedJobs += !r.ok;
     if (!faultJob.empty() &&
         ctx.runner().find(faultJob) == core::ExperimentRunner::npos) {
         // A fault job that never matched a submitted name would make

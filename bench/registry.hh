@@ -89,7 +89,7 @@ class BenchContext
 
     /**
      * Journal every submission (a write-ahead Plan record per job;
-     * the runner adds JobStart/JobEnd via RunnerOptions::journal).
+     * the runner adds JobEnd via RunnerOptions::journal).
      */
     void setJournal(core::SweepJournal *j) { journal_ = j; }
 

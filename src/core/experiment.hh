@@ -70,13 +70,6 @@ struct ExperimentConfig
      * and the golden corpus assert this).
      */
     WarmStartCache *warmCache = nullptr;
-
-    /**
-     * Opaque caller tag (e.g. a service request id). Journaled with
-     * the job so a restarted daemon can reassociate recovered work
-     * with its request; never hashed, never event-affecting.
-     */
-    std::string requestTag;
 };
 
 /** A configured, runnable experiment. */

@@ -20,7 +20,7 @@ namespace
 
 constexpr char journalMagic[8] = {'M', 'P', 'O', 'S', 'J', 'R', 'N',
                                   '1'};
-constexpr uint32_t journalVersion = 1;
+constexpr uint32_t journalVersion = 2;
 constexpr size_t journalHeaderBytes = sizeof(journalMagic) + 4;
 
 /** Largest payload replay will accept (journal files are small). */
@@ -142,16 +142,6 @@ SweepJournal::replay(const std::string &path)
                     st.plan.emplace_back(std::move(name), hash);
                 break;
             }
-            case journalJobStart: {
-                JournalJobStart s;
-                s.name = r.str();
-                s.configHash = r.u64();
-                s.seed = r.u64();
-                s.attempt = r.u32();
-                s.requestTag = r.str();
-                st.started[s.name] = std::move(s);
-                break;
-            }
             case journalJobEnd: {
                 JournalJobRow row;
                 row.name = r.str();
@@ -233,22 +223,6 @@ SweepJournal::appendPlan(const std::string &name, uint64_t config_hash)
     w.u8(journalPlan);
     w.str(name);
     w.u64(config_hash);
-    append(w.bytes());
-}
-
-void
-SweepJournal::appendJobStart(const std::string &name,
-                             uint64_t config_hash, uint64_t seed,
-                             uint32_t attempt,
-                             const std::string &request_tag)
-{
-    util::ByteWriter w;
-    w.u8(journalJobStart);
-    w.str(name);
-    w.u64(config_hash);
-    w.u64(seed);
-    w.u32(attempt);
-    w.str(request_tag);
     append(w.bytes());
 }
 

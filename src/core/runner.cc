@@ -91,12 +91,10 @@ ExperimentRunner::submit(std::string name,
         std::fprintf(stderr, "[runner] %s: start\n",
                      slot->name.c_str());
         const uint32_t tries = opt.maxAttempts ? opt.maxAttempts : 1;
-        const uint64_t jhash =
-            opt.journal ? SweepJournal::jobConfigHash(slot->cfg) : 0;
         for (uint32_t attempt = 1; attempt <= tries; ++attempt) {
             ExperimentConfig cfg = slot->cfg;
-            // A per-job budget set on the config (e.g. by a service
-            // request) wins over the runner-wide default.
+            // A per-job budget set on the config wins over the
+            // runner-wide default.
             if (cfg.timeoutSeconds <= 0)
                 cfg.timeoutSeconds = opt.jobTimeoutSec;
             cfg.warmCache = opt.warmCache;
@@ -120,11 +118,6 @@ ExperimentRunner::submit(std::string name,
                                  cfg.options.seed));
             }
             slot->attempts = attempt;
-            if (opt.journal) {
-                opt.journal->appendJobStart(slot->name, jhash,
-                                            cfg.options.seed, attempt,
-                                            cfg.requestTag);
-            }
             if (runAttempt(slot, cfg))
                 break;
             if (opt.warmCache) {
@@ -148,7 +141,7 @@ ExperimentRunner::submit(std::string name,
         if (opt.journal) {
             JournalJobRow row;
             row.name = slot->name;
-            row.configHash = jhash;
+            row.configHash = SweepJournal::jobConfigHash(slot->cfg);
             row.status = uint8_t(slot->status);
             row.attempts = slot->attempts;
             row.error = slot->error;

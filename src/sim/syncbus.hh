@@ -110,9 +110,9 @@ class SyncTransport
      * copy); pass -1 when the event has no peer.
      *
      * Raises SimError(BadConfig) on an out-of-range lock id or a
-     * peer that is no CPU of this machine — both arrive from
-     * snapshots and --serve requests, so a malformed one must travel
-     * the typed error channel, not abort the process.
+     * peer that is no CPU of this machine — both can arrive from a
+     * restored snapshot, so a malformed one must travel the typed
+     * error channel, not abort the process.
      */
     Cycle access(CpuId cpu, uint32_t lock_id, LockEvent ev,
                  int peer = -1);

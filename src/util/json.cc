@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace mpos::util
@@ -242,303 +241,6 @@ jsonValidate(const std::string &text, size_t *error_pos,
         if (error)
             *error = v.err;
     }
-    return ok;
-}
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    for (const auto &[name, value] : members) {
-        if (name == key)
-            return &value;
-    }
-    return nullptr;
-}
-
-namespace
-{
-
-/**
- * Recursive-descent parser sharing the Validator's grammar. The
- * validator stays the cheap structural check for text we *produced*;
- * this decodes text we *received* -- same strictness, same depth cap,
- * plus escape decoding into UTF-8.
- */
-struct Parser
-{
-    const std::string &t;
-    size_t pos = 0;
-    std::string err;
-
-    bool
-    fail(const char *what)
-    {
-        if (err.empty())
-            err = what;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < t.size() &&
-               (t[pos] == ' ' || t[pos] == '\t' || t[pos] == '\n' ||
-                t[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        for (const char *p = word; *p; ++p, ++pos)
-            if (pos >= t.size() || t[pos] != *p)
-                return fail("bad literal");
-        return true;
-    }
-
-    void
-    appendUtf8(std::string &out, uint32_t cp)
-    {
-        if (cp < 0x80) {
-            out += char(cp);
-        } else if (cp < 0x800) {
-            out += char(0xc0 | (cp >> 6));
-            out += char(0x80 | (cp & 0x3f));
-        } else if (cp < 0x10000) {
-            out += char(0xe0 | (cp >> 12));
-            out += char(0x80 | ((cp >> 6) & 0x3f));
-            out += char(0x80 | (cp & 0x3f));
-        } else {
-            out += char(0xf0 | (cp >> 18));
-            out += char(0x80 | ((cp >> 12) & 0x3f));
-            out += char(0x80 | ((cp >> 6) & 0x3f));
-            out += char(0x80 | (cp & 0x3f));
-        }
-    }
-
-    bool
-    hex4(uint32_t &out)
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (pos >= t.size() ||
-                !std::isxdigit((unsigned char)t[pos]))
-                return fail("bad \\u escape");
-            const char c = t[pos++];
-            v = (v << 4) |
-                uint32_t(c <= '9' ? c - '0'
-                                  : (c | 0x20) - 'a' + 10);
-        }
-        out = v;
-        return true;
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (pos >= t.size() || t[pos] != '"')
-            return fail("expected string");
-        ++pos;
-        out.clear();
-        while (pos < t.size()) {
-            const unsigned char c = (unsigned char)t[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (c < 0x20)
-                return fail("raw control character in string");
-            if (c != '\\') {
-                out += char(c);
-                ++pos;
-                continue;
-            }
-            ++pos;
-            if (pos >= t.size())
-                break;
-            const char e = t[pos++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                uint32_t cp = 0;
-                if (!hex4(cp))
-                    return false;
-                // Surrogate pair: a high surrogate must be followed
-                // by \u + low surrogate; anything else is corrupt.
-                if (cp >= 0xd800 && cp <= 0xdbff) {
-                    if (pos + 1 >= t.size() || t[pos] != '\\' ||
-                        t[pos + 1] != 'u')
-                        return fail("unpaired surrogate");
-                    pos += 2;
-                    uint32_t lo = 0;
-                    if (!hex4(lo))
-                        return false;
-                    if (lo < 0xdc00 || lo > 0xdfff)
-                        return fail("bad low surrogate");
-                    cp = 0x10000 + ((cp - 0xd800) << 10) +
-                         (lo - 0xdc00);
-                } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-                    return fail("unpaired surrogate");
-                }
-                appendUtf8(out, cp);
-                break;
-              }
-              default:
-                return fail("bad escape character");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    number(JsonValue &out)
-    {
-        const size_t at = pos;
-        if (pos < t.size() && t[pos] == '-')
-            ++pos;
-        if (pos >= t.size() || !std::isdigit((unsigned char)t[pos]))
-            return fail("bad number");
-        if (t[pos] == '0' && pos + 1 < t.size() &&
-            std::isdigit((unsigned char)t[pos + 1]))
-            return fail("leading zero in number");
-        while (pos < t.size() && std::isdigit((unsigned char)t[pos]))
-            ++pos;
-        if (pos < t.size() && t[pos] == '.') {
-            ++pos;
-            if (pos >= t.size() || !std::isdigit((unsigned char)t[pos]))
-                return fail("bad number fraction");
-            while (pos < t.size() &&
-                   std::isdigit((unsigned char)t[pos]))
-                ++pos;
-        }
-        if (pos < t.size() && (t[pos] == 'e' || t[pos] == 'E')) {
-            ++pos;
-            if (pos < t.size() && (t[pos] == '+' || t[pos] == '-'))
-                ++pos;
-            if (pos >= t.size() || !std::isdigit((unsigned char)t[pos]))
-                return fail("bad number exponent");
-            while (pos < t.size() &&
-                   std::isdigit((unsigned char)t[pos]))
-                ++pos;
-        }
-        out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(t.substr(at, pos - at).c_str(),
-                                 nullptr);
-        return true;
-    }
-
-    bool
-    value(JsonValue &out, uint32_t depth)
-    {
-        if (depth > 256)
-            return fail("nesting too deep");
-        skipWs();
-        if (pos >= t.size())
-            return fail("expected value");
-        switch (t[pos]) {
-          case '{': {
-            ++pos;
-            out.kind = JsonValue::Kind::Object;
-            skipWs();
-            if (pos < t.size() && t[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            for (;;) {
-                skipWs();
-                std::string key;
-                if (!string(key))
-                    return false;
-                skipWs();
-                if (pos >= t.size() || t[pos] != ':')
-                    return fail("expected ':'");
-                ++pos;
-                JsonValue member;
-                if (!value(member, depth + 1))
-                    return false;
-                out.members.emplace_back(std::move(key),
-                                         std::move(member));
-                skipWs();
-                if (pos < t.size() && t[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (pos < t.size() && t[pos] == '}') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-          }
-          case '[': {
-            ++pos;
-            out.kind = JsonValue::Kind::Array;
-            skipWs();
-            if (pos < t.size() && t[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            for (;;) {
-                JsonValue item;
-                if (!value(item, depth + 1))
-                    return false;
-                out.items.push_back(std::move(item));
-                skipWs();
-                if (pos < t.size() && t[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (pos < t.size() && t[pos] == ']') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-          }
-          case '"':
-            out.kind = JsonValue::Kind::String;
-            return string(out.text);
-          case 't':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-          case 'f':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-          case 'n':
-            out.kind = JsonValue::Kind::Null;
-            return literal("null");
-          default:
-            return number(out);
-        }
-    }
-};
-
-} // namespace
-
-bool
-jsonParse(const std::string &text, JsonValue &out, std::string *error)
-{
-    out = JsonValue{};
-    Parser p{text, 0, {}};
-    bool ok = p.value(out, 0);
-    if (ok) {
-        p.skipWs();
-        if (p.pos != text.size())
-            ok = p.fail("trailing characters after value");
-    }
-    if (!ok && error)
-        *error = p.err;
     return ok;
 }
 

@@ -6,7 +6,7 @@
  *  the file, and the job-identity hash must be exactly as sensitive
  *  as the measured results are. These tests pin the round-trip of
  *  every record type, the torn-tail contract, poison persistence,
- *  fresh-open semantics and hash stability.
+ *  fresh-open semantics, the version check and hash stability.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 
 #include "core/experiment.hh"
 #include "core/journal.hh"
+#include "sim/snapshot/container.hh"
+#include "util/binio.hh"
 #include "util/error.hh"
 
 using namespace mpos;
@@ -73,9 +75,7 @@ TEST(SweepJournal, RoundTripsEveryRecordType)
         j.open(dir, false);
         j.appendPlan("std/Pmake", 0x1111);
         j.appendPlan("fig11/cpus4", 0x2222);
-        j.appendJobStart("std/Pmake", 0x1111, 7, 1, "tag-a");
         j.appendJobEnd(sampleRow("std/Pmake", 0x1111));
-        j.appendJobStart("fig11/cpus4", 0x2222, 9, 2, "");
         j.appendAnalysisEnd("fig11_lock_scaling", true, "",
                             "table body\nwith two lines\n");
         j.appendPoison(0xdeadbeef);
@@ -96,14 +96,7 @@ TEST(SweepJournal, RoundTripsEveryRecordType)
     EXPECT_EQ(row.invariantChecks, 67u);
     EXPECT_EQ(row.cpus, 4u);
     EXPECT_EQ(row.measureCycles, 300000u);
-
-    // fig11/cpus4 has a JobStart but no JobEnd: it died in flight.
-    EXPECT_FALSE(st.inFlight("std/Pmake"));
-    EXPECT_TRUE(st.inFlight("fig11/cpus4"));
-    ASSERT_TRUE(st.started.count("fig11/cpus4"));
-    EXPECT_EQ(st.started.at("fig11/cpus4").seed, 9u);
-    EXPECT_EQ(st.started.at("fig11/cpus4").attempt, 2u);
-    EXPECT_EQ(st.started.at("std/Pmake").requestTag, "tag-a");
+    EXPECT_FALSE(st.jobs.count("fig11/cpus4"));
 
     ASSERT_TRUE(st.analyses.count("fig11_lock_scaling"));
     EXPECT_TRUE(st.analyses.at("fig11_lock_scaling").ok);
@@ -210,6 +203,64 @@ TEST(SweepJournal, RejectsAForeignFile)
     std::fclose(f);
     SweepJournal j;
     EXPECT_THROW(j.open(dir, true), util::SimError);
+
+    // A version-1 journal: intact frames, but its 0x02 attempt-start
+    // record no longer exists. Replay must refuse the file outright
+    // rather than read that record as a torn tail and truncate the
+    // JobEnd after it away.
+    util::ByteWriter v1;
+    v1.raw("MPOSJRN1", 8);
+    v1.u32(1);
+    auto frame = [&v1](const util::ByteWriter &payload) {
+        v1.u32(uint32_t(payload.size()));
+        v1.raw(payload.bytes().data(), payload.size());
+        v1.u64(sim::snapshot::fnv1a(payload.bytes().data(),
+                                    payload.size()));
+    };
+    util::ByteWriter plan;
+    plan.u8(0x01);
+    plan.str("std/Pmake");
+    plan.u64(0x1111);
+    frame(plan);
+    util::ByteWriter start;
+    start.u8(0x02);
+    start.str("std/Pmake");
+    start.u64(0x1111);
+    start.u64(7);
+    start.u32(1);
+    start.str("");
+    frame(start);
+    util::ByteWriter end;
+    end.u8(0x03);
+    end.str("std/Pmake");
+    end.u64(0x1111);
+    end.u8(2);
+    end.u32(1);
+    end.str("");
+    end.u64(12345);
+    end.u64(0);
+    end.u8(1);
+    end.u32(4);
+    end.u64(300000);
+    frame(end);
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(v1.bytes().data(), 1, v1.size(), f);
+    std::fclose(f);
+
+    SweepJournal old;
+    try {
+        old.open(dir, true);
+        ADD_FAILURE() << "a version-1 journal was accepted";
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(e.code(), util::ErrCode::BadConfig);
+        EXPECT_NE(std::string(e.what()).find("has version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::vector<uint8_t> after;
+    ASSERT_TRUE(sim::snapshot::readFile(path, after));
+    EXPECT_EQ(after, v1.bytes());
 }
 
 TEST(SweepJournal, JobConfigHashTracksMeasuredIdentity)
@@ -227,10 +278,4 @@ TEST(SweepJournal, JobConfigHashTracksMeasuredIdentity)
     longer.measureCycles = 600000;
     EXPECT_NE(SweepJournal::jobConfigHash(a),
               SweepJournal::jobConfigHash(longer));
-
-    // The request tag is an opaque caller label, not job identity.
-    ExperimentConfig tagged = quickConfig(7);
-    tagged.requestTag = "{\"op\":\"run\"}";
-    EXPECT_EQ(SweepJournal::jobConfigHash(a),
-              SweepJournal::jobConfigHash(tagged));
 }
