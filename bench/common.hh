@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
 #include "core/experiment.hh"
@@ -101,19 +100,6 @@ standardConfig(workload::WorkloadKind kind)
     if (const uint64_t ncpus = envOr("MPOS_CPUS", 0))
         scaleToCpus(cfg, uint32_t(ncpus));
     return cfg;
-}
-
-/** Run one workload with the standard configuration. */
-inline std::unique_ptr<core::Experiment>
-runWorkload(workload::WorkloadKind kind)
-{
-    auto cfg = standardConfig(kind);
-    auto exp = std::make_unique<core::Experiment>(cfg);
-    std::fprintf(stderr, "[bench] running %s for %llu cycles...\n",
-                 workload::workloadName(kind),
-                 static_cast<unsigned long long>(cfg.measureCycles));
-    exp->run();
-    return exp;
 }
 
 /** The three paper workloads, in paper order. */

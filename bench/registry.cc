@@ -55,6 +55,8 @@ BenchContext::submitJob(const std::string &name,
         cfg.machine.metrics = true;
     if (obs_.profile)
         cfg.machine.profile = true;
+    if (check_)
+        cfg.machine.check = true;
     if (!faultJob_.empty() && name == faultJob_) {
         // Guaranteed failure: pick the first seed whose fault plan
         // carries a synthetic watchdog trip inside this job's run.
@@ -454,22 +456,22 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
         return;
     }
     auto flag = [](bool on) { return on ? "true" : "false"; };
-    sim::Protocol proto = sim::Protocol::Mesi;
-    if (const char *p = std::getenv("MPOS_PROTOCOL"))
-        sim::parseProtocol(p, proto);
+    // The configuration every standard job was built from.
+    const core::ExperimentConfig std_cfg =
+        standardConfig(workload::WorkloadKind::Pmake);
     std::fprintf(f, "{\n  \"driver\": \"mpos_bench\",\n");
     std::fprintf(f,
                  "  \"config\": {\"measure_cycles\": %llu, "
                  "\"warmup_cycles\": %llu, \"seed\": %llu, "
                  "\"jobs\": %u, "
-                 "\"protocol\": \"%s\", \"assoc\": %llu, "
-                 "\"cpus\": %llu, \"smoke\": %s, ",
-                 (unsigned long long)envOr("MPOS_CYCLES", 20000000),
-                 (unsigned long long)envOr("MPOS_WARMUP", 8000000),
-                 (unsigned long long)envOr("MPOS_SEED", 7), jobs,
-                 sim::protocolName(proto),
-                 (unsigned long long)envOr("MPOS_ASSOC", 1),
-                 (unsigned long long)envOr("MPOS_CPUS", 4),
+                 "\"protocol\": \"%s\", \"lock_proto\": \"%s\", "
+                 "\"assoc\": %u, \"cpus\": %u, \"smoke\": %s, ",
+                 (unsigned long long)std_cfg.measureCycles,
+                 (unsigned long long)std_cfg.warmupCycles,
+                 (unsigned long long)std_cfg.options.seed, jobs,
+                 sim::protocolName(std_cfg.machine.protocol),
+                 sim::lockPolicyName(std_cfg.machine.lockPolicy),
+                 std_cfg.machine.l1dAssoc, std_cfg.machine.numCpus,
                  flag(smoke));
     if (journal) {
         std::fprintf(f, "\"journal\": true},\n");
@@ -732,10 +734,8 @@ usage()
         "                  without simulating\n"
         "  --help          this text\n\n"
         "Environment: MPOS_CYCLES, MPOS_WARMUP, MPOS_SEED, "
-        "MPOS_JOBS, MPOS_CHECK,\n"
+        "MPOS_JOBS,\n"
         "MPOS_PROTOCOL, MPOS_LOCK_PROTO, MPOS_ASSOC, MPOS_CPUS, "
-        "MPOS_WATCHDOG (forward-progress budget in cycles),\n"
-        "MPOS_FAULTS (fault seed), "
         "MPOS_SNAPSHOT_DIR (same as --snapshot-dir).\n");
 }
 
@@ -779,8 +779,8 @@ benchMain(int argc, char **argv)
         } else if (arg == "--check") {
             check = true;
         } else if (arg == "--protocol") {
-            // Like --check: an env var, so it reaches every machine
-            // constructed by any job (validated in standardConfig).
+            // An env var, so standardConfig (which validates it)
+            // applies it to every job.
             setenv("MPOS_PROTOCOL", value("--protocol"), 1);
         } else if (arg == "--lock-proto") {
             setenv("MPOS_LOCK_PROTO", value("--lock-proto"), 1);
@@ -846,11 +846,6 @@ benchMain(int argc, char **argv)
         // Tiny runs unless the caller already pinned the lengths.
         setenv("MPOS_CYCLES", "300000", 0);
         setenv("MPOS_WARMUP", "150000", 0);
-    }
-    if (check) {
-        // Before any Machine is constructed: every machine in every
-        // job gets the invariant checkers.
-        setenv("MPOS_CHECK", "1", 1);
     }
     if (!goldenDir.empty())
         std::filesystem::create_directories(goldenDir);
@@ -929,6 +924,7 @@ benchMain(int argc, char **argv)
     }
 
     BenchContext ctx(ropt);
+    ctx.setCheck(check);
     if (!faultJob.empty())
         ctx.setFaultJob(faultJob);
     if (obs.any())

@@ -72,6 +72,10 @@ class BenchContext
     void setObservability(const ObsOptions &o) { obs_ = o; }
     const ObsOptions &observability() const { return obs_; }
 
+    /** Run every subsequently submitted job under the invariant
+     *  checkers (--check). */
+    void setCheck(bool on) { check_ = on; }
+
     /** Queue the standard run for a workload without waiting. */
     void prepareStandard(workload::WorkloadKind kind);
 
@@ -113,6 +117,7 @@ class BenchContext
     core::ExperimentRunner runner_;
     std::string faultJob_; ///< Job to sabotage; empty = none.
     ObsOptions obs_;       ///< Applied to every submitted job.
+    bool check_ = false;   ///< Invariant checkers on every job.
     core::SweepJournal *journal_ = nullptr;
     bool planOnly_ = false;
     std::vector<std::pair<std::string, core::ExperimentConfig>>

@@ -27,9 +27,9 @@
  *    None while outside the OS is legal (consumers ignore it).
  *
  * The checker is compiled in but zero-cost when disabled: producers
- * hold a Checker pointer that is null unless MachineConfig::check (or
- * MPOS_CHECK) is set, so every hook is one predictable branch -- the
- * same fast-path discipline as the monitor's listening() test.
+ * hold a Checker pointer that is null unless MachineConfig::check is
+ * set, so every hook is one predictable branch -- the same fast-path
+ * discipline as the monitor's listening() test.
  *
  * On a violation the default is to abort with a full description
  * (util::panic); the fuzz harness switches to recording mode so a

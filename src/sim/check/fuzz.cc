@@ -832,8 +832,7 @@ runFaulted(uint64_t seed, const FuzzOptions &opt)
 {
     MachineConfig cfg = opt.machineConfig(seed);
     // The campaign exercises the failure paths, not the differential
-    // property; the checkers stay out of the way (a forced MPOS_CHECK
-    // still works: the rig puts it in collect mode).
+    // property; the checkers stay out of the way.
     cfg.check = false;
     cfg.faultSeed = seed ? seed : 1;
     cfg.faultHorizon = opt.runCycles;

@@ -13,8 +13,8 @@
  * `mpos_fuzz --faults` campaign asserts by running every seed twice.
  *
  * Producers hold a FaultPlan pointer that is null unless
- * MachineConfig::faultSeed (or MPOS_FAULTS) is set: the same zero-cost
- * null-pointer-gate discipline as the checker and the watchdog.
+ * MachineConfig::faultSeed is set: the same zero-cost null-pointer-gate
+ * discipline as the checker and the watchdog.
  */
 
 #ifndef MPOS_SIM_FAULT_PLAN_HH

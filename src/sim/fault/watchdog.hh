@@ -22,8 +22,8 @@
  * the same run can never disagree about the final events).
  *
  * Zero-cost when off: producers hold a Watchdog pointer that is null
- * unless MachineConfig::watchdogCycles (or MPOS_WATCHDOG) is set, so
- * every hook is one predictable branch -- the checker discipline.
+ * unless MachineConfig::watchdogCycles is set, so every hook is one
+ * predictable branch -- the checker discipline.
  */
 
 #ifndef MPOS_SIM_FAULT_WATCHDOG_HH

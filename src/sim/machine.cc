@@ -15,14 +15,14 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
       pageShift(uint32_t(std::countr_zero(cfg.pageBytes))),
       pageMask(Addr(cfg.pageBytes) - 1),
       lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
-      slowSim(cfg.slowSim || slowSimForced()), parks(cfg.numCpus)
+      parks(cfg.numCpus)
 {
     cpus.reserve(cfg.numCpus);
     for (CpuId c = 0; c < cfg.numCpus; ++c)
         cpus.emplace_back(c, cfg);
     mem.setParker(this);
 
-    if (cfg.check || checkForced()) {
+    if (cfg.check) {
         chk = std::make_unique<Checker>(cfg);
         chk->attachMemory(&mem);
         mem.setChecker(chk.get());
@@ -32,12 +32,9 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
         mon.attach(chk.get());
     }
 
-    const uint64_t fault_seed =
-        cfg.faultSeed ? cfg.faultSeed : faultForcedSeed();
-    Cycle wd_cycles =
-        cfg.watchdogCycles ? cfg.watchdogCycles : watchdogForcedCycles();
-    if (fault_seed) {
-        plan = std::make_unique<FaultPlan>(fault_seed, cfg.faultHorizon);
+    Cycle wd_cycles = cfg.watchdogCycles;
+    if (cfg.faultSeed) {
+        plan = std::make_unique<FaultPlan>(cfg.faultSeed, cfg.faultHorizon);
         // Faulted runs want their hangs diagnosed, not waited out: a
         // default budget far above any legitimate reference-free
         // stretch (Think bursts are tens to hundreds of cycles).
@@ -58,11 +55,9 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
     // Observability layer: trace exporter, metrics engine, profiler.
     // Each follows the checker discipline -- allocated only when
     // enabled, raw alias pointer as the hot-path null gate.
-    if (cfg.trace || traceForced()) {
-        const uint64_t forced_ring = traceRingForcedEntries();
+    if (cfg.trace) {
         tr = std::make_unique<trace::Tracer>(
-            forced_ring ? forced_ring : cfg.traceRingEntries,
-            cfg.traceFile, cfg.traceRingMode);
+            cfg.traceRingEntries, cfg.traceFile, cfg.traceRingMode);
         trp = tr.get();
         mon.attach(trp);
     } else if (wdp) {
@@ -76,15 +71,13 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
     if (wdp && trp)
         wdp->setEventRing(&trp->ring());
 
-    const Cycle mx_window = metricsForcedWindow();
-    if (cfg.metrics || mx_window) {
-        mx = std::make_unique<trace::Metrics>(
-            mx_window > 1 ? mx_window : cfg.metricsWindowCycles);
+    if (cfg.metrics) {
+        mx = std::make_unique<trace::Metrics>(cfg.metricsWindowCycles);
         mxp = mx.get();
         mon.attach(mxp);
     }
 
-    if (cfg.profile || profileForced()) {
+    if (cfg.profile) {
         pf = std::make_unique<trace::Profiler>(cfg.numCpus,
                                                cfg.busMissStall);
         pfp = pf.get();
@@ -237,7 +230,7 @@ Machine::activate(Cpu &c)
                 util::panic("executor refill pushed no work for cpu %u",
                             c.id);
             if (const auto *spin = Executor::declaredSpin) {
-                if (!slowSim && tryPark(c, *spin, markers))
+                if (!cfg.slowSim && tryPark(c, *spin, markers))
                     return;
                 // A refused park may have run the leading markers.
                 continue;
@@ -514,7 +507,7 @@ Machine::run(Cycle cycles)
                     "Machine::run called with no executor installed");
 
     const Cycle target = currentCycle + cycles;
-    if (slowSim)
+    if (cfg.slowSim)
         runReference(target);
     else
         runFast(target);

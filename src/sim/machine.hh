@@ -11,8 +11,8 @@
  * The scheduler is event-driven: between activations it jumps straight
  * to the smallest per-CPU busyUntil instead of ticking through dead
  * cycles, which is observably identical because CPUs only act when
- * busyUntil <= now (MachineConfig::slowSim or MPOS_SLOW_SIM selects
- * the one-tick-at-a-time reference loop). It also parks CPUs that
+ * busyUntil <= now (MachineConfig::slowSim selects the
+ * one-tick-at-a-time reference loop). It also parks CPUs that
  * spin in a declared side-effect-free chunk whose references all hit
  * (the idle loop), and computes their state arithmetically when
  * something could change what they do.
@@ -72,29 +72,29 @@ class Machine
 
     /**
      * The invariant checker, or null when checking is off
-     * (MachineConfig::check / MPOS_CHECK select it at construction).
+     * (MachineConfig::check selects it at construction).
      */
     Checker *checker() { return chk.get(); }
     const Checker *checker() const { return chk.get(); }
 
     /**
      * The forward-progress watchdog, or null when off
-     * (MachineConfig::watchdogCycles / MPOS_WATCHDOG select it, and
-     * fault injection auto-enables it with a default budget).
+     * (MachineConfig::watchdogCycles selects it, and fault injection
+     * auto-enables it with a default budget).
      */
     Watchdog *watchdog() { return wdp; }
     const Watchdog *watchdog() const { return wdp; }
 
     /**
      * The fault-injection plan, or null when off
-     * (MachineConfig::faultSeed / MPOS_FAULTS select it).
+     * (MachineConfig::faultSeed selects it).
      */
     FaultPlan *faults() { return plan.get(); }
     const FaultPlan *faults() const { return plan.get(); }
 
     /**
-     * The trace exporter, or null when off (MachineConfig::trace /
-     * MPOS_TRACE select it). Also allocated ring-only, with a small
+     * The trace exporter, or null when off (MachineConfig::trace
+     * selects it). Also allocated ring-only, with a small
      * ring, when the watchdog is on: its dump reads the shared ring.
      */
     trace::Tracer *tracer() { return trp; }
@@ -102,14 +102,14 @@ class Machine
 
     /**
      * The time-sliced metrics engine, or null when off
-     * (MachineConfig::metrics / MPOS_METRICS select it).
+     * (MachineConfig::metrics selects it).
      */
     trace::Metrics *metrics() { return mxp; }
     const trace::Metrics *metrics() const { return mxp; }
 
     /**
-     * The routine profiler, or null when off (MachineConfig::profile /
-     * MPOS_PROFILE select it).
+     * The routine profiler, or null when off (MachineConfig::profile
+     * selects it).
      */
     trace::Profiler *profiler() { return pfp; }
     const trace::Profiler *profiler() const { return pfp; }
@@ -273,8 +273,6 @@ class Machine
     /** Raw alias of pf: the null gate. */
     trace::Profiler *pfp = nullptr;
     Cycle currentCycle = 0;
-    /** Reference mode: tick one cycle at a time (no cycle skipping). */
-    bool slowSim = false;
 
     /** Per CPU: its park plan and state (see Park). */
     std::vector<Park> parks;

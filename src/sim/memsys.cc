@@ -40,7 +40,6 @@ MemorySystem::MemorySystem(const MachineConfig &config, Monitor &monitor)
       lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
       lineMask(~Addr(cfg.lineBytes - 1)),
       lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
-      slowSim(cfg.slowSim || slowSimForced()),
       spinData(cfg.numCpus, nullptr)
 {
     hier.reserve(cfg.numCpus);
@@ -89,8 +88,8 @@ MemorySystem::snoopTargets(CpuId requester, Addr line) const
     // is set. The reference mode walks every CPU's L2 way to
     // double-check the filter. Both go in ascending CPU order.
     const uint64_t filter = sharers[lineIndex(line)];
-    const uint64_t m = slowSim ? ~uint64_t(0) >> (64 - cfg.numCpus)
-                               : filter;
+    const uint64_t m = cfg.slowSim ? ~uint64_t(0) >> (64 - cfg.numCpus)
+                                   : filter;
     return m & ~(uint64_t(1) << requester);
 }
 

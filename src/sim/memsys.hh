@@ -262,8 +262,6 @@ class MemorySystem
     Cycle lineExecCycles = 0;
     Cycle busBusyUntil = 0;
     uint64_t txTotal = 0;
-    /** Reference mode: full snoop walks, no filter shortcut. */
-    bool slowSim = false;
     /** Invariant checker; null unless checking is enabled. */
     Checker *checker = nullptr;
     /** The machine to wake parked CPUs through; null = none park. */

@@ -21,7 +21,7 @@
  * across host thread counts.
  *
  * Zero-cost when off: the machine holds a null pointer unless
- * MachineConfig::metrics (or MPOS_METRICS) enables the engine.
+ * MachineConfig::metrics enables the engine.
  */
 
 #ifndef MPOS_SIM_TRACE_METRICS_HH

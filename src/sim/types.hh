@@ -14,7 +14,6 @@
 #define MPOS_SIM_TYPES_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 namespace mpos::sim
@@ -60,88 +59,6 @@ const char *osOpName(OsOp op);
 
 /** Name of an ExecMode for reports. */
 const char *execModeName(ExecMode mode);
-
-/** True if MPOS_SLOW_SIM is set: force the reference simulation core. */
-inline bool
-slowSimForced()
-{
-    static const bool forced = std::getenv("MPOS_SLOW_SIM") != nullptr;
-    return forced;
-}
-
-/** True if MPOS_CHECK is set: force the invariant checkers on. */
-inline bool
-checkForced()
-{
-    static const bool forced = std::getenv("MPOS_CHECK") != nullptr;
-    return forced;
-}
-
-/** MPOS_WATCHDOG: forced forward-progress budget in cycles (0 = off). */
-inline Cycle
-watchdogForcedCycles()
-{
-    static const Cycle cycles = [] {
-        const char *v = std::getenv("MPOS_WATCHDOG");
-        return v ? Cycle(std::strtoull(v, nullptr, 10)) : Cycle(0);
-    }();
-    return cycles;
-}
-
-/** MPOS_FAULTS: forced fault-injection seed (0 = off). */
-inline uint64_t
-faultForcedSeed()
-{
-    static const uint64_t seed = [] {
-        const char *v = std::getenv("MPOS_FAULTS");
-        return v ? std::strtoull(v, nullptr, 10) : uint64_t(0);
-    }();
-    return seed;
-}
-
-/** True if MPOS_TRACE is set: force the trace exporter on. */
-inline bool
-traceForced()
-{
-    static const bool forced = std::getenv("MPOS_TRACE") != nullptr;
-    return forced;
-}
-
-/** MPOS_TRACE_RING: forced trace ring capacity in events (0 = default). */
-inline uint64_t
-traceRingForcedEntries()
-{
-    static const uint64_t entries = [] {
-        const char *v = std::getenv("MPOS_TRACE_RING");
-        return v ? std::strtoull(v, nullptr, 10) : uint64_t(0);
-    }();
-    return entries;
-}
-
-/**
- * MPOS_METRICS: force the time-sliced metrics engine on. A value > 1
- * is the window width in cycles; any other value selects the default.
- */
-inline Cycle
-metricsForcedWindow()
-{
-    static const Cycle window = [] {
-        const char *v = std::getenv("MPOS_METRICS");
-        if (!v)
-            return Cycle(0);
-        const Cycle w = Cycle(std::strtoull(v, nullptr, 10));
-        return w > 1 ? w : Cycle(1); // 1 = on with the default width
-    }();
-    return window;
-}
-
-/** True if MPOS_PROFILE is set: force the routine profiler on. */
-inline bool
-profileForced()
-{
-    static const bool forced = std::getenv("MPOS_PROFILE") != nullptr;
-    return forced;
-}
 
 /**
  * Coherence protocol policy for the data caches.
@@ -264,7 +181,6 @@ struct MachineConfig
      * one-tick-at-a-time scheduler and full snoop walks. Slower but
      * byte-for-byte the original algorithms; the golden-counters
      * regression test runs both modes and asserts identical results.
-     * Also forced globally by the MPOS_SLOW_SIM environment variable.
      */
     bool slowSim = false;
 
@@ -272,8 +188,7 @@ struct MachineConfig
      * Compile the runtime invariant checkers in (SWMR, snoop-filter
      * soundness, tag/state consistency, TLB/page-table agreement,
      * monitor stream well-formedness). Zero-cost when false: every
-     * hook is a single null-pointer test. Also forced globally by the
-     * MPOS_CHECK environment variable.
+     * hook is a single null-pointer test.
      */
     bool check = false;
 
@@ -284,10 +199,9 @@ struct MachineConfig
      * structured diagnostic dump (per-CPU context, lock table, last
      * monitor events) instead of spinning forever. Zero-cost when 0
      * (every hook is one null-pointer test, the checker discipline).
-     * Also forced globally by MPOS_WATCHDOG=<cycles>. The budget must
-     * exceed the longest legitimate reference-free stretch (Think
-     * bursts, spin backoff); the idle loop fetches instructions and
-     * so never trips it.
+     * The budget must exceed the longest legitimate reference-free
+     * stretch (Think bursts, spin backoff); the idle loop fetches
+     * instructions and so never trips it.
      */
     Cycle watchdogCycles = 0;
 
@@ -297,8 +211,8 @@ struct MachineConfig
      * lock-hold perturbation, synthetic watchdog trips) derives from
      * this seed alone -- no wall clock -- so the same seed reproduces
      * the same faults and the same diagnostics. Zero disables
-     * injection. Also forced globally by MPOS_FAULTS=<seed>. Enabling
-     * faults auto-enables the watchdog if watchdogCycles is 0.
+     * injection. Enabling faults auto-enables the watchdog if
+     * watchdogCycles is 0.
      */
     uint64_t faultSeed = 0;
     /** Cycle window within which a planned synthetic trip lands. */
@@ -309,14 +223,14 @@ struct MachineConfig
      * records with in-band OS context plus OS entry/exit, context
      * switches, invalidations) into the shared event ring and, when
      * traceFile is set, a binary trace file. Zero-cost when off
-     * (null-pointer gate). Also forced globally by MPOS_TRACE.
+     * (null-pointer gate).
      */
     bool trace = false;
     /** Binary trace output path; empty = in-memory ring only. */
     std::string traceFile;
     /**
      * Trace ring capacity in events: the paper's monitor kept the
-     * last two million records. Also forced by MPOS_TRACE_RING.
+     * last two million records.
      */
     uint64_t traceRingEntries = 2 * 1024 * 1024;
     /**
@@ -329,7 +243,7 @@ struct MachineConfig
     /**
      * Time-sliced metrics engine: window bus traffic, miss fills,
      * invalidations and lock hand-offs over simulated cycles.
-     * Zero-cost when off. Also forced globally by MPOS_METRICS.
+     * Zero-cost when off.
      */
     bool metrics = false;
     /** Metrics window width in simulated cycles. */
@@ -338,8 +252,7 @@ struct MachineConfig
     /**
      * Simulated-kernel routine profiler: attribute cycles, misses and
      * estimated stall to the executing (mode, OS op, routine) with
-     * flame-style collapsed-stack output. Zero-cost when off. Also
-     * forced globally by MPOS_PROFILE.
+     * flame-style collapsed-stack output. Zero-cost when off.
      */
     bool profile = false;
 

@@ -100,10 +100,6 @@ TEST(Checker, DisabledMachineHasNoChecker)
 {
     MachineConfig cfg = tinyConfig();
     cfg.check = false;
-    // MPOS_CHECK in the environment would defeat the point of this
-    // test; skip rather than fail under a forced-check run.
-    if (sim::checkForced())
-        GTEST_SKIP() << "MPOS_CHECK is set";
     sim::Machine m(cfg);
     EXPECT_EQ(m.checker(), nullptr);
 }

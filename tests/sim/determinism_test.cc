@@ -35,6 +35,9 @@ smallConfig(workload::WorkloadKind kind, bool slow)
     cfg.warmupCycles = 200000;
     cfg.measureCycles = 1000000;
     cfg.machine.slowSim = slow;
+    // The goldens run under --check, so parking and the fast paths
+    // must stay exact with the checker attached.
+    cfg.machine.check = true;
     return cfg;
 }
 
@@ -176,11 +179,7 @@ expectParkedRunMatchesReference(const core::ExperimentConfig &fast_cfg,
     {
         core::Experiment fast(fast_cfg);
         fast.run();
-        // MPOS_SLOW_SIM puts both runs on the reference scheduler,
-        // which never parks.
-        if (!sim::slowSimForced()) {
-            EXPECT_GT(fast.machine().parkedCycles(), 0u);
-        }
+        EXPECT_GT(fast.machine().parkedCycles(), 0u);
         now = fast.machine().now();
         bus_tx = fast.machine().memory().busTransactions();
         misses = fast.misses();

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,8 @@ smallConfig(bool slow)
     cfg.memBytes = 1ULL * 1024 * 1024;
     cfg.tlbEntries = 16;
     cfg.slowSim = slow;
+    // Every wake path must also be invariant-clean.
+    cfg.check = true;
     return cfg;
 }
 
@@ -449,4 +452,29 @@ TEST(Park, WatchdogDumpSeesParkedCpuUpToDate)
         "busyUntil=" + std::to_string(c.busyUntil) +
         " intrDisable=0 queued=" + std::to_string(c.script.size());
     EXPECT_NE(dump.find(line), std::string::npos) << dump;
+}
+
+TEST(Park, EnvironmentDoesNotSwitchTheMachine)
+{
+    // MachineConfig is the only switch of the machine: a mode the
+    // config does not show would let a faulted or reference-mode warm
+    // image be stored under a clean run's key. ctest runs each test in
+    // its own process, so no earlier machine has read the environment.
+    const char *names[] = {"MPOS_SLOW_SIM", "MPOS_CHECK",
+                           "MPOS_WATCHDOG", "MPOS_FAULTS",
+                           "MPOS_TRACE",    "MPOS_TRACE_RING",
+                           "MPOS_METRICS",  "MPOS_PROFILE"};
+    for (const char *name : names)
+        setenv(name, "5", 1);
+    Rig r{MachineConfig{}};
+    EXPECT_EQ(r.m.checker(), nullptr);
+    EXPECT_EQ(r.m.watchdog(), nullptr);
+    EXPECT_EQ(r.m.faults(), nullptr);
+    EXPECT_EQ(r.m.tracer(), nullptr);
+    EXPECT_EQ(r.m.metrics(), nullptr);
+    EXPECT_EQ(r.m.profiler(), nullptr);
+    r.m.run(2000);
+    EXPECT_GT(r.m.parkedCycles(), 0u);
+    for (const char *name : names)
+        unsetenv(name);
 }
