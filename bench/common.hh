@@ -20,6 +20,9 @@
 #define MPOS_BENCH_COMMON_HH
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -32,11 +35,38 @@
 namespace mpos::bench
 {
 
+/**
+ * Parse a flag's or environment variable's value as a whole decimal
+ * number in [lo, hi], or exit 2 naming it. The whole string must be
+ * digits, so "-1" cannot wrap to 4294967295 and "abc" or "3x" cannot
+ * silently become 0 or 3.
+ */
+inline unsigned long
+wholeNumber(const char *name, const char *text, unsigned long lo,
+            unsigned long hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long v =
+        std::isdigit((unsigned char)text[0])
+            ? std::strtoul(text, &end, 10)
+            : 0;
+    if (!end || *end || errno || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "mpos_bench: %s wants a whole number from %lu to "
+                     "%lu, got '%s'\n",
+                     name, lo, hi, text);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** A whole-number environment knob, or def when unset. */
 inline uint64_t
 envOr(const char *name, uint64_t def)
 {
     const char *v = std::getenv(name);
-    return v ? std::strtoull(v, nullptr, 10) : def;
+    return v ? wholeNumber(name, v, 0, ULONG_MAX) : def;
 }
 
 /**

@@ -1,21 +1,15 @@
 /**
  * @file
- * `mpos_trace`: offline companion of the trace exporter.
+ * `mpos_trace validate <file.json>`: check that a JSON report parses.
  *
- *   mpos_trace jsonl <trace> <out.jsonl>   convert a binary trace
- *   mpos_trace validate <file.json>        check a JSON report parses
- *
- * The converter resolves kernel-routine ids through the symbol table
- * embedded in the trace, so it needs nothing but the file. The
- * validator is the same minimal syntax checker the tests use to keep
- * the hand-written report JSON honest.
+ * The validator is the same minimal syntax checker the tests use to
+ * keep the hand-written report JSON honest.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "sim/trace/trace.hh"
 #include "util/json.hh"
 
 namespace
@@ -24,21 +18,8 @@ namespace
 int
 usage()
 {
-    std::fprintf(stderr,
-                 "usage: mpos_trace jsonl <trace> <out.jsonl>\n"
-                 "       mpos_trace validate <file.json>\n");
+    std::fprintf(stderr, "usage: mpos_trace validate <file.json>\n");
     return 2;
-}
-
-int
-doJsonl(const char *in, const char *out)
-{
-    std::string err;
-    if (!mpos::sim::trace::convertToJsonl(in, out, &err)) {
-        std::fprintf(stderr, "mpos_trace: %s\n", err.c_str());
-        return 1;
-    }
-    return 0;
 }
 
 int
@@ -73,8 +54,6 @@ doValidate(const char *path)
 int
 main(int argc, char **argv)
 {
-    if (argc == 4 && std::strcmp(argv[1], "jsonl") == 0)
-        return doJsonl(argv[2], argv[3]);
     if (argc == 3 && std::strcmp(argv[1], "validate") == 0)
         return doValidate(argv[2]);
     return usage();

@@ -46,7 +46,7 @@ BenchContext::submitJob(const std::string &name,
 {
     if (obs_.trace) {
         cfg.machine.trace = true;
-        cfg.machine.traceFile = obsFileBase(obs_.dir, name) + ".trace";
+        cfg.machine.traceFile = obsFileBase(obs_.dir, name) + ".jsonl";
         // Streaming mode: the file holds everything, so the in-memory
         // ring (also serving the watchdog dump) can stay small.
         cfg.machine.traceRingEntries = 64 * 1024;
@@ -72,8 +72,17 @@ BenchContext::submitJob(const std::string &name,
                      (unsigned long long)cfg.machine.faultHorizon);
     }
     planned_.emplace_back(name, cfg);
-    if (planOnly_)
+    if (planOnly_) {
+        // A plan must not promise jobs that would fail as bad-config.
+        try {
+            sim::validateConfig(cfg.machine);
+        } catch (const util::SimError &e) {
+            std::fprintf(stderr, "mpos_bench: job %s: %s\n",
+                         name.c_str(), e.what());
+            std::exit(2);
+        }
         return;
+    }
     if (journal_) {
         // Write-ahead: the plan record is durable before the job can
         // run, so a resumed sweep rebuilds the report in submission
@@ -531,7 +540,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                         ", \"trace_file\": \"%s\", "
                         "\"trace_events\": %llu",
                         jsonEscape(obsFileBase(obs.dir, r.name) +
-                                   ".trace")
+                                   ".jsonl")
                             .c_str(),
                         (unsigned long long)tr->totalEvents());
                 }
@@ -598,31 +607,6 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
 
 /** Largest --jobs value: far more threads than any host has cores. */
 constexpr unsigned long maxJobs = 1024;
-
-/**
- * Parse a flag's value as a whole decimal number in [lo, hi], or exit
- * 2 naming the flag. The whole string must be digits, so "-1" cannot
- * wrap to 4294967295 and "abc" cannot silently become 0.
- */
-unsigned long
-wholeNumber(const char *flag, const char *text, unsigned long lo,
-            unsigned long hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v =
-        std::isdigit((unsigned char)text[0])
-            ? std::strtoul(text, &end, 10)
-            : 0;
-    if (!end || *end || errno || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "mpos_bench: %s wants a whole number from %lu to "
-                     "%lu, got '%s'\n",
-                     flag, lo, hi, text);
-        std::exit(2);
-    }
-    return v;
-}
 
 /**
  * Parse a flag's value as a finite, non-negative decimal number of
@@ -703,9 +687,8 @@ usage()
         "  --fault-job J   inject a guaranteed watchdog trip into job "
         "J (e.g.\n"
         "                  std/pmake) to exercise the failure paths\n"
-        "  --trace         export a binary monitor trace per job (plus "
-        "a JSONL\n"
-        "                  conversion) into the --obs-dir\n"
+        "  --trace         export a JSONL monitor trace per job into "
+        "the --obs-dir\n"
         "  --metrics       time-sliced metrics windows per job, "
         "embedded in the\n"
         "                  JSON report\n"
@@ -785,9 +768,13 @@ benchMain(int argc, char **argv)
         } else if (arg == "--lock-proto") {
             setenv("MPOS_LOCK_PROTO", value("--lock-proto"), 1);
         } else if (arg == "--assoc") {
-            setenv("MPOS_ASSOC", value("--assoc"), 1);
+            const char *v = value("--assoc");
+            wholeNumber("--assoc", v, 1, UINT32_MAX);
+            setenv("MPOS_ASSOC", v, 1);
         } else if (arg == "--cpus") {
-            setenv("MPOS_CPUS", value("--cpus"), 1);
+            const char *v = value("--cpus");
+            wholeNumber("--cpus", v, 1, UINT32_MAX);
+            setenv("MPOS_CPUS", v, 1);
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--json") {
@@ -1086,43 +1073,28 @@ benchMain(int argc, char **argv)
         }
     }
 
-    // Observability post-pass: convert each job's binary trace to
-    // JSONL and write its collapsed (flamegraph) profile.
+    // Observability post-pass: write each job's collapsed
+    // (flamegraph) profile.
     size_t obsFailures = 0;
-    if (obs.any()) {
+    if (obs.profile) {
         for (const auto &r : ctx.runner().results()) {
             if (!r.ok() || !r.exp)
                 continue;
-            const std::string base = obsFileBase(obs.dir, r.name);
-            if (obs.trace) {
-                std::string err;
-                if (!sim::trace::convertToJsonl(base + ".trace",
-                                                base + ".jsonl",
-                                                &err)) {
-                    std::fprintf(stderr,
-                                 "[mpos_bench] trace conversion %s: "
-                                 "%s\n",
-                                 r.name.c_str(), err.c_str());
-                    ++obsFailures;
-                }
+            const sim::trace::Profiler *pf = r.exp->machine().profiler();
+            if (!pf)
+                continue;
+            const std::string folded =
+                obsFileBase(obs.dir, r.name) + ".folded";
+            FILE *ff = std::fopen(folded.c_str(), "w");
+            if (!ff) {
+                std::fprintf(stderr, "[mpos_bench] cannot write %s\n",
+                             folded.c_str());
+                ++obsFailures;
+                continue;
             }
-            if (obs.profile) {
-                if (const sim::trace::Profiler *pf =
-                        r.exp->machine().profiler()) {
-                    const std::string folded = base + ".folded";
-                    FILE *ff = std::fopen(folded.c_str(), "w");
-                    if (!ff) {
-                        std::fprintf(stderr,
-                                     "[mpos_bench] cannot write %s\n",
-                                     folded.c_str());
-                        ++obsFailures;
-                    } else {
-                        const std::string text = pf->collapsed();
-                        std::fwrite(text.data(), 1, text.size(), ff);
-                        std::fclose(ff);
-                    }
-                }
-            }
+            const std::string text = pf->collapsed();
+            std::fwrite(text.data(), 1, text.size(), ff);
+            std::fclose(ff);
         }
     }
 

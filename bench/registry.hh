@@ -34,7 +34,7 @@ namespace mpos::bench
 /** Observability switches applied to every simulation job. */
 struct ObsOptions
 {
-    bool trace = false;   ///< Binary trace per job (--trace).
+    bool trace = false;   ///< JSONL trace per job (--trace).
     bool metrics = false; ///< Time-sliced metrics (--metrics).
     bool profile = false; ///< Routine profiler (--profile).
     std::string dir;      ///< Output directory for traces/profiles.
@@ -66,7 +66,7 @@ class BenchContext
 
     /**
      * Enable the observability layer on every subsequently submitted
-     * job: per-job binary traces under o.dir, the time-sliced metrics
+     * job: per-job JSONL traces under o.dir, the time-sliced metrics
      * engine, and/or the routine profiler.
      */
     void setObservability(const ObsOptions &o) { obs_ = o; }

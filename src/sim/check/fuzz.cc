@@ -962,18 +962,6 @@ fixupTrailingChecksum(std::vector<uint8_t> &img)
         img[img.size() - 8 + i] = uint8_t(sum >> (8 * i));
 }
 
-bool
-writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
-{
-    FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    const bool ok =
-        bytes.empty() ||
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    return (std::fclose(f) == 0) && ok;
-}
-
 } // namespace
 
 std::vector<uint8_t>
@@ -990,7 +978,7 @@ buildCorruptBaseImage(uint64_t seed, const FuzzOptions &opt)
 
 CorruptCampaignResult
 runCorruptCampaign(uint64_t seed, uint32_t mutations,
-                   const FuzzOptions &base, const std::string &tmp_dir,
+                   const FuzzOptions &base,
                    const std::function<void(uint32_t, uint32_t)>
                        &progress)
 {
@@ -1001,66 +989,23 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
     const std::vector<uint8_t> snapBase =
         buildCorruptBaseImage(seed, opt);
 
-    // Pristine binary trace: the same kind of run with the trace
-    // exporter streaming to a file, symbol table included.
-    const std::string traceBasePath = tmp_dir + "/corrupt-base.trc";
-    std::vector<uint8_t> traceBase;
-    {
-        MachineConfig tcfg = cfg;
-        tcfg.trace = true;
-        tcfg.traceFile = traceBasePath;
-        tcfg.traceRingEntries = 4096;
-        std::vector<std::vector<ScriptItem>> scripts =
-            buildFuzzScripts(seed ^ 1, opt);
-        FuzzRig rig(tcfg, opt, seed ^ 1);
-        startScripts(rig.m, scripts);
-        if (trace::Tracer *tr = rig.m.tracer())
-            tr->setRoutineNames(
-                {"idle", "fork", "exec", "page_fault", "sched"});
-        runPhase(rig.m, opt.runCycles / 2);
-        if (trace::Tracer *tr = rig.m.tracer())
-            tr->finish();
-        if (!snapshot::readFile(traceBasePath, traceBase) ||
-            traceBase.empty())
-            util::raise(util::ErrCode::BadConfig,
-                        "corrupt campaign: cannot build the base "
-                        "trace under %s", tmp_dir.c_str());
-    }
-
-    const std::string mutPath = tmp_dir + "/corrupt-mut.trc";
-    const std::string outPath = tmp_dir + "/corrupt-mut.jsonl";
     for (uint32_t i = 0; i < mutations; ++i) {
         util::Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-        const bool snap = (i % 2) == 0;
-        std::vector<uint8_t> img = snap ? snapBase : traceBase;
+        std::vector<uint8_t> img = snapBase;
         mutateImage(rng, img);
-        if (snap && rng.below(2) == 0)
+        if (rng.below(2) == 0)
             fixupTrailingChecksum(img);
         ++out.runs;
-        const std::string what = std::string(snap ? "snapshot" : "trace") +
-                                 " mutation #" + std::to_string(i);
-        if (!snap && !writeBytes(mutPath, img)) {
-            out.failures.push_back(what + ": cannot write scratch file " +
-                                   mutPath);
-            continue;
-        }
+        const std::string what =
+            "snapshot mutation #" + std::to_string(i);
         try {
-            std::string err;
-            bool decoded = true;
-            if (snap)
-                FuzzRig(cfg, opt, seed).unpack(img);
-            else
-                decoded = trace::convertToJsonl(mutPath, outPath, &err);
-            ++(decoded ? out.accepted : out.rejected);
+            FuzzRig(cfg, opt, seed).unpack(img);
+            ++out.accepted;
+        } catch (const util::SimError &) {
+            ++out.rejected;
         } catch (const std::exception &e) {
-            // The snapshot decoders answer with a typed error; the
-            // trace reader reports a bad input by returning false.
-            if (snap && dynamic_cast<const util::SimError *>(&e))
-                ++out.rejected;
-            else
-                out.failures.push_back(
-                    what + " escaped the typed-error contract: " +
-                    e.what());
+            out.failures.push_back(
+                what + " escaped the typed-error contract: " + e.what());
         } catch (...) {
             out.failures.push_back(what +
                                    " threw a non-standard exception");
@@ -1068,9 +1013,6 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
         if (progress)
             progress(i + 1, mutations);
     }
-    std::remove(traceBasePath.c_str());
-    std::remove(mutPath.c_str());
-    std::remove(outPath.c_str());
     return out;
 }
 

@@ -185,8 +185,8 @@ FuzzMatrixResult runSnapshotMatrix(
 
 /**
  * Aggregate result of a corrupt-input campaign (see
- * runCorruptCampaign). The contract under test: a mutated snapshot or
- * trace image either decodes cleanly or raises a typed
+ * runCorruptCampaign). The contract under test: a mutated snapshot
+ * image either decodes cleanly or raises a typed
  * util::SimError -- it never crashes, never corrupts memory (the CI
  * job runs this under ASan+UBSan), and never escapes with an untyped
  * exception.
@@ -214,21 +214,17 @@ std::vector<uint8_t> buildCorruptBaseImage(uint64_t seed,
                                            const FuzzOptions &opt);
 
 /**
- * Byte-mutation fuzz over the two untrusted binary decoders: the
- * MPOSSNAP snapshot container (through snapshot::parse *and* a full
- * Machine::restoreState of the Machine section plus the lock table's
- * restore from the Kernel section) and the MPOSTRC1
- * trace reader (through trace::convertToJsonl). One pristine image of
- * each kind is built from a seeded fuzz run, then `mutations` seeded
- * variants -- bit flips, byte rewrites, truncations, spliced garbage
- * -- are decoded, alternating between the two kinds. For half of the
- * snapshot mutations the trailing FNV-1a is recomputed so the
- * mutation survives the outer checksum and reaches the section/state
- * decoders. tmp_dir holds the scratch trace files.
+ * Byte-mutation fuzz over the untrusted MPOSSNAP snapshot decoder
+ * (snapshot::parse *and* a full Machine::restoreState of the Machine
+ * section plus the lock table's restore from the Kernel section). One
+ * pristine image is built from a seeded fuzz run, then `mutations`
+ * seeded variants -- bit flips, byte rewrites, truncations, spliced
+ * garbage -- are decoded. For half of them the trailing FNV-1a is
+ * recomputed so the mutation survives the outer checksum and reaches
+ * the section/state decoders.
  */
 CorruptCampaignResult runCorruptCampaign(
     uint64_t seed, uint32_t mutations, const FuzzOptions &base,
-    const std::string &tmp_dir,
     const std::function<void(uint32_t done, uint32_t total)>
         &progress = nullptr);
 

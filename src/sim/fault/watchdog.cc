@@ -33,17 +33,6 @@ Watchdog::poll(const Machine &m, Cycle now)
                              dump(m, now, "no forward progress"));
 }
 
-namespace
-{
-
-const char *
-cacheKindName(uint64_t kind)
-{
-    return CacheKind(kind) == CacheKind::Instr ? "I" : "D";
-}
-
-} // namespace
-
 std::string
 Watchdog::dump(const Machine &m, Cycle now, const char *reason) const
 {
@@ -75,74 +64,15 @@ Watchdog::dump(const Machine &m, Cycle now, const char *reason) const
     if (diagProvider)
         out += diagProvider();
 
-    const uint64_t size = events ? events->size() : 0;
+    const uint64_t size = tracer ? tracer->ring().size() : 0;
     const uint64_t have = size < dumpEvents ? size : dumpEvents;
     if (have) {
         std::snprintf(buf, sizeof buf, "  last %llu monitor events:\n",
                       (unsigned long long)have);
         out += buf;
         for (uint64_t i = size - have; i < size; ++i) {
-            const trace::TraceEvent &ev = events->tail(i);
-            switch (ev.kind) {
-            case trace::TraceEventKind::Bus:
-                std::snprintf(
-                    buf, sizeof buf,
-                    "    %llu cpu%u bus %s %s line=0x%llx\n",
-                    (unsigned long long)ev.cycle, ev.cpu,
-                    busOpName(BusOp(ev.a)), cacheKindName(ev.b),
-                    (unsigned long long)ev.addr);
-                break;
-            case trace::TraceEventKind::Evict:
-                std::snprintf(
-                    buf, sizeof buf,
-                    "    %llu cpu%u evict %s line=0x%llx\n",
-                    (unsigned long long)ev.cycle, ev.cpu,
-                    cacheKindName(ev.a),
-                    (unsigned long long)ev.addr);
-                break;
-            case trace::TraceEventKind::InvalSharing:
-                std::snprintf(
-                    buf, sizeof buf,
-                    "    %llu cpu%u inval %s line=0x%llx\n",
-                    (unsigned long long)ev.cycle, ev.cpu,
-                    cacheKindName(ev.a),
-                    (unsigned long long)ev.addr);
-                break;
-            case trace::TraceEventKind::InvalPageRealloc:
-                std::snprintf(
-                    buf, sizeof buf,
-                    "    %llu cpu%u inval-realloc line=0x%llx\n",
-                    (unsigned long long)ev.cycle, ev.cpu,
-                    (unsigned long long)ev.addr);
-                break;
-            case trace::TraceEventKind::FlushPage:
-                std::snprintf(
-                    buf, sizeof buf,
-                    "    %llu cpu%u flush-page page=0x%llx bytes=%llu\n",
-                    (unsigned long long)ev.cycle, ev.cpu,
-                    (unsigned long long)ev.addr,
-                    (unsigned long long)ev.a);
-                break;
-            case trace::TraceEventKind::OsEnter:
-                std::snprintf(buf, sizeof buf,
-                              "    %llu cpu%u osEnter %s\n",
-                              (unsigned long long)ev.cycle, ev.cpu,
-                              osOpName(OsOp(ev.a)));
-                break;
-            case trace::TraceEventKind::OsExit:
-                std::snprintf(buf, sizeof buf,
-                              "    %llu cpu%u osExit %s\n",
-                              (unsigned long long)ev.cycle, ev.cpu,
-                              osOpName(OsOp(ev.a)));
-                break;
-            case trace::TraceEventKind::ContextSwitch:
-                std::snprintf(buf, sizeof buf,
-                              "    %llu cpu%u switch pid%d -> pid%d\n",
-                              (unsigned long long)ev.cycle, ev.cpu,
-                              int(int64_t(ev.a)), int(int64_t(ev.b)));
-                break;
-            }
-            out += buf;
+            out += "    ";
+            tracer->appendJson(out, tracer->ring().tail(i));
         }
     }
     return out;

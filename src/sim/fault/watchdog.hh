@@ -17,9 +17,10 @@
  * util::SimError(WatchdogTrip) carrying a structured dump: per-CPU
  * mode/op/routine/pid, the kernel's lock table (via an installed
  * diagnostic provider -- the sim layer knows nothing about lock
- * formats), and the tail of the shared monitor-event ring (the same
- * trace::EventRing the trace exporter fills, so a dump and a trace of
- * the same run can never disagree about the final events).
+ * formats), and the tail of the shared monitor-event ring rendered
+ * as trace JSONL lines (the same trace::EventRing and renderer the
+ * trace exporter uses, so a dump and a trace of the same run can
+ * never disagree about the final events).
  *
  * Zero-cost when off: producers hold a Watchdog pointer that is null
  * unless MachineConfig::watchdogCycles is set, so every hook is one
@@ -34,7 +35,7 @@
 #include <string>
 
 #include "sim/monitor.hh"
-#include "sim/trace/ring.hh"
+#include "sim/trace/trace.hh"
 #include "sim/types.hh"
 
 namespace mpos::sim
@@ -62,10 +63,10 @@ class Watchdog : public MonitorObserver
     }
 
     /**
-     * Install the shared monitor-event ring (owned by the machine's
-     * Tracer). The dump renders its most recent entries.
+     * Install the machine's Tracer. The dump renders the most recent
+     * entries of its ring with its JSONL renderer.
      */
-    void setEventRing(const trace::EventRing *ring) { events = ring; }
+    void setTracer(const trace::Tracer *t) { tracer = t; }
 
     /** Schedule a synthetic trip (fault injection). 0 cancels. */
     void forceTripAt(Cycle cycle) { tripAt = cycle; }
@@ -108,7 +109,7 @@ class Watchdog : public MonitorObserver
     Cycle tripAt = 0;
     bool progressed = false;
     std::function<std::string()> diagProvider;
-    const trace::EventRing *events = nullptr;
+    const trace::Tracer *tracer = nullptr;
 };
 
 } // namespace mpos::sim

@@ -69,7 +69,7 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
         mon.attach(trp);
     }
     if (wdp && trp)
-        wdp->setEventRing(&trp->ring());
+        wdp->setTracer(trp);
 
     if (cfg.metrics) {
         mx = std::make_unique<trace::Metrics>(cfg.metricsWindowCycles);

@@ -6,8 +6,8 @@
  * in a bounded buffer that was read out after the run. EventRing is
  * that buffer: a fixed-capacity circular store of TraceEvent records,
  * fed by the Tracer (a MonitorObserver) and read by everything that
- * wants "the last N events" -- the binary trace exporter's ring mode
- * and the watchdog's diagnostic dump. Both consumers read the same
+ * wants "the last N events" -- the trace exporter's ring mode and
+ * the watchdog's diagnostic dump. Both consumers read the same
  * object, so a dump and a trace of the same run can never disagree.
  */
 

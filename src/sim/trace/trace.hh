@@ -7,19 +7,14 @@
  * transactions with their in-band context snapshot (mode, OS
  * operation, kernel routine, pid: the paper's escape references),
  * evictions, invalidations, OS entry/exit and context switches --
- * into the shared EventRing, and optionally serializes them to a
- * compact binary file. Two file modes mirror the two ways the paper's
- * buffer could be used:
+ * into the shared EventRing, and optionally writes them to a JSONL
+ * file, one JSON object per event with routine ids resolved to names.
+ * Two file modes mirror the two ways the paper's buffer could be
+ * used:
  *
- *  - streaming: every event is appended as it happens (unbounded);
+ *  - streaming: every event is written as it happens (unbounded);
  *  - ring mode: only the ring's final contents are written at
  *    finish(), i.e. the last traceRingEntries events of the run.
- *
- * The binary format is a tagged record stream (see trace.cc for the
- * exact byte layout): a fixed header, 44-byte little-endian event
- * records, a routine symbol table, and an end marker carrying totals.
- * convertToJsonl() turns a trace file into one JSON object per line
- * with routine ids resolved to names.
  *
  * Everything here is pure observation: the Tracer never perturbs
  * simulated events, and with tracing off the machine holds a null
@@ -46,7 +41,7 @@ class Tracer : public MonitorObserver
   public:
     /**
      * @param ring_entries Ring capacity in events.
-     * @param file_path    Binary trace output; empty = ring only.
+     * @param file_path    JSONL trace output; empty = ring only.
      * @param ring_mode    Write only the final ring contents instead
      *                     of streaming every event.
      */
@@ -56,8 +51,8 @@ class Tracer : public MonitorObserver
 
     /**
      * Install the kernel routine symbol table (index = RoutineId).
-     * Embedded in the binary trace so offline conversion can resolve
-     * routine ids without the kernel image.
+     * The kernel installs it at construction, before any event, so
+     * every streamed line names its routine.
      */
     void
     setRoutineNames(std::vector<std::string> names)
@@ -66,9 +61,14 @@ class Tracer : public MonitorObserver
     }
 
     /**
-     * Flush the symbol table and end marker and close the file (in
-     * ring mode, first write the ring contents). Idempotent; called
-     * by the destructor if nobody else does.
+     * Append ev to out as one JSON object and a newline: the trace
+     * file's line format, also used by the watchdog's dump.
+     */
+    void appendJson(std::string &out, const TraceEvent &ev) const;
+
+    /**
+     * In ring mode, write the ring contents; then close the file.
+     * Idempotent; called by the destructor if nobody else does.
      */
     void finish();
 
@@ -99,20 +99,14 @@ class Tracer : public MonitorObserver
 
     EventRing events;
     std::vector<std::string> routineNames;
-    std::string path;
     FILE *file = nullptr;
+    /** Line buffer reused by writeEvent. */
+    std::string line;
     bool ringMode = false;
     bool finished = false;
     /** Cycle stamp for events the monitor reports without one. */
     Cycle lastCycle = 0;
 };
-
-/**
- * Convert a binary trace file to JSONL (one event object per line).
- * Returns true on success; on failure *err describes the problem.
- */
-bool convertToJsonl(const std::string &trace_path,
-                    const std::string &jsonl_path, std::string *err);
 
 } // namespace mpos::sim::trace
 

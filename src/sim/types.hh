@@ -222,11 +222,11 @@ struct MachineConfig
      * Structured trace exporter: record every monitor event (bus
      * records with in-band OS context plus OS entry/exit, context
      * switches, invalidations) into the shared event ring and, when
-     * traceFile is set, a binary trace file. Zero-cost when off
+     * traceFile is set, a JSONL trace file. Zero-cost when off
      * (null-pointer gate).
      */
     bool trace = false;
-    /** Binary trace output path; empty = in-memory ring only. */
+    /** JSONL trace output path; empty = in-memory ring only. */
     std::string traceFile;
     /**
      * Trace ring capacity in events: the paper's monitor kept the

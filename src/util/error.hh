@@ -43,7 +43,6 @@ enum class ErrCode : uint8_t
     JobFailed,         ///< A runner job has no result to hand out.
     FaultInjected,     ///< A FaultPlan fault fired (campaign runs).
     SnapshotCorrupt,   ///< A machine snapshot failed validation.
-    TraceCorrupt,      ///< An MPOSTRC1 trace file failed validation.
 };
 
 inline const char *
@@ -57,7 +56,6 @@ errCodeName(ErrCode code)
     case ErrCode::JobFailed: return "job-failed";
     case ErrCode::FaultInjected: return "fault-injected";
     case ErrCode::SnapshotCorrupt: return "snapshot-corrupt";
-    case ErrCode::TraceCorrupt: return "trace-corrupt";
     }
     return "unknown";
 }

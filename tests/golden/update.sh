@@ -8,7 +8,7 @@
 #                                        [mpos_bench args...]]
 #
 # When the sim_tests binary is also given, the pinned trace golden
-# (trace_smoke.trace / trace_smoke.jsonl) is regenerated as well (pass
+# (trace_smoke.jsonl) is regenerated as well (pass
 # "" to skip it). Trailing arguments go to mpos_bench, as in check.sh.
 # Regenerating the default corpus also regenerates the per-policy lock
 # corpora lockproto/<policy>/ (see lockproto.sh).
@@ -50,7 +50,7 @@ echo "golden corpus updated: $(ls "$golden"/*.json | wc -l) files in" \
 if [ -n "$sim_tests" ]; then
     MPOS_UPDATE_GOLDEN=1 "$sim_tests" \
         --gtest_filter='Trace.GoldenByteIdentical' > /dev/null
-    echo "trace golden updated: trace_smoke.trace + trace_smoke.jsonl"
+    echo "trace golden updated: trace_smoke.jsonl"
 fi
 
 if [ -z "${MPOS_GOLDEN_DIR:-}" ] && [ $# -eq 0 ]; then

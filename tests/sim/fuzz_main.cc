@@ -22,10 +22,9 @@
  * and final state.
  *
  * With --corrupt N the driver switches to the corrupt-input campaign:
- * N seeded byte-mutations of a pristine snapshot image and a pristine
- * binary trace are decoded, and every one must either decode cleanly
- * or raise a typed SimError -- never crash (CI runs this mode under
- * ASan+UBSan). --emit-corrupt-corpus D regenerates the committed
+ * N seeded byte-mutations of a pristine snapshot image are decoded,
+ * and every one must either decode cleanly or raise a typed SimError
+ * -- never crash (CI runs this mode under ASan+UBSan). --emit-corrupt-corpus D regenerates the committed
  * corrupt-snapshot corpus under tests/golden/corrupt/.
  *
  * Usage: mpos_fuzz [--seeds N] [--first-seed S] [--cpus a,b,c]
@@ -33,7 +32,7 @@
  *                  [--script-len N] [--cycles N]
  *                  [--snapshot-at C] [--quiet]
  *                  [--faults] [--dump-dir D]
- *                  [--corrupt N] [--tmp-dir D]
+ *                  [--corrupt N]
  *                  [--emit-corrupt-corpus D]
  */
 
@@ -83,12 +82,9 @@ usage(const char *argv0)
         "                  to D/fault_seed<S>_cpus<N>.txt\n"
         "  --corrupt N     corrupt-input campaign: decode N seeded "
         "byte\n"
-        "                  mutations of a snapshot image and a binary "
-        "trace;\n"
-        "                  each must decode or raise a typed SimError\n"
-        "  --tmp-dir D     (--corrupt) scratch directory for trace "
-        "files\n"
-        "                  (default .)\n"
+        "                  mutations of a snapshot image; each must "
+        "decode or\n"
+        "                  raise a typed SimError\n"
         "  --emit-corrupt-corpus D\n"
         "                  regenerate the committed corrupt-snapshot "
         "corpus\n"
@@ -324,7 +320,6 @@ main(int argc, char **argv)
     bool faults = false;
     std::string dumpDir;
     uint32_t corrupt = 0;
-    std::string tmpDir = ".";
     std::string corpusDir;
 
     for (int i = 1; i < argc; ++i) {
@@ -357,8 +352,6 @@ main(int argc, char **argv)
             dumpDir = v;
         } else if (const char *v = arg("--corrupt")) {
             corrupt = uint32_t(std::strtoul(v, nullptr, 10));
-        } else if (const char *v = arg("--tmp-dir")) {
-            tmpDir = v;
         } else if (const char *v = arg("--emit-corrupt-corpus")) {
             corpusDir = v;
         } else if (!std::strcmp(argv[i], "--quiet")) {
@@ -388,7 +381,7 @@ main(int argc, char **argv)
         };
         const mpos::sim::CorruptCampaignResult res =
             mpos::sim::runCorruptCampaign(firstSeed, corrupt, opt,
-                                          tmpDir, progress);
+                                          progress);
         std::printf("mpos_fuzz --corrupt: %u mutated images, %u "
                     "rejected with a typed error, %u decoded, %zu "
                     "contract violation(s)\n",

@@ -1,13 +1,13 @@
 /** @file Trace exporter, event ring, and watchdog-ring unification.
  *
  *  The contracts under test: the EventRing keeps exactly the last
- *  `capacity` events in order; the binary trace round-trips through
- *  the JSONL converter with every line being valid JSON; ring mode
- *  writes only the final ring contents; the watchdog's diagnostic
- *  dump renders the tail of the *same* ring the tracer fills (one
- *  buffer, two consumers); the whole layer is a null pointer unless
- *  enabled; and a pinned configuration produces a byte-identical
- *  trace and JSONL against the committed golden files.
+ *  `capacity` events in order; every line of the JSONL trace is valid
+ *  JSON; ring mode writes only the final ring contents; the
+ *  watchdog's diagnostic dump renders the tail of the *same* ring the
+ *  tracer fills, as the same JSONL lines (one buffer, two consumers);
+ *  the whole layer is a null pointer unless enabled; and a pinned
+ *  configuration produces a byte-identical JSONL trace against the
+ *  committed golden file.
  */
 
 #include <gtest/gtest.h>
@@ -131,13 +131,9 @@ TEST(Trace, OffByDefault)
 
 TEST(Trace, StreamedTraceConvertsToValidJsonl)
 {
-    const std::string trace = tmpPath("stream.trace");
     const std::string jsonl = tmpPath("stream.jsonl");
 
-    runTracedWorkload(trace, 4096, false);
-
-    std::string err;
-    ASSERT_TRUE(convertToJsonl(trace, jsonl, &err)) << err;
+    runTracedWorkload(jsonl, 4096, false);
 
     const std::string text = slurp(jsonl);
     const uint64_t lines = lineCount(text);
@@ -157,33 +153,27 @@ TEST(Trace, StreamedTraceConvertsToValidJsonl)
 
 TEST(Trace, StreamingWritesEveryEvent)
 {
-    const std::string trace = tmpPath("count.trace");
     const std::string jsonl = tmpPath("count.jsonl");
 
     // Ring far smaller than the event count of a real workload.
-    auto e = runTracedWorkload(trace, 64, false);
+    auto e = runTracedWorkload(jsonl, 64, false);
     const uint64_t total = e->machine().tracer()->totalEvents();
     ASSERT_GT(total, 64u);
 
-    std::string err;
-    ASSERT_TRUE(convertToJsonl(trace, jsonl, &err)) << err;
     // Streaming mode: the file holds all events, not just the ring.
     EXPECT_EQ(lineCount(slurp(jsonl)), total);
 }
 
 TEST(Trace, RingModeWritesOnlyFinalRingContents)
 {
-    const std::string trace = tmpPath("ring.trace");
     const std::string jsonl = tmpPath("ring.jsonl");
 
-    auto e = runTracedWorkload(trace, 64, true);
+    auto e = runTracedWorkload(jsonl, 64, true);
     const Tracer &tr = *e->machine().tracer();
     const uint64_t total = tr.totalEvents();
     const Cycle lastRingCycle = tr.ring().tail(tr.ring().size() - 1).cycle;
     ASSERT_GT(total, 64u);
 
-    std::string err;
-    ASSERT_TRUE(convertToJsonl(trace, jsonl, &err)) << err;
     const std::string text = slurp(jsonl);
     EXPECT_EQ(lineCount(text), 64u);
     // The last emitted event is the last ring entry.
@@ -195,8 +185,8 @@ TEST(Trace, RingModeWritesOnlyFinalRingContents)
 
 TEST(Trace, IdenticalRunsProduceIdenticalTraces)
 {
-    const std::string a = tmpPath("det_a.trace");
-    const std::string b = tmpPath("det_b.trace");
+    const std::string a = tmpPath("det_a.jsonl");
+    const std::string b = tmpPath("det_b.jsonl");
 
     for (const std::string &path : {a, b}) {
         MachineConfig cfg;
@@ -207,15 +197,6 @@ TEST(Trace, IdenticalRunsProduceIdenticalTraces)
         runTraced(cfg, 80000);
     }
     EXPECT_EQ(slurp(a), slurp(b)); // byte-identical
-}
-
-TEST(Trace, ConverterRejectsGarbage)
-{
-    const std::string bad = tmpPath("garbage.trace");
-    std::ofstream(bad, std::ios::binary) << "this is not a trace";
-    std::string err;
-    EXPECT_FALSE(convertToJsonl(bad, tmpPath("garbage.jsonl"), &err));
-    EXPECT_FALSE(err.empty());
 }
 
 // ------------------------------------------------------------------ //
@@ -264,20 +245,21 @@ TEST(Trace, WatchdogDumpRendersSharedRingTail)
     EXPECT_NE(dump.find("monitor events:"), std::string::npos) << dump;
 
     // The dump's event tail is rendered from the tracer's own ring:
-    // the last bus event in the ring must appear in the dump text
-    // with the exact cycle/op/line rendering.
+    // the last bus event in the ring must appear in the dump as its
+    // trace JSONL line.
     bool checked = false;
     for (uint64_t i = ring.size(); i-- > 0;) {
         const TraceEvent &ev = ring.tail(i);
         if (ev.kind != TraceEventKind::Bus)
             continue;
-        char want[128];
+        char want[160];
         std::snprintf(want, sizeof want,
-                      "%llu cpu%u bus %s %c line=0x%llx",
+                      "\n    {\"kind\":\"bus\",\"cycle\":%llu,\"cpu\":%u,"
+                      "\"line\":\"0x%llx\",\"op\":\"%s\",\"cache\":\"%c\"",
                       (unsigned long long)ev.cycle, ev.cpu,
+                      (unsigned long long)ev.addr,
                       busOpName(BusOp(ev.a)),
-                      CacheKind(ev.b) == CacheKind::Instr ? 'I' : 'D',
-                      (unsigned long long)ev.addr);
+                      CacheKind(ev.b) == CacheKind::Instr ? 'I' : 'D');
         EXPECT_NE(dump.find(want), std::string::npos)
             << "dump does not render ring tail event: " << want
             << "\n" << dump;
@@ -297,11 +279,8 @@ TEST(Trace, GoldenByteIdentical)
     // Pinned smoke configuration; ring mode keeps the committed
     // corpus small. Regenerate intentionally with
     // tests/golden/update.sh (which sets MPOS_UPDATE_GOLDEN).
-    const std::string golden_trace =
-        std::string(MPOS_GOLDEN_DIR) + "/trace_smoke.trace";
     const std::string golden_jsonl =
         std::string(MPOS_GOLDEN_DIR) + "/trace_smoke.jsonl";
-    const std::string fresh_trace = tmpPath("golden_fresh.trace");
     const std::string fresh_jsonl = tmpPath("golden_fresh.jsonl");
 
     core::ExperimentConfig cfg;
@@ -310,18 +289,13 @@ TEST(Trace, GoldenByteIdentical)
     cfg.measureCycles = 100000;
     cfg.options.seed = 7;
     cfg.machine.trace = true;
-    cfg.machine.traceFile = fresh_trace;
+    cfg.machine.traceFile = fresh_jsonl;
     cfg.machine.traceRingEntries = 256;
     cfg.machine.traceRingMode = true;
     core::Experiment exp(cfg);
     exp.run();
 
-    std::string err;
-    ASSERT_TRUE(convertToJsonl(fresh_trace, fresh_jsonl, &err)) << err;
-
     if (std::getenv("MPOS_UPDATE_GOLDEN")) {
-        std::ofstream(golden_trace, std::ios::binary)
-            << slurp(fresh_trace);
         std::ofstream(golden_jsonl, std::ios::binary)
             << slurp(fresh_jsonl);
         GTEST_LOG_(INFO) << "golden trace updated in "
@@ -330,11 +304,9 @@ TEST(Trace, GoldenByteIdentical)
     }
 
     // A missing golden is a failure, not a skip (check.sh policy).
-    ASSERT_TRUE(std::ifstream(golden_trace).good())
+    ASSERT_TRUE(std::ifstream(golden_jsonl).good())
         << "no committed golden trace; run tests/golden/update.sh";
-    EXPECT_EQ(slurp(fresh_trace), slurp(golden_trace))
-        << "binary trace differs from the committed golden";
     EXPECT_EQ(slurp(fresh_jsonl), slurp(golden_jsonl))
-        << "JSONL conversion differs from the committed golden";
+        << "JSONL trace differs from the committed golden";
 }
 #endif

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Observability smoke: the full analysis sweep with tracing, metrics
-# and profiling all on must still pass, produce a binary trace, a
-# JSONL conversion and a collapsed-stack profile per standard job, and
-# the JSON report (including the per-window metrics and profile
+# and profiling all on must still pass, produce a JSONL trace and a
+# collapsed-stack profile per standard job and no other trace format,
+# and the JSON report (including the per-window metrics and profile
 # objects) must be machine-parseable.
 #
 # Usage: trace_smoke.sh <mpos_bench binary> <mpos_trace binary>
@@ -41,25 +41,23 @@ for key in '"metrics":' '"profile":' '"trace_file":' \
     fi
 done
 
-# Every standard job leaves a trace + JSONL + folded profile triple.
+# JSONL is the only trace format.
+for f in "$tmp"/obs/*.trace; do
+    if [ -e "$f" ]; then
+        echo "FAIL: unexpected trace file $f"
+        fail=1
+    fi
+done
+
+# Every standard job leaves a JSONL trace + folded profile pair.
 for wl in Pmake Multpgm Oracle; do
     base="$tmp/obs/std_$wl"
-    for ext in trace jsonl folded; do
+    for ext in jsonl folded; do
         if [ ! -s "$base.$ext" ]; then
             echo "FAIL: missing or empty $base.$ext"
             fail=1
         fi
     done
-    # Round-trip: the converter re-derives the JSONL from the trace.
-    if [ -s "$base.trace" ]; then
-        if ! "$trace_tool" jsonl "$base.trace" "$tmp/rt.jsonl"; then
-            echo "FAIL: mpos_trace jsonl rejected $base.trace"
-            fail=1
-        elif ! cmp -s "$tmp/rt.jsonl" "$base.jsonl"; then
-            echo "FAIL: offline JSONL differs from bench's for $wl"
-            fail=1
-        fi
-    fi
     # Collapsed stacks: "frame[;frame...] <cycles>" lines only.
     if [ -s "$base.folded" ] &&
        grep -qvE '^[^ ]+( [0-9]+)$' "$base.folded"; then
