@@ -20,9 +20,7 @@
 #define MPOS_BENCH_COMMON_HH
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -30,43 +28,18 @@
 #include "core/experiment.hh"
 #include "core/migration.hh"
 #include "core/report.hh"
+#include "util/cli.hh"
 #include "util/table.hh"
 
 namespace mpos::bench
 {
 
-/**
- * Parse a flag's or environment variable's value as a whole decimal
- * number in [lo, hi], or exit 2 naming it. The whole string must be
- * digits, so "-1" cannot wrap to 4294967295 and "abc" or "3x" cannot
- * silently become 0 or 3.
- */
-inline unsigned long
-wholeNumber(const char *name, const char *text, unsigned long lo,
-            unsigned long hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v =
-        std::isdigit((unsigned char)text[0])
-            ? std::strtoul(text, &end, 10)
-            : 0;
-    if (!end || *end || errno || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "mpos_bench: %s wants a whole number from %lu to "
-                     "%lu, got '%s'\n",
-                     name, lo, hi, text);
-        std::exit(2);
-    }
-    return v;
-}
-
-/** A whole-number environment knob, or def when unset. */
+/** A whole-number environment knob up to hi, or def when unset. */
 inline uint64_t
-envOr(const char *name, uint64_t def)
+envOr(const char *name, uint64_t def, uint64_t hi = UINT64_MAX)
 {
     const char *v = std::getenv(name);
-    return v ? wholeNumber(name, v, 0, ULONG_MAX) : def;
+    return v ? util::wholeNumber("mpos_bench", name, v, 0, hi) : def;
 }
 
 /**
@@ -123,11 +96,12 @@ standardConfig(workload::WorkloadKind kind)
             std::exit(2);
         }
     }
-    if (const uint64_t assoc = envOr("MPOS_ASSOC", 0)) {
+    // 0 = unset; above UINT32_MAX would wrap in the machine config.
+    if (const uint64_t assoc = envOr("MPOS_ASSOC", 0, UINT32_MAX)) {
         cfg.machine.l1dAssoc = uint32_t(assoc);
         cfg.machine.l2dAssoc = uint32_t(assoc);
     }
-    if (const uint64_t ncpus = envOr("MPOS_CPUS", 0))
+    if (const uint64_t ncpus = envOr("MPOS_CPUS", 0, UINT32_MAX))
         scaleToCpus(cfg, uint32_t(ncpus));
     return cfg;
 }

@@ -58,18 +58,12 @@ BenchContext::submitJob(const std::string &name,
     if (check_)
         cfg.machine.check = true;
     if (!faultJob_.empty() && name == faultJob_) {
-        // Guaranteed failure: pick the first seed whose fault plan
-        // carries a synthetic watchdog trip inside this job's run.
-        cfg.machine.faultHorizon =
-            cfg.warmupCycles + cfg.measureCycles;
-        cfg.machine.faultSeed = sim::FaultPlan::firstTrippingSeed(
-            1, cfg.machine.faultHorizon);
+        // Guaranteed failure: no workload retires a reference every
+        // cycle, so a one-cycle watchdog budget trips during boot.
+        cfg.machine.watchdogCycles = 1;
         std::fprintf(stderr,
-                     "[bench] fault-job %s: fault seed %llu, horizon "
-                     "%llu\n",
-                     name.c_str(),
-                     (unsigned long long)cfg.machine.faultSeed,
-                     (unsigned long long)cfg.machine.faultHorizon);
+                     "[bench] fault-job %s: one-cycle watchdog budget\n",
+                     name.c_str());
     }
     planned_.emplace_back(name, cfg);
     if (planOnly_) {
@@ -400,7 +394,6 @@ struct JobRow
     uint64_t monitorTransactions = 0;
     std::string status = "pending";
     std::string error;
-    uint32_t attempts = 0;
     bool ok = false;
     /** The finished experiment (live, successful slots only). */
     core::Experiment *exp = nullptr;
@@ -419,7 +412,6 @@ rowFromSlot(const core::ExperimentResult &r)
     row.monitorTransactions = r.monitorTransactions;
     row.status = core::jobStatusName(r.status);
     row.error = r.error;
-    row.attempts = r.attempts;
     row.ok = r.ok();
     if (row.ok)
         row.exp = r.exp.get();
@@ -439,7 +431,6 @@ rowFromJournal(const core::JournalJobRow &j)
     row.monitorTransactions = j.monitorTransactions;
     row.status = core::jobStatusName(core::JobStatus(j.status));
     row.error = j.error;
-    row.attempts = j.attempts;
     row.ok = core::JobStatus(j.status) == core::JobStatus::Ok;
     return row;
 }
@@ -521,10 +512,10 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                              : 0.0);
         }
         std::fprintf(f,
-                     "\"status\": \"%s\", \"attempts\": %u, "
-                     "\"error\": \"%s\", \"ok\": %s",
-                     r.status.c_str(), r.attempts,
-                     jsonEscape(r.error).c_str(), flag(r.ok));
+                     "\"status\": \"%s\", \"error\": \"%s\", "
+                     "\"ok\": %s",
+                     r.status.c_str(), jsonEscape(r.error).c_str(),
+                     flag(r.ok));
         if (!journal && r.exp) {
             if (const sim::trace::Metrics *mx =
                     r.exp->machine().metrics())
@@ -671,7 +662,7 @@ usage()
         "either way the JSON\n"
         "                  report is written and the exit code is "
         "non-zero)\n"
-        "  --job-timeout S per-attempt wall-clock budget for each "
+        "  --job-timeout S wall-clock budget for each "
         "simulation job\n"
         "  --snapshot-dir D warm-start cache: jobs sharing a warm "
         "prefix (machine\n"
@@ -682,11 +673,11 @@ usage()
         "                  invocations (also: MPOS_SNAPSHOT_DIR). "
         "Measured output is\n"
         "                  byte-identical with or without the cache\n"
-        "  --retries N     attempts per job; retries reseed "
-        "deterministically\n"
-        "  --fault-job J   inject a guaranteed watchdog trip into job "
-        "J (e.g.\n"
-        "                  std/pmake) to exercise the failure paths\n"
+        "  --fault-job J   give job J (e.g. std/Pmake) a one-cycle "
+        "watchdog budget,\n"
+        "                  a guaranteed watchdog-trip failure, to "
+        "exercise the\n"
+        "                  failure paths\n"
         "  --trace         export a JSONL monitor trace per job into "
         "the --obs-dir\n"
         "  --metrics       time-sliced metrics windows per job, "
@@ -736,7 +727,6 @@ benchMain(int argc, char **argv)
     bool check = false;
     bool keepGoing = false;
     unsigned jobs = 0;
-    uint32_t retries = 1;
     double jobTimeout = 0;
     std::string snapshotDir;
     if (const char *env = std::getenv("MPOS_SNAPSHOT_DIR"))
@@ -769,11 +759,11 @@ benchMain(int argc, char **argv)
             setenv("MPOS_LOCK_PROTO", value("--lock-proto"), 1);
         } else if (arg == "--assoc") {
             const char *v = value("--assoc");
-            wholeNumber("--assoc", v, 1, UINT32_MAX);
+            util::wholeNumber("mpos_bench", "--assoc", v, 1, UINT32_MAX);
             setenv("MPOS_ASSOC", v, 1);
         } else if (arg == "--cpus") {
             const char *v = value("--cpus");
-            wholeNumber("--cpus", v, 1, UINT32_MAX);
+            util::wholeNumber("mpos_bench", "--cpus", v, 1, UINT32_MAX);
             setenv("MPOS_CPUS", v, 1);
         } else if (arg == "--list") {
             list = true;
@@ -784,18 +774,14 @@ benchMain(int argc, char **argv)
         } else if (arg == "--only") {
             only.push_back(value("--only"));
         } else if (arg == "--jobs") {
-            jobs = unsigned(wholeNumber("--jobs", value("--jobs"), 0,
-                                        maxJobs));
+            jobs = unsigned(util::wholeNumber(
+                "mpos_bench", "--jobs", value("--jobs"), 0, maxJobs));
         } else if (arg == "--keep-going") {
             keepGoing = true;
         } else if (arg == "--job-timeout") {
             jobTimeout = seconds("--job-timeout", value("--job-timeout"));
         } else if (arg == "--snapshot-dir") {
             snapshotDir = value("--snapshot-dir");
-        } else if (arg == "--retries") {
-            retries = uint32_t(wholeNumber("--retries",
-                                           value("--retries"), 1,
-                                           UINT32_MAX));
         } else if (arg == "--fault-job") {
             faultJob = value("--fault-job");
         } else if (arg == "--trace") {
@@ -874,7 +860,6 @@ benchMain(int argc, char **argv)
 
     core::RunnerOptions ropt;
     ropt.jobs = jobs;
-    ropt.maxAttempts = retries;
     ropt.jobTimeoutSec = jobTimeout;
     // The warm-start cache outlives the runner (jobs hold a raw
     // pointer); null when disabled, so the default path is untouched.
@@ -1172,10 +1157,9 @@ benchMain(int argc, char **argv)
         for (const auto &r : ctx.runner().results()) {
             if (!r.ok()) {
                 std::fprintf(stderr,
-                             "[mpos_bench] job %s: %s after %u "
-                             "attempt(s): %s\n",
+                             "[mpos_bench] job %s: %s: %s\n",
                              r.name.c_str(),
-                             core::jobStatusName(r.status), r.attempts,
+                             core::jobStatusName(r.status),
                              r.error.c_str());
             }
         }

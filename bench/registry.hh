@@ -52,15 +52,14 @@ class BenchContext
     /** @param jobs Worker threads; 0 means MPOS_JOBS/default. */
     explicit BenchContext(unsigned jobs = 0);
 
-    /** Full resilience policy (timeouts, retries). */
+    /** Full runner policy (timeouts, warm cache, journal). */
     explicit BenchContext(const core::RunnerOptions &opt);
 
     /**
      * Arrange for the named job to fail: when it is submitted, its
-     * config gets a fault seed guaranteed (via
-     * sim::FaultPlan::firstTrippingSeed) to trip the watchdog within
-     * the run. For exercising --keep-going and the failure paths of
-     * the JSON report.
+     * config gets a one-cycle watchdog budget, which every workload
+     * trips during kernel boot. For exercising --keep-going and the
+     * failure paths of the JSON report.
      */
     void setFaultJob(const std::string &name) { faultJob_ = name; }
 

@@ -6,7 +6,7 @@
 
 #include "core/experiment.hh"
 #include "core/warmcache.hh"
-#include "sim/fault/plan.hh"
+#include "sim/fault/crash.hh"
 #include "sim/snapshot/container.hh"
 #include "util/binio.hh"
 #include "util/error.hh"
@@ -20,7 +20,7 @@ namespace
 
 constexpr char journalMagic[8] = {'M', 'P', 'O', 'S', 'J', 'R', 'N',
                                   '1'};
-constexpr uint32_t journalVersion = 2;
+constexpr uint32_t journalVersion = 3;
 constexpr size_t journalHeaderBytes = sizeof(journalMagic) + 4;
 
 /** Largest payload replay will accept (journal files are small). */
@@ -147,7 +147,6 @@ SweepJournal::replay(const std::string &path)
                 row.name = r.str();
                 row.configHash = r.u64();
                 row.status = r.u8();
-                row.attempts = r.u32();
                 row.error = r.str();
                 row.monitorTransactions = r.u64();
                 row.invariantChecks = r.u64();
@@ -239,7 +238,6 @@ SweepJournal::appendJobEnd(const JournalJobRow &row)
     w.str(row.name);
     w.u64(row.configHash);
     w.u8(row.status);
-    w.u32(row.attempts);
     w.str(row.error);
     w.u64(row.monitorTransactions);
     w.u64(row.invariantChecks);

@@ -13,14 +13,14 @@
  *
  * File format (`sweep.mpj`, all integers little-endian via binio):
  *
- *   header   "MPOSJRN1" (8)  version u32 (= 2)
+ *   header   "MPOSJRN1" (8)  version u32 (= 3)
  *   record*  u32 payload_len, payload bytes, u64 fnv1a(payload)
  *
  * Each payload starts with a u8 record type:
  *
  *   0x01 Plan        str name, u64 config_hash
  *   0x03 JobEnd      str name, u64 config_hash, u8 status,
- *                    u32 attempts, str error, u64 monitor_tx,
+ *                    str error, u64 monitor_tx,
  *                    u64 invariant_checks, u8 kind, u32 cpus,
  *                    u64 measure_cycles
  *   0x04 AnalysisEnd str name, b ok, str error, str output
@@ -29,7 +29,8 @@
  * Version 1 also wrote a 0x02 record at the start of every attempt.
  * Version 2 dropped it, and replay rejects a version-1 file instead
  * of reading its first 0x02 record as a torn tail and truncating
- * everything after it.
+ * everything after it. Version 3 dropped JobEnd's attempts count
+ * (jobs run once); replay rejects version-2 files by version.
  *
  * Recovery invariants:
  *  - A torn tail (truncated or checksum-failing final record: the
@@ -43,7 +44,7 @@
  *  - A planned job without a JobEnd (the process died before it
  *    settled) or with a failed one re-runs; nothing else does.
  *  - PoisonKey records persist the warm-cache quarantine: a resumed
- *    sweep never warm-starts from an image a failed attempt touched,
+ *    sweep never warm-starts from an image a failed job touched,
  *    even across process restarts.
  */
 
@@ -77,7 +78,6 @@ struct JournalJobRow
     std::string name;
     uint64_t configHash = 0;
     uint8_t status = 0; ///< core::JobStatus as u8.
-    uint32_t attempts = 0;
     std::string error;
     uint64_t monitorTransactions = 0;
     uint64_t invariantChecks = 0;
@@ -104,7 +104,7 @@ struct JournalState
     std::unordered_map<std::string, JournalJobRow> jobs;
     /** Completed analyses, keyed by name (last record wins). */
     std::unordered_map<std::string, JournalAnalysis> analyses;
-    /** Warm-cache keys quarantined by failed attempts. */
+    /** Warm-cache keys quarantined by failed jobs. */
     std::vector<uint64_t> poisonedKeys;
     /** True if a torn tail was dropped during replay. */
     bool truncatedTail = false;

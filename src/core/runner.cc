@@ -1,7 +1,6 @@
 #include "core/runner.hh"
 
 #include <chrono>
-#include <thread>
 
 #include "core/journal.hh"
 #include "core/warmcache.hh"
@@ -23,11 +22,11 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * Run one attempt of a job into its slot. Returns true on success;
- * on failure records status + error text and returns false.
+ * Run a job into its slot. Returns true on success; on failure
+ * records status + error text and returns false.
  */
 bool
-runAttempt(ExperimentResult *slot, const ExperimentConfig &cfg)
+runJob(ExperimentResult *slot, const ExperimentConfig &cfg)
 {
     try {
         auto exp = std::make_unique<Experiment>(cfg);
@@ -54,7 +53,7 @@ runAttempt(ExperimentResult *slot, const ExperimentConfig &cfg)
 } // namespace
 
 ExperimentRunner::ExperimentRunner(unsigned jobs)
-    : ExperimentRunner(RunnerOptions{jobs, 1, 0, 25})
+    : ExperimentRunner(RunnerOptions{jobs})
 {
 }
 
@@ -90,52 +89,22 @@ ExperimentRunner::submit(std::string name,
         const auto t0 = std::chrono::steady_clock::now();
         std::fprintf(stderr, "[runner] %s: start\n",
                      slot->name.c_str());
-        const uint32_t tries = opt.maxAttempts ? opt.maxAttempts : 1;
-        for (uint32_t attempt = 1; attempt <= tries; ++attempt) {
-            ExperimentConfig cfg = slot->cfg;
-            // A per-job budget set on the config wins over the
-            // runner-wide default.
-            if (cfg.timeoutSeconds <= 0)
-                cfg.timeoutSeconds = opt.jobTimeoutSec;
-            cfg.warmCache = opt.warmCache;
-            if (attempt > 1) {
-                if (opt.retryBackoffMs) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(opt.retryBackoffMs));
-                }
-                // Deterministic reseed: bump the workload seed (and
-                // the fault seed, when a campaign is active) so the
-                // retry explores a different schedule instead of
-                // replaying the same failure.
-                cfg.options.seed += attempt - 1;
-                if (cfg.machine.faultSeed)
-                    cfg.machine.faultSeed += attempt - 1;
-                std::fprintf(stderr,
-                             "[runner] %s: retry %u/%u "
-                             "(seed %llu)\n",
-                             slot->name.c_str(), attempt, tries,
-                             static_cast<unsigned long long>(
-                                 cfg.options.seed));
-            }
-            slot->attempts = attempt;
-            if (runAttempt(slot, cfg))
-                break;
-            if (opt.warmCache) {
-                // Quarantine the failed attempt's warm image: it may
-                // have been produced (or consumed) on the path to
-                // this failure, and a retry or a resumed sweep must
-                // warm up from scratch instead of trusting it.
-                const uint64_t wkey = warmConfigHash(
-                    Experiment::resolvedConfig(cfg));
-                opt.warmCache->poison(wkey);
-                if (opt.journal)
-                    opt.journal->appendPoison(wkey);
-            }
-            std::fprintf(stderr,
-                         "[runner] %s: attempt %u/%u %s: %s\n",
-                         slot->name.c_str(), attempt, tries,
-                         jobStatusName(slot->status),
-                         slot->error.c_str());
+        ExperimentConfig cfg = slot->cfg;
+        // A per-job budget set on the config wins over the
+        // runner-wide default.
+        if (cfg.timeoutSeconds <= 0)
+            cfg.timeoutSeconds = opt.jobTimeoutSec;
+        cfg.warmCache = opt.warmCache;
+        if (!runJob(slot, cfg) && opt.warmCache) {
+            // Quarantine the failed job's warm image: it may have
+            // been produced (or consumed) on the path to this
+            // failure, and a later job or a resumed sweep must warm
+            // up from scratch instead of trusting it.
+            const uint64_t wkey =
+                warmConfigHash(Experiment::resolvedConfig(cfg));
+            opt.warmCache->poison(wkey);
+            if (opt.journal)
+                opt.journal->appendPoison(wkey);
         }
         slot->wallSeconds = secondsSince(t0);
         if (opt.journal) {
@@ -143,7 +112,6 @@ ExperimentRunner::submit(std::string name,
             row.name = slot->name;
             row.configHash = SweepJournal::jobConfigHash(slot->cfg);
             row.status = uint8_t(slot->status);
-            row.attempts = slot->attempts;
             row.error = slot->error;
             row.monitorTransactions = slot->monitorTransactions;
             row.invariantChecks = slot->invariantChecks;
@@ -153,11 +121,9 @@ ExperimentRunner::submit(std::string name,
             opt.journal->appendJobEnd(row);
         }
         if (!slot->ok()) {
-            std::fprintf(stderr,
-                         "[runner] %s: gave up after %u attempt(s) "
-                         "in %.1fs\n",
-                         slot->name.c_str(), slot->attempts,
-                         slot->wallSeconds);
+            std::fprintf(stderr, "[runner] %s: %s in %.1fs: %s\n",
+                         slot->name.c_str(), jobStatusName(slot->status),
+                         slot->wallSeconds, slot->error.c_str());
             return;
         }
         if (slot->invariantChecks) {
@@ -191,9 +157,8 @@ ExperimentRunner::get(size_t idx)
     const ExperimentResult &r = result(idx);
     if (!r.exp)
         util::raise(util::ErrCode::JobFailed,
-                    "experiment job '%s' %s after %u attempt(s): %s",
-                    r.name.c_str(), jobStatusName(r.status),
-                    r.attempts, r.error.c_str());
+                    "experiment job '%s' %s: %s", r.name.c_str(),
+                    jobStatusName(r.status), r.error.c_str());
     return *r.exp;
 }
 

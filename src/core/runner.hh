@@ -13,10 +13,12 @@
  *
  * Jobs are allowed to fail: a util::SimError (resource exhaustion,
  * watchdog trip, timeout) is caught in the worker and recorded in the
- * job's ExperimentResult (status/error/attempts) instead of tearing
- * down the sweep. RunnerOptions adds a per-attempt wall-clock budget
- * and bounded retry-with-reseed; surviving jobs are untouched, so
- * their output stays byte-identical whether or not a sibling failed.
+ * job's ExperimentResult (status/error) instead of tearing down the
+ * sweep. Each job runs once, on its own seed: a simulation is a
+ * deterministic function of its config, so a failure is reported,
+ * never re-run under a different seed. RunnerOptions adds a per-job
+ * wall-clock budget; surviving jobs are untouched, so their output
+ * stays byte-identical whether or not a sibling failed.
  */
 
 #ifndef MPOS_CORE_RUNNER_HH
@@ -41,8 +43,8 @@ enum class JobStatus : uint8_t
 {
     Pending,  ///< Not finished yet (or never ran).
     Ok,       ///< Experiment completed; exp is set.
-    Failed,   ///< Every attempt raised a non-timeout error.
-    TimedOut, ///< Last attempt exceeded the per-job wall budget.
+    Failed,   ///< The run raised a non-timeout error.
+    TimedOut, ///< The run exceeded the per-job wall budget.
 };
 
 inline const char *
@@ -63,15 +65,14 @@ struct ExperimentResult
     std::string name;
     ExperimentConfig cfg;
     std::unique_ptr<Experiment> exp; ///< Set once the job succeeds.
-    double wallSeconds = 0;          ///< Host time across all attempts.
+    double wallSeconds = 0;          ///< Host time of the run.
     /** Invariant checks performed (0 unless checking was enabled). */
     uint64_t invariantChecks = 0;
     /** Monitor bus transactions over the whole run (always counted);
      *  the host-side events/sec figure divides this by wallSeconds. */
     uint64_t monitorTransactions = 0;
     JobStatus status = JobStatus::Pending;
-    std::string error;     ///< Last SimError/exception text if not Ok.
-    uint32_t attempts = 0; ///< Attempts consumed (>= 1 once settled).
+    std::string error; ///< SimError/exception text if not Ok.
 
     bool ok() const { return status == JobStatus::Ok; }
 };
@@ -80,21 +81,15 @@ struct ExperimentResult
 struct RunnerOptions
 {
     unsigned jobs = 0;        ///< Worker threads; 0 = MPOS_JOBS.
-    uint32_t maxAttempts = 1; ///< Per-job tries; retries reseed.
-    double jobTimeoutSec = 0; ///< Per-attempt wall budget; 0 = none.
-    unsigned retryBackoffMs = 25; ///< Host sleep before each retry.
-    /**
-     * Warm-start cache shared by every job; null disables. The key is
-     * computed from each attempt's *effective* config, so a reseeded
-     * retry never reuses the failed seed's warm image.
-     */
+    double jobTimeoutSec = 0; ///< Per-job wall budget; 0 = none.
+    /** Warm-start cache shared by every job; null disables. */
     WarmStartCache *warmCache = nullptr;
     /**
      * Sweep journal; null disables. Workers write a JobEnd when the
-     * job settles, and a failed attempt poisons its warm key both in
-     * the cache and in the journal -- so a killed sweep can be
-     * resumed without re-running settled jobs and without ever
-     * reusing a failed seed's warm image.
+     * job settles, and a failed job poisons its warm key both in the
+     * cache and in the journal -- so a killed sweep can be resumed
+     * without re-running settled jobs and without ever reusing the
+     * warm image a failed job produced or consumed.
      */
     SweepJournal *journal = nullptr;
 };
@@ -133,7 +128,7 @@ class ExperimentRunner
 
     /**
      * Wait for slot idx and return the full result record. Never
-     * throws for a failed job: inspect status/error/attempts.
+     * throws for a failed job: inspect status/error.
      */
     const ExperimentResult &result(size_t idx);
 

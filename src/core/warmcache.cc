@@ -48,8 +48,6 @@ warmConfigHash(const ExperimentConfig &cfg)
     w.u32(m.syncOpsPerAcquire);
     w.u64(m.uncachedAccessCycles);
     w.u64(m.clockTickCycles);
-    w.u64(m.faultSeed);
-    w.u64(m.faultHorizon);
     // Excluded on purpose (event-neutral by construction, so a warm
     // image is shareable across them): slowSim, check, watchdogCycles,
     // trace/metrics/profile -- and every measurement-phase

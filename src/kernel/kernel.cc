@@ -105,7 +105,6 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
         nextClockAt[c] = m.config().clockTickCycles + c * 997;
 
     m.setExecutor(this);
-    fp = m.faults();
     if (sim::Watchdog *w = m.watchdog()) {
         // The sim layer has no lock vocabulary; the kernel supplies
         // the lock-table half of the watchdog's diagnostic dump.
@@ -187,10 +186,6 @@ Pid
 Kernel::spawn(std::unique_ptr<AppBehavior> behavior, uint32_t image_id,
               const std::string &name)
 {
-    if (fp && fp->fireSlotAlloc())
-        util::raise(util::ErrCode::ResourceExhausted,
-                    "fault injection: forced process-slot exhaustion "
-                    "at spawn('%s')", name.c_str());
     for (auto &pp : procs) {
         if (pp->state != ProcState::Free)
             continue;
@@ -216,11 +211,6 @@ Kernel::spawn(std::unique_ptr<AppBehavior> behavior, uint32_t image_id,
 Addr
 Kernel::shmAlloc(uint64_t bytes)
 {
-    if (fp && fp->fireShmAlloc())
-        util::raise(util::ErrCode::ResourceExhausted,
-                    "fault injection: forced shmAlloc exhaustion "
-                    "(%llu bytes requested)",
-                    (unsigned long long)bytes);
     const Addr base = sharedBrk;
     const uint64_t pages =
         (bytes + cfg.layout.pageBytes - 1) / cfg.layout.pageBytes;
@@ -241,10 +231,6 @@ Kernel::shmAlloc(uint64_t bytes)
 uint32_t
 Kernel::allocUserLock()
 {
-    if (fp && fp->fireUserLockAlloc())
-        util::raise(util::ErrCode::ResourceExhausted,
-                    "fault injection: forced user-lock-slot "
-                    "exhaustion");
     if (nUserLocks >= cfg.maxUserLocks)
         util::raise(util::ErrCode::ResourceExhausted,
                     "out of user lock slots (max %u)",
@@ -268,36 +254,6 @@ Kernel::registerTty(Cycle mean_gap_cycles)
 // Executor interface
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-/**
- * Largest cut <= target at which the kept prefix holds no user locks:
- * injected truncation must perturb behavior without breaking the
- * acquire/release pairing invariants the kernel panics on. Falls back
- * to the full length when no safe cut exists.
- */
-size_t
-safeTruncatePoint(const std::vector<ScriptItem> &s, size_t target)
-{
-    size_t cut = 0;
-    int held = 0;
-    for (size_t i = 0; i < s.size() && i < target; ++i) {
-        const ScriptItem &it = s[i];
-        if (it.kind == sim::ItemKind::Marker) {
-            if (it.marker == MarkerOp::UserLockAcquire)
-                ++held;
-            else if (it.marker == MarkerOp::UserLockRelease)
-                --held;
-        }
-        if (held == 0)
-            cut = i + 1;
-    }
-    return cut ? cut : s.size();
-}
-
-} // namespace
-
 void
 Kernel::refill(CpuId cpu)
 {
@@ -319,14 +275,6 @@ Kernel::refill(CpuId cpu)
         if (chunkBuf.empty())
             util::panic("behavior of %s produced an empty chunk",
                         p.name.c_str());
-        if (fp) {
-            // Injected workload truncation: only user chunks are cut
-            // (kernel paths carry lock/OS markers whose balance the
-            // machine depends on), and only at lock-balanced points.
-            const auto keep = size_t(fp->truncatedLen(chunkBuf.size()));
-            if (keep < chunkBuf.size())
-                chunkBuf.resize(safeTruncatePoint(chunkBuf, keep));
-        }
         c.pushSeq(chunkBuf);
         return;
     }
@@ -596,9 +544,6 @@ Kernel::onLockAcquire(CpuId cpu, const ScriptItem &item)
         // defer external interrupts until release, as IRIX does.
         if (!user)
             ++m.cpu(cpu).intrDisable;
-        // Injected hold-time perturbation: stretch the critical section.
-        if (fp)
-            m.charge(cpu, fp->holdExtra(lock_id), true);
         reportLock(cpu, lock_id, LockEvent::AcquireSuccess, waiters);
         return;
     }

@@ -323,8 +323,6 @@ class Kernel : public sim::Executor
     KernelLayout map;
     KernelClient *client = nullptr;
     LockListener *lockListener = nullptr;
-    /** Fault-injection plan; null unless the machine has one. */
-    sim::FaultPlan *fp = nullptr;
     /** Metrics engine; null unless the machine has one (null gate). */
     sim::trace::Metrics *mx = nullptr;
     /** Routine profiler; null unless the machine has one (null gate). */

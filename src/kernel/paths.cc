@@ -816,10 +816,6 @@ void
 Kernel::bodyFork(Script &s, CpuId cpu, Process &parent)
 {
     Process *childp = nullptr;
-    if (fp && fp->fireSlotAlloc())
-        util::raise(util::ErrCode::ResourceExhausted,
-                    "fault injection: forced process-slot exhaustion "
-                    "at fork of pid %d", int(parent.pid));
     for (auto &pp : procs) {
         if (pp->state == ProcState::Free) {
             childp = pp.get();

@@ -175,9 +175,8 @@ class ScriptedExecutor : public Executor
 
     /** @param spin_lines Data lines the finished CPUs' spin loads. */
     ScriptedExecutor(Machine &machine,
-                     const std::vector<Addr> &spin_lines,
-                     FaultPlan *faults = nullptr)
-        : locks(machine.sync().numLocks()), m(machine), fp(faults)
+                     const std::vector<Addr> &spin_lines)
+        : locks(machine.sync().numLocks()), m(machine)
     {
         const Addr code = machine.config().memBytes / 2;
         spin = {ScriptItem::ifetch(code),
@@ -276,13 +275,8 @@ class ScriptedExecutor : public Executor
             ++coverage.readSections;
             return;
         }
-        if (st.won) {
-            // Fault injection: stretch the hold of perturbed locks
-            // (the extra cycles model a slow critical section).
-            if (fp)
-                m.charge(cpu, fp->holdExtra(id), true);
+        if (st.won)
             return;
-        }
         ++coverage.lostAcquires;
         Cpu &c = m.cpu(cpu);
         c.pushFront(
@@ -306,7 +300,6 @@ class ScriptedExecutor : public Executor
     }
 
     Machine &m;
-    FaultPlan *fp; ///< Null outside fault-injection campaigns.
     std::vector<ScriptItem> spin; ///< A finished CPU's spin chunk.
 };
 
@@ -553,11 +546,9 @@ struct FuzzRig
     ScriptedExecutor exec;
     EventRecorder rec;
 
-    /** @param faults Hand the machine's fault plan to the executor. */
     FuzzRig(const MachineConfig &cfg, const FuzzOptions &opt,
-            uint64_t seed, bool faults = false)
-        : m(cfg, opt.numLocks),
-          exec(m, spinLinesFor(seed, opt), faults ? m.faults() : nullptr)
+            uint64_t seed)
+        : m(cfg, opt.numLocks), exec(m, spinLinesFor(seed, opt))
     {
         if (Checker *chk = m.checker()) {
             chk->setAbortOnViolation(false);
@@ -825,75 +816,6 @@ minimizeFailingPrefix(uint64_t n,
             lo = mid + 1;
     }
     return lo;
-}
-
-FaultRunRecord
-runFaulted(uint64_t seed, const FuzzOptions &opt)
-{
-    MachineConfig cfg = opt.machineConfig(seed);
-    // The campaign exercises the failure paths, not the differential
-    // property; the checkers stay out of the way.
-    cfg.check = false;
-    cfg.faultSeed = seed ? seed : 1;
-    cfg.faultHorizon = opt.runCycles;
-    cfg.watchdogCycles = opt.runCycles;
-
-    FaultRunRecord rec;
-    rec.seed = cfg.faultSeed;
-    rec.numCpus = opt.numCpus;
-
-    std::vector<std::vector<ScriptItem>> scripts =
-        buildFuzzScripts(seed, opt);
-
-    FuzzRig rig(cfg, opt, seed, true);
-    FaultPlan *fp = rig.m.faults();
-    rec.schedule = fp->describe();
-    // Scripted truncation: only ever drops a suffix, so no
-    // release-without-acquire can appear.
-    for (std::vector<ScriptItem> &s : scripts)
-        s.resize(size_t(fp->truncatedLen(s.size())));
-    startScripts(rig.m, scripts);
-
-    try {
-        runPhase(rig.m, opt.runCycles);
-    } catch (const util::SimError &e) {
-        rec.tripped = true;
-        rec.errorCode = e.codeName();
-        rec.diagnostic = e.what();
-    }
-    rec.faultsFired = fp->faultsFired();
-    return rec;
-}
-
-FaultCampaignResult
-runFaultCampaign(uint64_t first_seed, uint32_t num_seeds,
-                 const std::vector<uint32_t> &cpu_counts,
-                 const FuzzOptions &base,
-                 const std::function<void(const FaultRunRecord &)>
-                     &progress)
-{
-    FaultCampaignResult result;
-    for (uint32_t cpus : cpu_counts) {
-        FuzzOptions opt = base;
-        opt.numCpus = cpus;
-        for (uint64_t s = first_seed; s < first_seed + num_seeds;
-             ++s) {
-            FaultRunRecord a = runFaulted(s, opt);
-            const FaultRunRecord b = runFaulted(s, opt);
-            a.deterministic = a.schedule == b.schedule &&
-                              a.tripped == b.tripped &&
-                              a.errorCode == b.errorCode &&
-                              a.diagnostic == b.diagnostic &&
-                              a.faultsFired == b.faultsFired;
-            ++result.runs;
-            result.tripped += a.tripped ? 1 : 0;
-            result.faultsFired += a.faultsFired;
-            if (progress)
-                progress(a);
-            result.records.push_back(std::move(a));
-        }
-    }
-    return result;
 }
 
 FuzzMatrixResult

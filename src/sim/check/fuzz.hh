@@ -228,61 +228,6 @@ CorruptCampaignResult runCorruptCampaign(
     const std::function<void(uint32_t done, uint32_t total)>
         &progress = nullptr);
 
-/**
- * One fault-injection campaign run. The campaign's property is not
- * differential equivalence but *reproducibility of failure*: the same
- * seed must produce the same fault schedule, fire the same faults,
- * and -- when the run dies -- die with the same typed error and the
- * same structured diagnostic, byte for byte.
- */
-struct FaultRunRecord
-{
-    uint64_t seed = 0;
-    uint32_t numCpus = 0;
-    std::string schedule;   ///< FaultPlan::describe() text.
-    bool tripped = false;   ///< A util::SimError terminated the run.
-    std::string errorCode;  ///< errCodeName of that error ("" if none).
-    std::string diagnostic; ///< Error text (e.g. the watchdog dump).
-    uint64_t faultsFired = 0;
-    bool deterministic = true; ///< Re-run matched byte for byte.
-};
-
-/** Aggregate result of a fault-injection seed x CPU-count sweep. */
-struct FaultCampaignResult
-{
-    uint32_t runs = 0;
-    uint32_t tripped = 0;
-    uint64_t faultsFired = 0;
-    std::vector<FaultRunRecord> records;
-
-    bool
-    ok() const
-    {
-        for (const FaultRunRecord &r : records)
-            if (!r.deterministic)
-                return false;
-        return true;
-    }
-};
-
-/**
- * Run one fuzz script under a seeded FaultPlan with the watchdog
- * armed (budget = opt.runCycles): scripts may be truncated, lock
- * holds stretched, and a synthetic watchdog trip scheduled, all from
- * the plan. A SimError ends the run and is recorded, not rethrown.
- */
-FaultRunRecord runFaulted(uint64_t seed, const FuzzOptions &opt);
-
-/**
- * Sweep seeds over CPU counts, running every combination twice and
- * marking records whose two runs differ as non-deterministic.
- */
-FaultCampaignResult runFaultCampaign(
-    uint64_t first_seed, uint32_t num_seeds,
-    const std::vector<uint32_t> &cpu_counts, const FuzzOptions &base,
-    const std::function<void(const FaultRunRecord &)> &progress =
-        nullptr);
-
 } // namespace mpos::sim
 
 #endif // MPOS_SIM_CHECK_FUZZ_HH

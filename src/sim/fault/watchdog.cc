@@ -26,7 +26,7 @@ Watchdog::poll(const Machine &m, Cycle now)
         tripAt = 0;
         throw util::SimError(
             util::ErrCode::WatchdogTrip,
-            dump(m, now, "synthetic trip (fault injection)"));
+            dump(m, now, "synthetic trip (forceTripAt)"));
     }
     if (now - lastProgressCycle >= budgetCycles)
         throw util::SimError(util::ErrCode::WatchdogTrip,

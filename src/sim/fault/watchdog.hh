@@ -68,7 +68,7 @@ class Watchdog : public MonitorObserver
      */
     void setTracer(const trace::Tracer *t) { tracer = t; }
 
-    /** Schedule a synthetic trip (fault injection). 0 cancels. */
+    /** Schedule a synthetic trip at a given cycle. 0 cancels. */
     void forceTripAt(Cycle cycle) { tripAt = cycle; }
 
     /**

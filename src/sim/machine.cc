@@ -32,24 +32,13 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
         mon.attach(chk.get());
     }
 
-    Cycle wd_cycles = cfg.watchdogCycles;
-    if (cfg.faultSeed) {
-        plan = std::make_unique<FaultPlan>(cfg.faultSeed, cfg.faultHorizon);
-        // Faulted runs want their hangs diagnosed, not waited out: a
-        // default budget far above any legitimate reference-free
-        // stretch (Think bursts are tens to hundreds of cycles).
-        if (!wd_cycles)
-            wd_cycles = 1000000;
-    }
-    if (wd_cycles) {
-        wd = std::make_unique<Watchdog>(cfg, wd_cycles);
+    if (cfg.watchdogCycles) {
+        wd = std::make_unique<Watchdog>(cfg, cfg.watchdogCycles);
         wdp = wd.get();
         syncTransport.setWatchdog(wdp);
         // Observer role: bus settles count as progress. Event history
         // for the dump comes from the shared trace ring (below).
         mon.attach(wdp);
-        if (plan && plan->syntheticTripAt)
-            wd->forceTripAt(plan->syntheticTripAt);
     }
 
     // Observability layer: trace exporter, metrics engine, profiler.
@@ -537,9 +526,6 @@ Machine::saveState(util::ByteWriter &w) const
     syncTransport.saveState(w);
     w.u64(mon.transactions());
     w.u64(mon.osTransactions());
-    w.b(plan != nullptr);
-    if (plan)
-        plan->saveState(w);
 }
 
 void
@@ -571,14 +557,6 @@ Machine::restoreState(util::ByteReader &r)
     const uint64_t tx = r.u64();
     const uint64_t txos = r.u64();
     mon.restoreCounters(tx, txos);
-    const bool had_plan = r.b();
-    if (had_plan != (plan != nullptr))
-        util::raise(util::ErrCode::SnapshotCorrupt,
-                    "machine: snapshot %s a fault plan, machine %s",
-                    had_plan ? "has" : "lacks",
-                    plan ? "has one" : "has none");
-    if (plan)
-        plan->restoreState(r);
     // Anything the checker inferred from events preceding the restore
     // (notably the kernel-boot idle enters emitted before observers
     // could see them) describes a history this machine never lived.

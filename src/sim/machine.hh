@@ -27,7 +27,6 @@
 
 #include "sim/check/checker.hh"
 #include "sim/cpu.hh"
-#include "sim/fault/plan.hh"
 #include "sim/fault/watchdog.hh"
 #include "sim/memsys.hh"
 #include "sim/monitor.hh"
@@ -79,18 +78,10 @@ class Machine
 
     /**
      * The forward-progress watchdog, or null when off
-     * (MachineConfig::watchdogCycles selects it, and fault injection
-     * auto-enables it with a default budget).
+     * (MachineConfig::watchdogCycles selects it).
      */
     Watchdog *watchdog() { return wdp; }
     const Watchdog *watchdog() const { return wdp; }
-
-    /**
-     * The fault-injection plan, or null when off
-     * (MachineConfig::faultSeed selects it).
-     */
-    FaultPlan *faults() { return plan.get(); }
-    const FaultPlan *faults() const { return plan.get(); }
 
     /**
      * The trace exporter, or null when off (MachineConfig::trace
@@ -153,8 +144,8 @@ class Machine
     /// @name Snapshot save/restore
     /// Serializes every cycle-determining structure: the clock, each
     /// CPU's context/busy horizon/accounting/TLB/pending script, the
-    /// coherent memory system, the sync transport, the monitor's
-    /// always-on counters, and the fault plan's runtime counters.
+    /// coherent memory system, the sync transport and the monitor's
+    /// always-on counters.
     /// Observer layers (checker, watchdog, tracer, metrics, profiler)
     /// are wiring, not state: a restored machine reconstructs them
     /// fresh, exactly as an uninterrupted run would have them at the
@@ -257,8 +248,6 @@ class Machine
     std::unique_ptr<Watchdog> wd;
     /** Raw alias of wd used as the hot-path null gate. */
     Watchdog *wdp = nullptr;
-    /** Fault-injection schedule; allocated only when enabled. */
-    std::unique_ptr<FaultPlan> plan;
     /** Trace exporter; allocated when tracing (or the watchdog, which
      *  borrows the ring for its dump) is enabled. */
     std::unique_ptr<trace::Tracer> tr;

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "sim/fault/plan.hh"
+#include "sim/fault/crash.hh"
 #include "util/error.hh"
 
 namespace mpos::sim::snapshot

@@ -34,8 +34,9 @@ namespace mpos::sim::snapshot
 /** Bumped whenever the serialized state layout changes.
  *  v2: sharer/spin/cached-at bitmasks widened to 64 bits for N-CPU
  *  machines. v4: coherence state lives in the L2 ways; the per-CPU
- *  state arrays and the snoop filter (rebuilt on restore) are gone. */
-constexpr uint32_t formatVersion = 4;
+ *  state arrays and the snoop filter (rebuilt on restore) are gone.
+ *  v5: the machine section no longer ends with a fault-plan flag. */
+constexpr uint32_t formatVersion = 5;
 
 /** Section tags (stable 32-bit constants, not an index). */
 enum class Section : uint32_t

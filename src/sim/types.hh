@@ -137,8 +137,8 @@ struct MachineConfig
      * Kernel lock primitive. TestAndSet reproduces the measured
      * machine exactly (goldens are pinned under it); the alternatives
      * swap in the modern acquire/release state machines and their
-     * per-primitive sync-transport accounting. Also forced globally
-     * by MPOS_LOCK_PROTO=<name>.
+     * per-primitive sync-transport accounting. mpos_bench's
+     * standardConfig sets it from MPOS_LOCK_PROTO=<name>.
      */
     LockPolicy lockPolicy = LockPolicy::TestAndSet;
     uint32_t lineBytes = 16;
@@ -206,19 +206,6 @@ struct MachineConfig
     Cycle watchdogCycles = 0;
 
     /**
-     * Deterministic fault-injection seed: nonzero builds a FaultPlan
-     * whose whole schedule (forced slot exhaustion, script truncation,
-     * lock-hold perturbation, synthetic watchdog trips) derives from
-     * this seed alone -- no wall clock -- so the same seed reproduces
-     * the same faults and the same diagnostics. Zero disables
-     * injection. Enabling faults auto-enables the watchdog if
-     * watchdogCycles is 0.
-     */
-    uint64_t faultSeed = 0;
-    /** Cycle window within which a planned synthetic trip lands. */
-    Cycle faultHorizon = 400000;
-
-    /**
      * Structured trace exporter: record every monitor event (bus
      * records with in-band OS context plus OS entry/exit, context
      * switches, invalidations) into the shared event ring and, when
@@ -263,7 +250,7 @@ struct MachineConfig
 /**
  * Validate every machine-level geometry invariant in one place (CPU
  * count vs the snoop filter, line/page/memory alignment, cache shapes,
- * TLB size, sim-thread cap), raising util::SimError(BadConfig) with
+ * TLB size, instruction timing), raising util::SimError(BadConfig) with
  * the offending parameter named. Returns cfg so constructors can run
  * it from their initializer lists, before any member is built.
  */

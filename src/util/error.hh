@@ -11,14 +11,14 @@
  *
  * SimError is the recoverable third tier: a typed exception that
  * propagates out of Machine::run / core::Experiment so the runner can
- * record the failure (status/error/attempts), retry with a reseed, or
- * keep going. The division of labor after this file:
+ * record the failure (status/error) and keep going. The division of
+ * labor after this file:
  *
  *  - panic()   : internal invariant violated -> abort (unchanged).
  *  - fatal()   : unrecoverable CLI misuse in main() paths -> exit(1).
  *  - SimError  : anything a batch driver can usefully survive --
  *                resource exhaustion, bad MachineConfig, watchdog
- *                trips, per-job timeouts, injected faults.
+ *                trips, per-job timeouts, corrupt snapshots.
  */
 
 #ifndef MPOS_UTIL_ERROR_HH
@@ -41,7 +41,6 @@ enum class ErrCode : uint8_t
     WatchdogTrip,      ///< Forward-progress watchdog fired (livelock).
     Timeout,           ///< Per-job host wall-clock budget exceeded.
     JobFailed,         ///< A runner job has no result to hand out.
-    FaultInjected,     ///< A FaultPlan fault fired (campaign runs).
     SnapshotCorrupt,   ///< A machine snapshot failed validation.
 };
 
@@ -54,7 +53,6 @@ errCodeName(ErrCode code)
     case ErrCode::WatchdogTrip: return "watchdog-trip";
     case ErrCode::Timeout: return "timeout";
     case ErrCode::JobFailed: return "job-failed";
-    case ErrCode::FaultInjected: return "fault-injected";
     case ErrCode::SnapshotCorrupt: return "snapshot-corrupt";
     }
     return "unknown";

@@ -45,7 +45,6 @@ sampleRow(const std::string &name, uint64_t hash)
     row.name = name;
     row.configHash = hash;
     row.status = 2; // JobStatus::Done
-    row.attempts = 1;
     row.monitorTransactions = 12345;
     row.invariantChecks = 67;
     row.kind = 1;
@@ -180,16 +179,13 @@ TEST(SweepJournal, LastJobEndWinsAndPlansDedup)
         first.status = 3; // Failed
         first.error = "watchdog";
         j.appendJobEnd(first);
-        JournalJobRow second = sampleRow("std/Pmake", 5);
-        second.attempts = 2;
-        j.appendJobEnd(second);
+        j.appendJobEnd(sampleRow("std/Pmake", 5));
     }
     SweepJournal j;
     j.open(dir, true);
     ASSERT_EQ(j.state().plan.size(), 1u);
     const JournalJobRow &row = j.state().jobs.at("std/Pmake");
     EXPECT_EQ(row.status, 2u);
-    EXPECT_EQ(row.attempts, 2u);
     EXPECT_TRUE(row.error.empty());
 }
 
@@ -235,7 +231,7 @@ TEST(SweepJournal, RejectsAForeignFile)
     end.str("std/Pmake");
     end.u64(0x1111);
     end.u8(2);
-    end.u32(1);
+    end.u32(1); // attempts: gone from version 3
     end.str("");
     end.u64(12345);
     end.u64(0);
@@ -261,6 +257,36 @@ TEST(SweepJournal, RejectsAForeignFile)
     std::vector<uint8_t> after;
     ASSERT_TRUE(sim::snapshot::readFile(path, after));
     EXPECT_EQ(after, v1.bytes());
+
+    // A version-2 journal: its JobEnd still carries the attempts
+    // count that version 3 dropped. Replay must refuse it by version
+    // instead of misreading every field after the status.
+    util::ByteWriter v2;
+    v2.raw("MPOSJRN1", 8);
+    v2.u32(2);
+    for (const util::ByteWriter *payload : {&plan, &end}) {
+        v2.u32(uint32_t(payload->size()));
+        v2.raw(payload->bytes().data(), payload->size());
+        v2.u64(sim::snapshot::fnv1a(payload->bytes().data(),
+                                    payload->size()));
+    }
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(v2.bytes().data(), 1, v2.size(), f);
+    std::fclose(f);
+
+    SweepJournal older;
+    try {
+        older.open(dir, true);
+        ADD_FAILURE() << "a version-2 journal was accepted";
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(e.code(), util::ErrCode::BadConfig);
+        EXPECT_NE(std::string(e.what()).find("has version 2"),
+                  std::string::npos)
+            << e.what();
+    }
+    ASSERT_TRUE(sim::snapshot::readFile(path, after));
+    EXPECT_EQ(after, v2.bytes());
 }
 
 TEST(SweepJournal, JobConfigHashTracksMeasuredIdentity)

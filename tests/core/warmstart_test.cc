@@ -4,9 +4,9 @@
  *  end-of-warmup image must leave every measured statistic exactly as
  *  a cold run produces it. These tests pin that equivalence, the
  *  cross-process (on-disk) reuse path, the config-hash key's
- *  sensitivity rules, and the runner interactions (retry-with-reseed
- *  must never reuse the failed seed's image; a per-job wall budget
- *  composes with warm starts).
+ *  sensitivity rules, and the runner interactions (a failed job
+ *  poisons its warm key; a per-job wall budget composes with warm
+ *  starts).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "core/runner.hh"
 #include "core/warmcache.hh"
-#include "sim/fault/plan.hh"
 #include "util/error.hh"
 
 using namespace mpos;
@@ -116,7 +115,7 @@ TEST(WarmKey, IgnoresMeasurePhaseKnobsOnly)
     }
     {
         ExperimentConfig c = base;
-        c.machine.faultSeed = 1234;
+        c.machine.lockPolicy = sim::LockPolicy::Ticket;
         EXPECT_NE(Experiment(c).warmKey(), key);
     }
 }
@@ -224,54 +223,37 @@ TEST(WarmStart, CorruptDiskImageIsAMissNotAnError)
     EXPECT_EQ(second.stats().misses, 1u);
 }
 
-TEST(WarmStart, RetriedJobNeverReusesTheFailedSeedsImage)
+TEST(WarmStart, FailedJobPoisonsItsWarmKey)
 {
-    // Find a fault seed whose plan trips but whose successor is
-    // benign, as in the resilience tests: attempt 1 dies, attempt 2
-    // reseeds (+1 to the workload AND fault seeds) and succeeds.
-    ExperimentConfig cfg = quickConfig(WorkloadKind::Pmake);
-    const sim::Cycle horizon = cfg.warmupCycles + cfg.measureCycles;
-    uint64_t seed = 0;
-    for (uint64_t s = 1; s < 4000; ++s) {
-        const sim::FaultPlan trip(s, horizon);
-        if (!trip.syntheticTripAt)
-            continue;
-        const sim::FaultPlan next(s + 1, horizon);
-        if (next.syntheticTripAt || next.slotExhaustAfter ||
-            next.shmExhaustAfter || next.userLockExhaustAfter)
-            continue;
-        seed = s;
-        break;
-    }
-    ASSERT_NE(seed, 0u) << "no trip-then-benign seed pair in 1..3999";
-    cfg.machine.faultHorizon = horizon;
-    cfg.machine.faultSeed = seed;
-
-    // The reseeded retry must compute a different warm key.
-    {
-        ExperimentConfig retried = cfg;
-        retried.options.seed += 1;
-        retried.machine.faultSeed += 1;
-        EXPECT_NE(Experiment(cfg).warmKey(),
-                  Experiment(retried).warmKey());
-    }
+    // watchdogCycles is outside the warm key, so a job failed by a
+    // one-cycle watchdog budget shares its key with a healthy twin.
+    const ExperimentConfig cfg = quickConfig(WorkloadKind::Pmake);
+    ExperimentConfig doomed = cfg;
+    doomed.machine.watchdogCycles = 1;
+    const uint64_t key = Experiment(cfg).warmKey();
+    ASSERT_EQ(Experiment(doomed).warmKey(), key);
 
     WarmStartCache cache;
     RunnerOptions opt;
-    opt.jobs = 1;
-    opt.maxAttempts = 3;
-    opt.retryBackoffMs = 1;
+    opt.jobs = 1; // one worker: the jobs run in submission order
     opt.warmCache = &cache;
     ExperimentRunner r(opt);
-    r.submit("flaky", cfg);
+    r.submit("cold", cfg);      // warms up and stores the image
+    r.submit("doomed", doomed); // restores the image, then trips
+    r.submit("after", cfg);     // must warm up from scratch
+    r.waitAll();
 
-    const ExperimentResult &res = r.result(0);
-    EXPECT_EQ(res.status, JobStatus::Ok) << res.error;
-    EXPECT_EQ(res.attempts, 2u);
-    // Both attempts were keyed differently, so neither could hit:
-    // a retry must never restore the failed seed's warm image.
-    EXPECT_EQ(cache.stats().hits, 0u);
+    ASSERT_TRUE(r.result(0).ok()) << r.result(0).error;
+    EXPECT_EQ(r.result(1).status, JobStatus::Failed);
+    EXPECT_NE(r.result(1).error.find("watchdog-trip"), std::string::npos)
+        << r.result(1).error;
+    ASSERT_TRUE(r.result(2).ok()) << r.result(2).error;
+    EXPECT_TRUE(cache.poisoned(key));
+    // Only the doomed job was served the image; the job after it
+    // missed and re-simulated the warmup, with identical results.
+    EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(digest(r.get("after")), digest(r.get("cold")));
 }
 
 TEST(WarmStart, JobTimeoutComposesWithWarmStarts)

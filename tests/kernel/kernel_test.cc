@@ -319,6 +319,45 @@ TEST_F(KernelTest, MigrationHappensAcrossCpus)
     EXPECT_GT(k->migrations(), 0u);
 }
 
+/** Run fn and require a typed ResourceExhausted naming `what`. */
+void
+expectExhausted(const std::function<void()> &fn, const char *what)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no ResourceExhausted for " << what;
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(e.code(), util::ErrCode::ResourceExhausted);
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(KernelTest, SpawnPastMaxProcsRaisesResourceExhausted)
+{
+    for (uint32_t i = 0; i < kcfg.layout.maxProcs; ++i)
+        spawn(busyLoop(), "p" + std::to_string(i));
+    expectExhausted([&] { spawn(busyLoop(), "one-too-many"); },
+                    "no free process slots for spawn('one-too-many')");
+}
+
+TEST_F(KernelTest, AllocUserLockPastMaxUserLocksRaisesResourceExhausted)
+{
+    for (uint32_t i = 0; i < kcfg.maxUserLocks; ++i)
+        k->allocUserLock();
+    expectExhausted([&] { k->allocUserLock(); },
+                    "out of user lock slots");
+}
+
+TEST_F(KernelTest, ShmAllocPastFreePagesRaisesResourceExhausted)
+{
+    const uint64_t pages = k->freePageCount();
+    ASSERT_GT(pages, 0u);
+    expectExhausted(
+        [&] { k->shmAlloc((pages + 1) * kcfg.layout.pageBytes); },
+        "out of physical memory in shmAlloc");
+}
+
 TEST_F(KernelTest, InterruptsDeferredWhileKernelLockHeld)
 {
     // While a CPU holds a kernel lock it is in kernel mode, so event

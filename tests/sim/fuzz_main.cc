@@ -8,13 +8,6 @@
  * matched; 1 means at least one diverged, and each failure is printed
  * with its minimized script-prefix repro.
  *
- * With --faults the driver switches to the fault-injection campaign:
- * every seed gets a deterministic FaultPlan (truncated scripts,
- * stretched lock holds, a synthetic watchdog trip) and the property
- * checked is reproducibility -- the same seed must produce the same
- * fault schedule and, when the run dies, byte-identical diagnostics
- * across a double run.
- *
  * With --snapshot-at C the matrix instead checks the snapshot
  * differential: each run is cut at cycle C, serialized through the
  * snapshot container, restored into a fresh machine and continued --
@@ -24,18 +17,22 @@
  * With --corrupt N the driver switches to the corrupt-input campaign:
  * N seeded byte-mutations of a pristine snapshot image are decoded,
  * and every one must either decode cleanly or raise a typed SimError
- * -- never crash (CI runs this mode under ASan+UBSan). --emit-corrupt-corpus D regenerates the committed
- * corrupt-snapshot corpus under tests/golden/corrupt/.
+ * -- never crash (CI runs this mode under ASan+UBSan).
+ * --emit-corrupt-corpus D regenerates the committed corrupt-snapshot
+ * corpus under tests/golden/corrupt/.
+ *
+ * Numeric flags are strict: a value that is not a whole number in
+ * range exits 2 naming the flag.
  *
  * Usage: mpos_fuzz [--seeds N] [--first-seed S] [--cpus a,b,c]
  *                  [--protocol p,q] [--lock-proto p,q]
  *                  [--script-len N] [--cycles N]
  *                  [--snapshot-at C] [--quiet]
- *                  [--faults] [--dump-dir D]
  *                  [--corrupt N]
  *                  [--emit-corrupt-corpus D]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +42,7 @@
 #include "sim/check/fuzz.hh"
 #include "sim/snapshot/container.hh"
 #include "sim/types.hh"
+#include "util/cli.hh"
 
 namespace
 {
@@ -55,7 +53,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
-        "  --seeds N       seeds per CPU count (default 64)\n"
+        "  --seeds N       seeds per CPU count, 1 or more (default "
+        "64)\n"
         "  --first-seed S  first seed (default 1)\n"
         "  --cpus a,b,c    CPU counts to sweep (default 1,2,4)\n"
         "  --protocol p,q  coherence protocols to sweep: any of\n"
@@ -74,14 +73,8 @@ usage(const char *argv0)
         "event\n"
         "                  stream and final state (0 = off)\n"
         "  --quiet         only print the summary\n"
-        "  --faults        run the fault-injection campaign instead "
-        "of the\n"
-        "                  differential matrix\n"
-        "  --dump-dir D    (--faults) write each run's schedule and "
-        "diagnostic\n"
-        "                  to D/fault_seed<S>_cpus<N>.txt\n"
-        "  --corrupt N     corrupt-input campaign: decode N seeded "
-        "byte\n"
+        "  --corrupt N     corrupt-input campaign: decode N (1 or "
+        "more) seeded byte\n"
         "                  mutations of a snapshot image; each must "
         "decode or\n"
         "                  raise a typed SimError\n"
@@ -181,62 +174,6 @@ emitCorruptCorpus(const std::string &dir)
     return 0;
 }
 
-/** Run the --faults campaign; returns the process exit code. */
-int
-faultCampaignMain(uint64_t first_seed, uint32_t num_seeds,
-                  const std::vector<uint32_t> &cpus,
-                  const mpos::sim::FuzzOptions &opt, bool quiet,
-                  const std::string &dump_dir)
-{
-    using mpos::sim::FaultRunRecord;
-
-    const auto progress = [&](const FaultRunRecord &r) {
-        if (!r.deterministic) {
-            std::fprintf(stderr,
-                         "[fuzz] NONDETERMINISTIC seed=%llu cpus=%u\n",
-                         (unsigned long long)r.seed, r.numCpus);
-        } else if (!quiet) {
-            std::fprintf(stderr,
-                         "[fuzz] seed=%llu cpus=%u: %llu fault(s) "
-                         "fired%s%s\n",
-                         (unsigned long long)r.seed, r.numCpus,
-                         (unsigned long long)r.faultsFired,
-                         r.tripped ? ", died: " : "",
-                         r.tripped ? r.errorCode.c_str() : "");
-        }
-        if (!dump_dir.empty()) {
-            const std::string path =
-                dump_dir + "/fault_seed" + std::to_string(r.seed) +
-                "_cpus" + std::to_string(r.numCpus) + ".txt";
-            if (FILE *f = std::fopen(path.c_str(), "w")) {
-                std::fprintf(f, "%s", r.schedule.c_str());
-                if (r.tripped) {
-                    std::fprintf(f, "error: %s\n%s\n",
-                                 r.errorCode.c_str(),
-                                 r.diagnostic.c_str());
-                }
-                std::fclose(f);
-            } else {
-                std::fprintf(stderr, "[fuzz] cannot write %s\n",
-                             path.c_str());
-            }
-        }
-    };
-
-    const mpos::sim::FaultCampaignResult res =
-        mpos::sim::runFaultCampaign(first_seed, num_seeds, cpus, opt,
-                                    progress);
-
-    uint32_t nondet = 0;
-    for (const FaultRunRecord &r : res.records)
-        nondet += r.deterministic ? 0 : 1;
-    std::printf("mpos_fuzz --faults: %u runs, %u tripped, %llu "
-                "fault(s) fired, %u non-deterministic\n",
-                res.runs, res.tripped,
-                (unsigned long long)res.faultsFired, nondet);
-    return res.ok() ? 0 : 1;
-}
-
 std::vector<uint32_t>
 parseCpuList(const char *s)
 {
@@ -317,11 +254,13 @@ main(int argc, char **argv)
     mpos::sim::FuzzOptions opt;
     mpos::sim::Cycle snapshotAt = 0;
     bool quiet = false;
-    bool faults = false;
-    std::string dumpDir;
     uint32_t corrupt = 0;
     std::string corpusDir;
 
+    const auto number = [](const char *name, const char *v, uint64_t lo,
+                           uint64_t hi) {
+        return mpos::util::wholeNumber("mpos_fuzz", name, v, lo, hi);
+    };
     for (int i = 1; i < argc; ++i) {
         const auto arg = [&](const char *name) -> const char * {
             if (std::strcmp(argv[i], name) != 0)
@@ -333,9 +272,9 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (const char *v = arg("--seeds")) {
-            numSeeds = uint32_t(std::strtoul(v, nullptr, 10));
+            numSeeds = uint32_t(number("--seeds", v, 1, UINT32_MAX));
         } else if (const char *v = arg("--first-seed")) {
-            firstSeed = std::strtoull(v, nullptr, 10);
+            firstSeed = number("--first-seed", v, 0, UINT64_MAX);
         } else if (const char *v = arg("--cpus")) {
             cpus = parseCpuList(v);
         } else if (const char *v = arg("--protocol")) {
@@ -343,21 +282,18 @@ main(int argc, char **argv)
         } else if (const char *v = arg("--lock-proto")) {
             lockPolicies = parseLockPolicyList(v);
         } else if (const char *v = arg("--script-len")) {
-            opt.scriptLen = uint32_t(std::strtoul(v, nullptr, 10));
+            opt.scriptLen =
+                uint32_t(number("--script-len", v, 1, UINT32_MAX));
         } else if (const char *v = arg("--cycles")) {
-            opt.runCycles = std::strtoull(v, nullptr, 10);
+            opt.runCycles = number("--cycles", v, 1, UINT64_MAX);
         } else if (const char *v = arg("--snapshot-at")) {
-            snapshotAt = std::strtoull(v, nullptr, 10);
-        } else if (const char *v = arg("--dump-dir")) {
-            dumpDir = v;
+            snapshotAt = number("--snapshot-at", v, 0, UINT64_MAX);
         } else if (const char *v = arg("--corrupt")) {
-            corrupt = uint32_t(std::strtoul(v, nullptr, 10));
+            corrupt = uint32_t(number("--corrupt", v, 1, UINT32_MAX));
         } else if (const char *v = arg("--emit-corrupt-corpus")) {
             corpusDir = v;
         } else if (!std::strcmp(argv[i], "--quiet")) {
             quiet = true;
-        } else if (!std::strcmp(argv[i], "--faults")) {
-            faults = true;
         } else {
             usage(argv[0]);
             return 2;
@@ -390,16 +326,6 @@ main(int argc, char **argv)
         for (const std::string &f : res.failures)
             std::printf("  %s\n", f.c_str());
         return res.ok() ? 0 : 1;
-    }
-
-    if (faults) {
-        // The fault campaign checks failure reproducibility, not the
-        // protocol differential; it runs under the first protocol
-        // and lock primitive.
-        opt.protocol = protos.front();
-        opt.lockPolicy = lockPolicies.front();
-        return faultCampaignMain(firstSeed, numSeeds, cpus, opt,
-                                 quiet, dumpDir);
     }
 
     uint32_t done = 0;

@@ -457,7 +457,7 @@ TEST(Park, WatchdogDumpSeesParkedCpuUpToDate)
 TEST(Park, EnvironmentDoesNotSwitchTheMachine)
 {
     // MachineConfig is the only switch of the machine: a mode the
-    // config does not show would let a faulted or reference-mode warm
+    // config does not show would let a checked or reference-mode warm
     // image be stored under a clean run's key. ctest runs each test in
     // its own process, so no earlier machine has read the environment.
     const char *names[] = {"MPOS_SLOW_SIM", "MPOS_CHECK",
@@ -469,7 +469,6 @@ TEST(Park, EnvironmentDoesNotSwitchTheMachine)
     Rig r{MachineConfig{}};
     EXPECT_EQ(r.m.checker(), nullptr);
     EXPECT_EQ(r.m.watchdog(), nullptr);
-    EXPECT_EQ(r.m.faults(), nullptr);
     EXPECT_EQ(r.m.tracer(), nullptr);
     EXPECT_EQ(r.m.metrics(), nullptr);
     EXPECT_EQ(r.m.profiler(), nullptr);

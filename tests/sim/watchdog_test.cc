@@ -198,7 +198,6 @@ TEST(Watchdog, OffByDefault)
     MachineConfig cfg;
     Machine m(cfg, 8);
     EXPECT_EQ(m.watchdog(), nullptr);
-    EXPECT_EQ(m.faults(), nullptr);
 }
 
 TEST(Watchdog, SyntheticTripFiresEvenWithProgress)
