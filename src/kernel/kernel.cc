@@ -214,12 +214,14 @@ Kernel::shmAlloc(uint64_t bytes)
     const Addr base = sharedBrk;
     const uint64_t pages =
         (bytes + cfg.layout.pageBytes - 1) / cfg.layout.pageBytes;
+    // Refuse before taking any page, so a failed call leaves the free
+    // pool and the shared region as they were.
+    if (pages > freePages.size())
+        util::raise(util::ErrCode::ResourceExhausted,
+                    "out of physical memory in shmAlloc "
+                    "(%llu bytes requested)",
+                    (unsigned long long)bytes);
     for (uint64_t i = 0; i < pages; ++i) {
-        if (freePages.empty())
-            util::raise(util::ErrCode::ResourceExhausted,
-                        "out of physical memory in shmAlloc "
-                        "(%llu bytes requested)",
-                        (unsigned long long)bytes);
         const Addr vpage = sharedBrk / cfg.layout.pageBytes;
         sharedMap[vpage] = freePages.back();
         freePages.pop_back();

@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/error.hh"
@@ -37,26 +38,30 @@ Cache::Cache(std::string name, uint64_t bytes, uint32_t assoc,
                     label.c_str(),
                     static_cast<unsigned long long>(numSets));
     ways.resize(numSets * assoc_);
+    if (assoc_ > 1)
+        lru.resize(ways.size());
 }
 
-void
-Cache::promote(uint64_t set, Way &way)
+// Inline: it is most of touchAssoc's hit path.
+inline void
+Cache::promote(uint64_t set, uint64_t i)
 {
-    Way *base = &ways[set * assoc_];
-    const uint32_t old = way.lru;
-    for (uint32_t i = 0; i < assoc_; ++i)
-        if (base[i].valid() && base[i].lru < old)
-            ++base[i].lru;
-    way.lru = 0;
+    const uint32_t *w = &ways[set * assoc_];
+    uint32_t *rank = &lru[set * assoc_];
+    const uint32_t old = lru[i];
+    for (uint32_t j = 0, n = assoc_; j < n; ++j)
+        if (validOf(w[j]) && rank[j] < old)
+            ++rank[j];
+    lru[i] = 0;
 }
 
 bool
 Cache::touchAssoc(Addr line)
 {
-    Way *w = findWay(line);
+    uint32_t *w = findWay(line);
     if (!w)
         return false;
-    promote(setIndex(line), *w);
+    promote(setIndex(line), uint64_t(w - ways.data()));
     return true;
 }
 
@@ -65,47 +70,46 @@ Cache::fill(Addr addr, Coh st)
 {
     const Addr line = lineAddr(addr);
     const uint64_t set = setIndex(line);
+    const uint64_t k = key(line);
+    if (k >> 32)
+        util::panic("cache %s: line %llx beyond the %u-bit line-number "
+                    "field", label.c_str(), (unsigned long long)line,
+                    lineNumberBits);
+    const uint32_t word = uint32_t(k) | encode(st);
 
     if (assoc_ == 1) {
         // Direct-mapped: the single way is replaced outright; no LRU
         // bookkeeping, no empty-way scan.
-        Way &w = ways[set];
+        uint32_t &w = ways[set];
         Victim victim;
-        if (w.valid() && w.tag() != line)
-            victim = {w.tag(), true, w.state()};
-        w.set(line, st);
-        w.lru = 0;
+        if (validOf(w) && (w & ~stateBits) != k)
+            victim = {tagOf(w), true, stateOf(w)};
+        w = word;
         return victim;
     }
 
-    Way *base = &ways[set * assoc_];
-
-    if (Way *w = findWay(line)) {
-        promote(set, *w);
-        w->set(line, st);
+    if (uint32_t *w = findWay(line)) {
+        promote(set, uint64_t(w - ways.data()));
+        *w = word;
         return {};
     }
 
     // Prefer an invalid way; otherwise evict the LRU one.
-    Way *slot = nullptr;
-    for (uint32_t i = 0; i < assoc_; ++i) {
-        if (!base[i].valid()) {
-            slot = &base[i];
-            break;
-        }
-    }
+    const uint64_t base = set * assoc_;
+    uint64_t slot = base;
+    while (slot < base + assoc_ && validOf(ways[slot]))
+        ++slot;
     Victim victim;
-    if (!slot) {
-        uint32_t worst = 0;
-        for (uint32_t i = 1; i < assoc_; ++i)
-            if (base[i].lru > base[worst].lru)
-                worst = i;
-        slot = &base[worst];
-        victim = {slot->tag(), true, slot->state()};
+    if (slot == base + assoc_) {
+        slot = base;
+        for (uint64_t i = base + 1; i < base + assoc_; ++i)
+            if (lru[i] > lru[slot])
+                slot = i;
+        victim = {tagOf(ways[slot]), true, stateOf(ways[slot])};
     }
-    slot->set(line, st);
-    slot->lru = assoc_; // promote() pulls it to 0
-    promote(set, *slot);
+    ways[slot] = word;
+    lru[slot] = assoc_; // promote() pulls it to 0
+    promote(set, slot);
     return victim;
 }
 
@@ -117,26 +121,67 @@ Cache::compactRanks(uint64_t set, uint32_t removed)
     // density; leaving the freed rank as a hole lets a later
     // fill+promote push two ways onto the same rank, after which the
     // victim choice is arbitrary instead of least-recently-used.
-    Way *base = &ways[set * assoc_];
-    for (uint32_t i = 0; i < assoc_; ++i)
-        if (base[i].valid() && base[i].lru > removed)
-            --base[i].lru;
+    for (uint64_t j = set * assoc_; j < (set + 1) * assoc_; ++j)
+        if (validOf(ways[j]) && lru[j] > removed)
+            --lru[j];
 }
 
 void
 Cache::reset()
 {
-    for (auto &w : ways)
-        w = Way{};
+    std::fill(ways.begin(), ways.end(), 0);
+    std::fill(lru.begin(), lru.end(), 0);
 }
 
 uint64_t
 Cache::residentLines() const
 {
     uint64_t n = 0;
-    for (const auto &w : ways)
-        n += w.tv & 1;
+    for (const uint32_t w : ways)
+        n += w & validBit;
     return n;
+}
+
+void
+Cache::saveState(util::ByteWriter &w) const
+{
+    w.u64(uint64_t(ways.size()));
+    for (uint64_t i = 0; i < ways.size(); ++i) {
+        w.u64(uint64_t(tagOf(ways[i])) | (ways[i] & 7));
+        w.u32(assoc_ > 1 ? lru[i] : 0);
+    }
+}
+
+void
+Cache::restoreState(util::ByteReader &r)
+{
+    const uint64_t n = r.u64();
+    if (n != ways.size())
+        util::raise(util::ErrCode::SnapshotCorrupt,
+                    "cache %s: snapshot has %llu ways, machine has %zu",
+                    label.c_str(), (unsigned long long)n, ways.size());
+    for (uint64_t i = 0; i < ways.size(); ++i) {
+        const uint64_t tv = r.u64();
+        const uint32_t rank = r.u32();
+        // An invalid way is all zero. A valid one holds a line-aligned
+        // address inside the line-number field, and Modified and
+        // Exclusive are exclusive of each other.
+        const bool valid = tv & validBit;
+        if (valid ? (tv & stateBits) == stateBits ||
+                        (tv & (lineBytes_ - 1) & ~uint64_t(7)) != 0 ||
+                        (tv >> lineShift_) >> lineNumberBits != 0
+                  : tv != 0)
+            util::raise(util::ErrCode::SnapshotCorrupt,
+                        "cache %s: illegal packed way %016llx",
+                        label.c_str(), (unsigned long long)tv);
+        if (rank >= assoc_ || (!valid && rank != 0))
+            util::raise(util::ErrCode::SnapshotCorrupt,
+                        "cache %s: illegal LRU rank %u in way %llu",
+                        label.c_str(), rank, (unsigned long long)i);
+        ways[i] = uint32_t((tv >> lineShift_) << flagBits | (tv & 7));
+        if (assoc_ > 1)
+            lru[i] = rank;
+    }
 }
 
 uint32_t
@@ -150,31 +195,31 @@ Cache::checkIntegrity(
                std::to_string(way) + ": " + what);
     };
 
+    const auto rank = [&](uint64_t i) { return assoc_ > 1 ? lru[i] : 0; };
     for (uint64_t set = 0; set < numSets; ++set) {
-        const Way *base = &ways[set * assoc_];
+        const uint64_t base = set * assoc_;
         for (uint32_t i = 0; i < assoc_; ++i) {
-            const Way &w = base[i];
-            if (!w.valid()) {
+            const uint32_t w = ways[base + i];
+            if (!validOf(w)) {
                 // invalidate()/reset() clear the whole packed word; a
                 // surviving state bit or tag means a stray write.
-                if (w.tv != 0)
+                if (w != 0)
                     fail(set, i, "invalid way with non-zero packed word");
                 continue;
             }
-            if ((w.tv & (lineBytes_ - 1) & ~(validBit | stateBits)) != 0)
-                fail(set, i, "tag not line-aligned");
-            if ((w.tv & stateBits) == stateBits)
+            if ((w & stateBits) == stateBits)
                 fail(set, i, "both Modified and Exclusive bits set");
-            if (setIndex(w.tag()) != set)
+            if (setIndex(tagOf(w)) != set)
                 fail(set, i, "resident line maps to a different set");
-            if (w.lru >= assoc_)
+            if (rank(base + i) >= assoc_)
                 fail(set, i, "LRU rank out of range");
             for (uint32_t j = i + 1; j < assoc_; ++j) {
-                if (!base[j].valid())
+                const uint32_t o = ways[base + j];
+                if (!validOf(o))
                     continue;
-                if (base[j].tag() == w.tag())
+                if (tagOf(o) == tagOf(w))
                     fail(set, j, "line resident in two ways");
-                if (base[j].lru == w.lru)
+                if (rank(base + j) == rank(base + i))
                     fail(set, j, "duplicate LRU rank");
             }
         }

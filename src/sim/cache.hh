@@ -70,8 +70,7 @@ class Cache
         if (assoc_ == 1) {
             // valid && tag == line, as a single load and compare on
             // the packed word (the state bits are masked out).
-            return (ways[setIndex(line)].tv & ~stateBits) ==
-                   (line | validBit);
+            return (ways[setIndex(line)] & ~stateBits) == key(line);
         }
         return touchAssoc(line);
     }
@@ -89,8 +88,8 @@ class Cache
     Coh
     state(Addr addr) const
     {
-        const Way *w = findWay(lineAddr(addr));
-        return w ? w->state() : Coh::Invalid;
+        const uint32_t *w = findWay(lineAddr(addr));
+        return w ? stateOf(*w) : Coh::Invalid;
     }
 
     /**
@@ -105,25 +104,21 @@ class Cache
             invalidate(addr);
             return;
         }
-        Way *w = findWay(lineAddr(addr));
+        uint32_t *w = findWay(lineAddr(addr));
         if (!w)
             util::panic("cache %s: state set for absent line %llx",
                         label.c_str(), (unsigned long long)addr);
-        w->tv = (w->tv & ~stateBits) | encode(st);
+        *w = (*w & ~stateBits) | encode(st);
     }
 
     /** Remove the line; returns true if it was present. */
     bool
     invalidate(Addr addr)
     {
-        const Addr line = lineAddr(addr);
-        Way *w = findWay(line);
+        uint32_t *w = findWay(lineAddr(addr));
         if (!w)
             return false;
-        if (assoc_ > 1)
-            compactRanks(setIndex(line), w->lru);
-        w->tv = 0;
-        w->lru = 0;
+        clearWay(uint64_t(w - ways.data()));
         return true;
     }
 
@@ -137,13 +132,9 @@ class Cache
     invalidateRange(Addr lo, Addr hi, Fn &&cb)
     {
         for (uint64_t i = 0; i < ways.size(); ++i) {
-            Way &w = ways[i];
-            const Addr tag = w.tag();
-            if (w.valid() && tag >= lo && tag < hi) {
-                if (assoc_ > 1)
-                    compactRanks(i / assoc_, w.lru);
-                w.tv = 0;
-                w.lru = 0;
+            const Addr tag = tagOf(ways[i]);
+            if (validOf(ways[i]) && tag >= lo && tag < hi) {
+                clearWay(i);
                 cb(tag);
             }
         }
@@ -157,20 +148,19 @@ class Cache
     void
     forEachResident(Fn &&fn) const
     {
-        for (const auto &w : ways) {
-            if (w.valid())
-                fn(w.tag(), w.state());
+        for (const uint32_t w : ways) {
+            if (validOf(w))
+                fn(tagOf(w), stateOf(w));
         }
     }
 
     /**
      * Structural self-check of the packed tag array: every valid way's
-     * packed word is line-aligned, carries a legal state encoding and
-     * lives in the set its line maps to, no line is resident twice in
-     * one set, invalidated ways are fully cleared, and the LRU ranks
-     * of a set's valid ways are distinct and in range. Calls
-     * report(description) once per violation; returns the violation
-     * count.
+     * packed word carries a legal state encoding and lives in the set
+     * its line maps to, no line is resident twice in one set,
+     * invalidated ways are fully cleared, and the LRU ranks of a set's
+     * valid ways are distinct and in range. Calls report(description)
+     * once per violation; returns the violation count.
      */
     uint32_t checkIntegrity(
         const std::function<void(const std::string &)> &report) const;
@@ -189,58 +179,39 @@ class Cache
     /// @name Snapshot save/restore
     /// The packed tag/state words and LRU ranks are the whole mutable
     /// state; geometry comes from the constructor and is validated on
-    /// restore, as is every way's state encoding.
+    /// restore, as is every way's state encoding. On the wire each way
+    /// is a u64 word (the full line address with the valid/state bits
+    /// in its low three bits) and a u32 rank (0 in a direct-mapped
+    /// cache), whatever the in-memory packing.
     /// @{
-    void
-    saveState(util::ByteWriter &w) const
-    {
-        w.u64(uint64_t(ways.size()));
-        for (const Way &way : ways) {
-            w.u64(way.tv);
-            w.u32(way.lru);
-        }
-    }
-
-    void
-    restoreState(util::ByteReader &r)
-    {
-        const uint64_t n = r.u64();
-        if (n != ways.size())
-            util::raise(util::ErrCode::SnapshotCorrupt,
-                        "cache %s: snapshot has %llu ways, machine "
-                        "has %zu",
-                        label.c_str(), (unsigned long long)n,
-                        ways.size());
-        for (Way &way : ways) {
-            way.tv = r.u64();
-            way.lru = r.u32();
-            // An invalid way is all zero; Modified and Exclusive are
-            // exclusive of each other.
-            if (way.valid() ? (way.tv & stateBits) == stateBits
-                            : way.tv != 0)
-                util::raise(util::ErrCode::SnapshotCorrupt,
-                            "cache %s: illegal packed way %016llx",
-                            label.c_str(), (unsigned long long)way.tv);
-        }
-    }
+    void saveState(util::ByteWriter &w) const;
+    void restoreState(util::ByteReader &r);
     /// @}
+
+    /**
+     * Bits of a way's line-number field: a cache holds lines numbered
+     * below 2^lineNumberBits (8 GB of 16-byte lines). validateConfig
+     * keeps a machine's memory inside it; fill() panics past it.
+     */
+    static constexpr uint32_t lineNumberBits = 29;
 
   private:
     /**
      * Flag bits of the packed word: bit 0 = valid, bit 1 = Modified,
-     * bit 2 = Exclusive (neither = Shared). Line sizes are >= 8, so
-     * these bits are free in a line-aligned address.
+     * bit 2 = Exclusive (neither = Shared). The line number sits above
+     * them.
      */
-    static constexpr uint64_t validBit = 1;
-    static constexpr uint64_t modifiedBit = 2;
-    static constexpr uint64_t exclusiveBit = 4;
-    static constexpr uint64_t stateBits = modifiedBit | exclusiveBit;
+    static constexpr uint32_t flagBits = 3;
+    static constexpr uint32_t validBit = 1;
+    static constexpr uint32_t modifiedBit = 2;
+    static constexpr uint32_t exclusiveBit = 4;
+    static constexpr uint32_t stateBits = modifiedBit | exclusiveBit;
 
     /** State bits of a valid line in state st (not Invalid). */
-    static uint64_t
+    static uint32_t
     encode(Coh st)
     {
-        static constexpr uint64_t bits[] = {0, 0, exclusiveBit,
+        static constexpr uint32_t bits[] = {0, 0, exclusiveBit,
                                             modifiedBit};
         return bits[uint8_t(st)];
     }
@@ -252,22 +223,27 @@ class Cache
         Coh::Invalid, Coh::Shared,    Coh::Invalid, Coh::Modified,
         Coh::Invalid, Coh::Exclusive, Coh::Invalid, Coh::Invalid};
 
-    struct Way
+    /**
+     * A way is one packed word: (line number << flagBits) | flags.
+     * Four bytes per simulated line keeps the tag arrays small, and
+     * the direct-mapped hit probe -- the hottest operation in the
+     * simulator -- is a single load and masked compare against key().
+     */
+    static bool validOf(uint32_t w) { return w & validBit; }
+    static Coh stateOf(uint32_t w) { return decoded[w & 7]; }
+    Addr tagOf(uint32_t w) const
     {
-        /**
-         * Tag, valid bit and coherence state packed into one word,
-         * the full line address in the high bits. The direct-mapped
-         * hit probe -- the hottest operation in the simulator -- is
-         * then a single load and masked compare.
-         */
-        uint64_t tv = 0;
-        uint32_t lru = 0;   // lower = more recently used
+        return Addr(w >> flagBits) << lineShift_;
+    }
 
-        Addr tag() const { return Addr(tv & ~(validBit | stateBits)); }
-        bool valid() const { return tv & validBit; }
-        Coh state() const { return decoded[tv & 7]; }
-        void set(Addr line, Coh st) { tv = line | validBit | encode(st); }
-    };
+    /**
+     * The packed word of line, valid with no state bits. Computed in
+     * 64 bits, so a line past the line-number field matches no way.
+     */
+    uint64_t key(Addr line) const
+    {
+        return (line >> lineShift_) << flagBits | validBit;
+    }
 
     Addr lineAddr(Addr addr) const { return addr & ~Addr(lineBytes_ - 1); }
     uint64_t setIndex(Addr addr) const
@@ -278,39 +254,55 @@ class Cache
     /** touch() for the associative case: probe ways, update LRU. */
     bool touchAssoc(Addr line);
 
+    /** Empty way i; an associative set's ranks stay dense. */
+    void
+    clearWay(uint64_t i)
+    {
+        if (assoc_ > 1) {
+            compactRanks(i / assoc_, lru[i]);
+            lru[i] = 0;
+        }
+        ways[i] = 0;
+    }
+
     /** Re-densify a set's LRU ranks after the way holding rank
      *  `removed` was invalidated. */
     void compactRanks(uint64_t set, uint32_t removed);
 
     /** The way holding line, or null. */
-    Way *
+    uint32_t *
     findWay(Addr line)
     {
+        const uint64_t k = key(line);
         if (assoc_ == 1) {
-            Way &w = ways[setIndex(line)];
-            return (w.tv & ~stateBits) == (line | validBit) ? &w
-                                                            : nullptr;
+            uint32_t &w = ways[setIndex(line)];
+            return (w & ~stateBits) == k ? &w : nullptr;
         }
-        Way *base = &ways[setIndex(line) * assoc_];
+        uint32_t *base = &ways[setIndex(line) * assoc_];
         for (uint32_t i = 0; i < assoc_; ++i)
-            if ((base[i].tv & ~stateBits) == (line | validBit))
+            if ((base[i] & ~stateBits) == k)
                 return &base[i];
         return nullptr;
     }
 
-    const Way *
+    const uint32_t *
     findWay(Addr line) const
     {
         return const_cast<Cache *>(this)->findWay(line);
     }
-    void promote(uint64_t set, Way &way);
+
+    /** Make way i (of set) the set's most recently used. */
+    void promote(uint64_t set, uint64_t i);
 
     std::string label;
     uint32_t assoc_;
     uint32_t lineBytes_;
     uint32_t lineShift_; // log2(lineBytes_)
     uint64_t numSets;
-    std::vector<Way> ways; // numSets * assoc_, set-major
+    std::vector<uint32_t> ways; // numSets * assoc_ packed words, set-major
+    /** LRU rank per way, lower = more recently used; allocated only
+     *  when assoc_ > 1 (a direct-mapped way's rank is always 0). */
+    std::vector<uint32_t> lru;
 };
 
 } // namespace mpos::sim

@@ -13,6 +13,7 @@
 
 #include <bit>
 
+#include "sim/cache.hh"
 #include "sim/types.hh"
 #include "util/error.hh"
 
@@ -92,6 +93,17 @@ validateConfig(const MachineConfig &cfg)
                     "%u-byte page",
                     static_cast<unsigned long long>(cfg.memBytes),
                     cfg.pageBytes);
+
+    // A cache way packs the line number into Cache::lineNumberBits;
+    // every line of memory must fit.
+    if ((cfg.memBytes / cfg.lineBytes - 1) >> Cache::lineNumberBits)
+        util::raise(ErrCode::BadConfig,
+                    "memory size %llu holds %llu lines, more than the "
+                    "2^%u a cache way can name",
+                    static_cast<unsigned long long>(cfg.memBytes),
+                    static_cast<unsigned long long>(cfg.memBytes /
+                                                    cfg.lineBytes),
+                    Cache::lineNumberBits);
 
     validateCache("icache", cfg.icacheBytes, cfg.icacheAssoc,
                   cfg.lineBytes);

@@ -1,6 +1,5 @@
 #include "sim/memsys.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "sim/check/checker.hh"
@@ -36,7 +35,8 @@ MemorySystem::rangePanic(Addr line) const
 
 MemorySystem::MemorySystem(const MachineConfig &config, Monitor &monitor)
     : cfg(validateConfig(config)), mon(monitor),
-      sharers(cfg.numLines(), 0),
+      numLines(cfg.numLines()),
+      sharers((numLines + chunkMask) >> chunkShift),
       lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
       lineMask(~Addr(cfg.lineBytes - 1)),
       lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
@@ -87,7 +87,7 @@ MemorySystem::snoopTargets(CpuId requester, Addr line) const
     // effect, so the fast mode visits only the CPUs whose sharers bit
     // is set. The reference mode walks every CPU's L2 way to
     // double-check the filter. Both go in ascending CPU order.
-    const uint64_t filter = sharers[lineIndex(line)];
+    const uint64_t filter = sharersMask(line);
     const uint64_t m = cfg.slowSim ? ~uint64_t(0) >> (64 - cfg.numCpus)
                                    : filter;
     return m & ~(uint64_t(1) << requester);
@@ -144,7 +144,7 @@ MemorySystem::l2Fill(CpuId cpu, Addr line, Coh st, Cycle now,
 {
     CpuCaches &h = hier[cpu];
     // Index first: a line outside memory panics before it is cached.
-    uint64_t &bits = sharers[lineIndex(line)];
+    uint64_t &bits = sharerWord(lineIndex(line));
     const Victim v = h.l2d.fill(line, st);
     if (v.valid) {
         if (v.state == Coh::Modified) {
@@ -336,7 +336,8 @@ MemorySystem::restoreState(util::ByteReader &r)
         util::raise(util::ErrCode::SnapshotCorrupt,
                     "memsys: snapshot has %u cpus, machine has %zu",
                     ncpus, hier.size());
-    std::fill(sharers.begin(), sharers.end(), 0);
+    for (std::unique_ptr<SharerChunk> &c : sharers)
+        c.reset();
     for (CpuCaches &h : hier) {
         h.icache.restoreState(r);
         h.l1d.restoreState(r);
@@ -344,7 +345,7 @@ MemorySystem::restoreState(util::ByteReader &r)
         h.l2d.forEachResident([&](Addr line, Coh s) {
             // A snapshot may only contain lines in memory and states
             // its protocol can produce (MSI never E; MI never S or E).
-            if (line >> lineShift >= sharers.size())
+            if (line >> lineShift >= numLines)
                 util::raise(util::ErrCode::SnapshotCorrupt,
                             "memsys: line %llx beyond memory",
                             (unsigned long long)line);
@@ -355,7 +356,7 @@ MemorySystem::restoreState(util::ByteReader &r)
                             "memsys: state %u illegal under protocol "
                             "%s", unsigned(s),
                             protocolName(cfg.protocol));
-            sharers[line >> lineShift] |= uint64_t(1) << h.cpu;
+            sharerWord(line >> lineShift) |= uint64_t(1) << h.cpu;
         });
     }
     busBusyUntil = r.u64();

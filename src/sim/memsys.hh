@@ -19,7 +19,9 @@
 #ifndef MPOS_SIM_MEMSYS_HH
 #define MPOS_SIM_MEMSYS_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/cache.hh"
@@ -147,7 +149,9 @@ class MemorySystem
      */
     uint64_t sharersMask(Addr line) const
     {
-        return sharers[lineIndex(line)];
+        const uint64_t idx = lineIndex(line);
+        const SharerChunk *c = sharers[idx >> chunkShift].get();
+        return c ? (*c)[idx & chunkMask] : 0;
     }
 
     const MachineConfig &config() const { return cfg; }
@@ -225,11 +229,25 @@ class MemorySystem
     void l2Fill(CpuId cpu, Addr line, Coh st, Cycle now,
                 const MonitorContext &ctx);
 
-    /** The L2 of cpu no longer holds line. */
+    /** The L2 of cpu no longer holds line. Allocates nothing: a
+     *  line without a chunk has no sharers to clear. */
     void
     clearSharer(CpuId cpu, Addr line)
     {
-        sharers[lineIndex(line)] &= ~(uint64_t(1) << cpu);
+        const uint64_t idx = lineIndex(line);
+        if (SharerChunk *c = sharers[idx >> chunkShift].get())
+            (*c)[idx & chunkMask] &= ~(uint64_t(1) << cpu);
+    }
+
+    /** The sharers word of line index idx, allocating its chunk on
+     *  first touch. */
+    uint64_t &
+    sharerWord(uint64_t idx)
+    {
+        std::unique_ptr<SharerChunk> &c = sharers[idx >> chunkShift];
+        if (!c)
+            c = std::make_unique<SharerChunk>(); // zero-filled
+        return (*c)[idx & chunkMask];
     }
 
     /** Snoop-filter index of a line; panics outside memory. */
@@ -237,7 +255,7 @@ class MemorySystem
     lineIndex(Addr line) const
     {
         const uint64_t idx = line >> lineShift;
-        if (idx >= sharers.size())
+        if (idx >= numLines)
             rangePanic(line);
         return idx;
     }
@@ -251,9 +269,19 @@ class MemorySystem
      *  the extra pointer chase of unique_ptr would be on the hottest
      *  path in the simulator. */
     std::vector<CpuCaches> hier;
+    /** Lines per snoop-filter chunk: one 4 KB page of 16-byte lines. */
+    static constexpr uint32_t chunkShift = 8;
+    static constexpr uint64_t chunkMask = (uint64_t(1) << chunkShift) - 1;
+    using SharerChunk = std::array<uint64_t, size_t(1) << chunkShift>;
+
+    /** Lines of configured memory. */
+    uint64_t numLines;
     /** Per-line snoop filter: bit c set iff CPU c's L2 holds the
-     *  line. The one per-line structure in the memory system. */
-    std::vector<uint64_t> sharers;
+     *  line. A table of chunks, each allocated when l2Fill first sets
+     *  a bit in it, so host memory follows the lines the machine has
+     *  cached rather than the size of its memory; a missing chunk
+     *  reads as no sharers. */
+    std::vector<std::unique_ptr<SharerChunk>> sharers;
     /** log2(lineBytes). */
     uint32_t lineShift = 0;
     /** ~(lineBytes - 1): address -> line address. */

@@ -356,6 +356,11 @@ TEST_F(KernelTest, ShmAllocPastFreePagesRaisesResourceExhausted)
     expectExhausted(
         [&] { k->shmAlloc((pages + 1) * kcfg.layout.pageBytes); },
         "out of physical memory in shmAlloc");
+    // The failed call took nothing: the whole pool is still free and a
+    // one-page allocation succeeds.
+    EXPECT_EQ(k->freePageCount(), pages);
+    k->shmAlloc(kcfg.layout.pageBytes);
+    EXPECT_EQ(k->freePageCount(), pages - 1);
 }
 
 TEST_F(KernelTest, InterruptsDeferredWhileKernelLockHeld)

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include "sim/cache.hh"
+#include "util/binio.hh"
+#include "util/error.hh"
 #include "util/rng.hh"
 
 using mpos::sim::Cache;
 using mpos::sim::Coh;
 using mpos::sim::Victim;
+using mpos::util::ByteReader;
+using mpos::util::ByteWriter;
 
 TEST(Cache, MissThenHit)
 {
@@ -172,4 +176,82 @@ TEST(Cache, FullWarmup)
     EXPECT_EQ(c.residentLines(), 64u);
     for (mpos::sim::Addr a = 0; a < 1024; a += 16)
         EXPECT_TRUE(c.touch(a));
+}
+
+/**
+ * A 2-way cache's LRU order and M/E/S states survive a snapshot round
+ * trip, and the image is the one the format has always carried: per
+ * way a u64 word (line address | valid | M/E bits) and a u32 rank,
+ * however the ways are packed in memory.
+ */
+TEST(Cache, TwoWaySnapshotKeepsLruStatesAndWireFormat)
+{
+    Cache a("a", 64, 2, 16); // 2 sets x 2 ways
+    a.fill(0x100, Coh::Modified);  // set 0, way 0
+    a.fill(0x120, Coh::Exclusive); // set 0, way 1
+    a.fill(0x130, Coh::Shared);    // set 1, way 0
+    EXPECT_TRUE(a.touch(0x100));   // 0x120 is now set 0's LRU way
+
+    ByteWriter want;
+    want.u64(4);
+    want.u64(0x100 | 1 | 2); // valid, Modified
+    want.u32(0);
+    want.u64(0x120 | 1 | 4); // valid, Exclusive
+    want.u32(1);
+    want.u64(0x130 | 1); // valid, Shared
+    want.u32(0);
+    want.u64(0); // empty way
+    want.u32(0);
+
+    ByteWriter got;
+    a.saveState(got);
+    EXPECT_EQ(got.bytes(), want.bytes());
+
+    Cache b("b", 64, 2, 16);
+    ByteReader r(got.bytes());
+    b.restoreState(r);
+    EXPECT_EQ(b.state(0x100), Coh::Modified);
+    EXPECT_EQ(b.state(0x120), Coh::Exclusive);
+    EXPECT_EQ(b.state(0x130), Coh::Shared);
+    ByteWriter again;
+    b.saveState(again);
+    EXPECT_EQ(again.bytes(), want.bytes());
+    EXPECT_EQ(b.checkIntegrity([](const std::string &what) {
+                  ADD_FAILURE() << what;
+              }),
+              0u);
+
+    // The restored recency order picks the victim.
+    const Victim v = b.fill(0x140);
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.lineAddr, 0x120u);
+    EXPECT_EQ(v.state, Coh::Exclusive);
+    EXPECT_TRUE(b.contains(0x100));
+}
+
+/** restoreState rejects ways the packed layout cannot hold. */
+TEST(Cache, RestoreRejectsWaysOutsideTheLayout)
+{
+    const auto restoreOne = [](uint64_t word, uint32_t rank) {
+        Cache c("t", 16, 1, 16); // one direct-mapped way
+        ByteWriter w;
+        w.u64(1);
+        w.u64(word);
+        w.u32(rank);
+        ByteReader r(w.bytes());
+        try {
+            c.restoreState(r);
+        } catch (const mpos::util::SimError &e) {
+            EXPECT_EQ(e.code(), mpos::util::ErrCode::SnapshotCorrupt);
+            return false;
+        }
+        return true;
+    };
+    EXPECT_TRUE(restoreOne(0x100 | 1, 0));
+    EXPECT_FALSE(restoreOne(0x108 | 1, 0)) << "tag not line-aligned";
+    EXPECT_FALSE(restoreOne(uint64_t(1) << 33 | 1, 0))
+        << "line number past the 29-bit field";
+    EXPECT_FALSE(restoreOne(0x100 | 1, 1)) << "rank in a 1-way set";
+    EXPECT_FALSE(restoreOne(0, 1)) << "rank on an empty way";
+    EXPECT_FALSE(restoreOne(0x100 | 1 | 2 | 4, 0)) << "both M and E";
 }

@@ -114,6 +114,20 @@ TEST(ConfigValidation, MemoryGeometry)
     expectRejected(cfg, "memory not a multiple of the page size");
 }
 
+TEST(ConfigValidation, MemoryFitsTheCacheLineField)
+{
+    // A cache way names its line in Cache::lineNumberBits bits: with
+    // 16-byte lines, 8 GB is the most memory a machine may have.
+    MachineConfig cfg;
+    cfg.memBytes = (uint64_t(1) << sim::Cache::lineNumberBits) *
+                   cfg.lineBytes;
+    EXPECT_NO_THROW(sim::validateConfig(cfg));
+    cfg.memBytes *= 2;
+    expectRejected(cfg, "more lines than a cache way can name");
+    cfg.lineBytes *= 2; // the same memory in half as many lines fits
+    EXPECT_NO_THROW(sim::validateConfig(cfg));
+}
+
 TEST(ConfigValidation, CacheGeometry)
 {
     MachineConfig cfg;

@@ -174,69 +174,65 @@ emitCorruptCorpus(const std::string &dir)
     return 0;
 }
 
+/**
+ * Split a comma-separated list and parse each element with parse_one
+ * (false = bad element). An empty list or an empty element -- "",
+ * "1,", ",mesi", "a,,b" -- is as bad as an unknown one: the list
+ * would otherwise silently mean fewer runs than were asked for. On
+ * any bad input prints "bad <what> list" and exits 2.
+ */
+template <typename T, typename ParseOne>
+std::vector<T>
+parseList(const char *s, const char *what, ParseOne parse_one)
+{
+    std::vector<T> out;
+    const char *p = s;
+    for (;;) {
+        const char *end = std::strchr(p, ',');
+        const std::string item =
+            end ? std::string(p, end) : std::string(p);
+        T v;
+        if (item.empty() || !parse_one(item, v)) {
+            std::fprintf(stderr, "bad %s list '%s'\n", what, s);
+            std::exit(2);
+        }
+        out.push_back(v);
+        if (!end)
+            return out;
+        p = end + 1;
+    }
+}
+
 std::vector<uint32_t>
 parseCpuList(const char *s)
 {
-    std::vector<uint32_t> cpus;
-    for (const char *p = s; *p;) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p || v == 0 || v > 64) {
-            std::fprintf(stderr, "bad CPU list '%s'\n", s);
-            std::exit(2);
-        }
-        cpus.push_back(uint32_t(v));
-        p = (*end == ',') ? end + 1 : end;
-    }
-    return cpus;
+    return parseList<uint32_t>(
+        s, "CPU", [](const std::string &item, uint32_t &cpus) {
+            char *end = nullptr;
+            const unsigned long v = std::strtoul(item.c_str(), &end, 10);
+            cpus = uint32_t(v);
+            return *end == '\0' && v != 0 && v <= 64;
+        });
 }
 
 std::vector<mpos::sim::Protocol>
 parseProtocolList(const char *s)
 {
-    std::vector<mpos::sim::Protocol> protos;
-    for (const char *p = s; *p;) {
-        const char *end = p;
-        while (*end && *end != ',')
-            ++end;
-        const std::string name(p, end);
-        mpos::sim::Protocol proto;
-        if (!mpos::sim::parseProtocol(name.c_str(), proto)) {
-            std::fprintf(stderr, "bad protocol list '%s'\n", s);
-            std::exit(2);
-        }
-        protos.push_back(proto);
-        p = *end ? end + 1 : end;
-    }
-    if (protos.empty()) {
-        std::fprintf(stderr, "bad protocol list '%s'\n", s);
-        std::exit(2);
-    }
-    return protos;
+    return parseList<mpos::sim::Protocol>(
+        s, "protocol",
+        [](const std::string &item, mpos::sim::Protocol &proto) {
+            return mpos::sim::parseProtocol(item.c_str(), proto);
+        });
 }
 
 std::vector<mpos::sim::LockPolicy>
 parseLockPolicyList(const char *s)
 {
-    std::vector<mpos::sim::LockPolicy> policies;
-    for (const char *p = s; *p;) {
-        const char *end = p;
-        while (*end && *end != ',')
-            ++end;
-        const std::string name(p, end);
-        mpos::sim::LockPolicy policy;
-        if (!mpos::sim::parseLockPolicy(name.c_str(), policy)) {
-            std::fprintf(stderr, "bad lock-primitive list '%s'\n", s);
-            std::exit(2);
-        }
-        policies.push_back(policy);
-        p = *end ? end + 1 : end;
-    }
-    if (policies.empty()) {
-        std::fprintf(stderr, "bad lock-primitive list '%s'\n", s);
-        std::exit(2);
-    }
-    return policies;
+    return parseList<mpos::sim::LockPolicy>(
+        s, "lock-primitive",
+        [](const std::string &item, mpos::sim::LockPolicy &policy) {
+            return mpos::sim::parseLockPolicy(item.c_str(), policy);
+        });
 }
 
 } // namespace

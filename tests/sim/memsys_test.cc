@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include "sim/machine.hh"
 #include "sim/memsys.hh"
 #include "util/rng.hh"
 
@@ -311,4 +314,47 @@ TEST(WideMachine, SixtyFourCpuSharerMaskTracksHighCpus)
     EXPECT_EQ(mem.sharersMask(line), uint64_t(1) << 63);
     EXPECT_EQ(mem.caches(63).getState(line), Coh::Modified);
     EXPECT_EQ(mem.caches(0).getState(line), Coh::Invalid);
+}
+
+namespace
+{
+
+/** Peak resident set of this process so far, in KB. */
+long
+peakRssKb()
+{
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return u.ru_maxrss;
+}
+
+} // namespace
+
+/**
+ * Host memory follows the lines the machine touches, not its size: a
+ * 64-CPU machine with 4 GB of memory (2^28 lines, which a dense
+ * one-word-per-line snoop filter would spend 2 GB on) builds and runs
+ * with its peak RSS rising by well under 64 MB.
+ */
+TEST(WideMachine, FourGigabyteMemoryCostsOnlyWhatItTouches)
+{
+    const long before = peakRssKb();
+    MachineConfig cfg;
+    cfg.numCpus = 64;
+    cfg.memBytes = uint64_t(4) << 30;
+    Machine m(cfg);
+    MemorySystem &mem = m.memory();
+    MonitorContext ctx;
+
+    const Addr top = cfg.memBytes - cfg.lineBytes;
+    for (CpuId c = 0; c < 64; ++c)
+        mem.dataAccess(c, top, false, Cycle(c), ctx);
+    mem.dataAccess(0, 0x1000, true, 64, ctx);
+    mem.dataAccess(5, top, true, 65, ctx);
+    EXPECT_EQ(mem.sharersMask(top), uint64_t(1) << 5);
+    EXPECT_EQ(mem.sharersMask(0x1000), 1u);
+    EXPECT_EQ(mem.sharersMask(top / 2), 0u); // never touched
+    EXPECT_EQ(mem.caches(5).getState(top), Coh::Modified);
+
+    EXPECT_LT(peakRssKb() - before, 64L * 1024);
 }
