@@ -86,6 +86,27 @@ BENCHMARK(BM_MachineCyclesPmake)
     ->Iterations(100);
 
 static void
+BM_MachineCyclesOracle(benchmark::State &state)
+{
+    // The trap-heavy point: a 4-CPU Oracle with no observers, where
+    // UTLB refills and other kernel paths take a larger share of host
+    // time than in Pmake. Pinned like the Pmake bench above.
+    core::ExperimentConfig cfg;
+    cfg.kind = workload::WorkloadKind::Oracle;
+    cfg.warmupCycles = 1000000;
+    cfg.measureCycles = 0;
+    cfg.collectMisses = false;
+    core::Experiment exp(cfg);
+    exp.run();
+    for (auto _ : state)
+        exp.machine().run(100000);
+    state.SetItemsProcessed(int64_t(state.iterations()) * 100000);
+}
+BENCHMARK(BM_MachineCyclesOracle)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(100);
+
+static void
 BM_MachineCyclesPmake8(benchmark::State &state)
 {
     // The wide-machine point: an 8-CPU Pmake (maxJobs keeps all CPUs

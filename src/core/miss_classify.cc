@@ -1,5 +1,9 @@
 #include "core/miss_classify.hh"
 
+#include <new>
+
+#include <sys/mman.h>
+
 #include "util/logging.hh"
 
 namespace mpos::core
@@ -65,11 +69,28 @@ MissCounts::total() const
     return n;
 }
 
+void
+MissClassifier::Unmap::operator()(uint32_t *p) const
+{
+    munmap(p, bytes);
+}
+
+MissClassifier::ChunkTable
+MissClassifier::mapChunkTable(uint64_t lines, uint32_t cpus)
+{
+    const size_t bytes =
+        (((lines - 1) >> chunkShift) + 1) * cpus * 2 * sizeof(uint32_t);
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return ChunkTable(static_cast<uint32_t *>(p), Unmap{bytes});
+}
+
 MissClassifier::MissClassifier(uint32_t num_cpus, uint64_t mem_bytes,
                                uint32_t line_bytes)
     : nCpus(num_cpus), nLines(mem_bytes / line_bytes),
-      lineBytes(line_bytes),
-      chunkAt((((nLines - 1) >> chunkShift) + 1) * num_cpus * 2, 0),
+      lineBytes(line_bytes), chunkAt(mapChunkTable(nLines, num_cpus)),
       appEpoch(num_cpus, 1)
 {
 }

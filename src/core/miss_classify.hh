@@ -19,7 +19,9 @@
 #ifndef MPOS_CORE_MISS_CLASSIFY_HH
 #define MPOS_CORE_MISS_CLASSIFY_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/monitor.hh"
@@ -148,8 +150,19 @@ class MissClassifier : public sim::MonitorObserver
      * touch, back to back in words, so memory follows the lines a run
      * touches rather than CPUs x physical memory. chunkAt[chunk][cpu]
      * [kind] is 1 + the chunk's number in words, or 0 if untouched.
+     * It is an anonymous mapping of its own, not heap memory: its
+     * pages are zero until a run first touches them, so construction
+     * writes nothing and resident memory follows the chunks touched,
+     * whatever a previous job in the process left in the heap.
      */
-    std::vector<uint32_t> chunkAt;
+    struct Unmap
+    {
+        size_t bytes;
+        void operator()(uint32_t *p) const;
+    };
+    using ChunkTable = std::unique_ptr<uint32_t[], Unmap>;
+    static ChunkTable mapChunkTable(uint64_t lines, uint32_t cpus);
+    ChunkTable chunkAt;
     std::vector<uint32_t> words;
     /** Application-invocation epoch per CPU. */
     std::vector<uint32_t> appEpoch;

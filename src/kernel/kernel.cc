@@ -270,14 +270,14 @@ Kernel::refill(CpuId cpu)
             p.savedScript.clear();
             return;
         }
-        chunkBuf.clear(); // reused across refills to avoid reallocating
-        UserScript us(chunkBuf);
+        const PathScope path(*this);
+        UserScript us(path.s);
         p.behavior->chunk(p, us);
         ++p.userChunks;
-        if (chunkBuf.empty())
+        if (path.s.empty())
             util::panic("behavior of %s produced an empty chunk",
                         p.name.c_str());
-        c.pushSeq(chunkBuf);
+        c.pushSeq(path.s);
         return;
     }
 
@@ -286,7 +286,8 @@ Kernel::refill(CpuId cpu)
         enterIdle(cpu);
     if (!runQueue.empty()) {
         // Dispatch from the idle loop.
-        Script s;
+        const PathScope path(*this);
+        Script &s = path.s;
         emitLock(s, Runqlk);
         emitText(s, rt.pickproc);
         emitTouch(s, map.runQueueAddr(), 24, false);
@@ -397,17 +398,17 @@ Kernel::fault(CpuId cpu, Addr vaddr, bool is_store, bool is_prot)
     const bool needs_vm =
         !pte || !pte->present || (is_store && (pte->cow ||
                                                !pte->writable));
+    const PathScope path(*this);
     if (!needs_vm) {
         // Pure TLB refill: the UTLB fast path.
         ++nUtlbFaults;
         m.cpu(cpu).tlb.insert(pid, vpage, pte->ppage,
                               pte->writable && !pte->cow);
-        Script s = pathUtlbFault(p, vpage, *pte);
-        m.cpu(cpu).pushFrontSeq(s);
-        return;
+        pathUtlbFault(path.s, p, vpage);
+    } else {
+        pathVmFault(path.s, cpu, p, vaddr, is_prot);
     }
-    Script s = pathVmFault(cpu, p, vaddr, is_store, is_prot);
-    m.cpu(cpu).pushFrontSeq(s);
+    m.cpu(cpu).pushFrontSeq(path.s);
 }
 
 bool
@@ -419,8 +420,9 @@ Kernel::deliverGlobalEvent(CpuId cpu, Cycle now)
     events.pop();
     switch (ev.kind) {
       case Event::Kind::DiskDone: {
-        Script s = pathDiskInterrupt(cpu, Pid(ev.payload));
-        m.cpu(cpu).pushFrontSeq(s);
+        const PathScope path(*this);
+        pathDiskInterrupt(path.s, cpu, Pid(ev.payload));
+        m.cpu(cpu).pushFrontSeq(path.s);
         return true;
       }
       case Event::Kind::TtyInput: {
@@ -430,8 +432,9 @@ Kernel::deliverGlobalEvent(CpuId cpu, Cycle now)
         t.pendingChars += uint32_t(rng.range(1, 15));
         scheduleEvent({now + t.meanGap / 2 + rng.below(t.meanGap),
                        Event::Kind::TtyInput, sid});
-        Script s = pathTtyInterrupt(cpu, sid);
-        m.cpu(cpu).pushFrontSeq(s);
+        const PathScope path(*this);
+        pathTtyInterrupt(path.s, cpu, sid);
+        m.cpu(cpu).pushFrontSeq(path.s);
         return true;
       }
     }
@@ -443,8 +446,9 @@ Kernel::pollEvents(CpuId cpu, Cycle now)
 {
     if (now >= nextClockAt[cpu]) {
         nextClockAt[cpu] += m.config().clockTickCycles;
-        Script s = pathClockInterrupt(cpu);
-        m.cpu(cpu).pushFrontSeq(s);
+        const PathScope path(*this);
+        pathClockInterrupt(path.s, cpu);
+        m.cpu(cpu).pushFrontSeq(path.s);
         return;
     }
     deliverGlobalEvent(cpu, now);
@@ -563,10 +567,12 @@ Kernel::onLockAcquire(CpuId cpu, const ScriptItem &item)
         return;
     }
     Process &p = *procs[uint32_t(curProc[cpu])];
-    Script s = st.wait == sim::LockWait::Nap
-        ? pathSyscall(cpu, p, Sys::Sginap, 0)
-        : pathFutexWait(p, lock_id);
-    c.pushFrontSeq(s);
+    const PathScope path(*this);
+    if (st.wait == sim::LockWait::Nap)
+        pathSyscall(path.s, cpu, p, Sys::Sginap, 0);
+    else
+        pathFutexWait(path.s, p, lock_id);
+    c.pushFrontSeq(path.s);
 }
 
 void
@@ -610,9 +616,9 @@ Kernel::block(CpuId cpu, Process &p)
     p.state = ProcState::Blocked;
     sim::Cpu &c = m.cpu(cpu);
     p.savedScript = c.drainScript();
-    Script s;
-    emitReschedSeq(s);
-    c.pushFrontSeq(s);
+    const PathScope path(*this);
+    emitReschedSeq(path.s);
+    c.pushFrontSeq(path.s);
 }
 
 void
@@ -631,8 +637,9 @@ Kernel::onSyscall(CpuId cpu, Sys n, uint64_t payload)
     if (pid == sim::invalidPid)
         util::panic("syscall with no current process");
     Process &p = *procs[uint32_t(pid)];
-    Script s = pathSyscall(cpu, p, n, payload);
-    m.cpu(cpu).pushFrontSeq(s);
+    const PathScope path(*this);
+    pathSyscall(path.s, cpu, p, n, payload);
+    m.cpu(cpu).pushFrontSeq(path.s);
 }
 
 void
@@ -685,7 +692,8 @@ Kernel::onIdlePoll(CpuId cpu)
     if (runQueue.empty())
         return; // refill() will push another idle chunk
     sim::Cpu &c = m.cpu(cpu);
-    Script s;
+    const PathScope path(*this);
+    Script &s = path.s;
     emitLock(s, Runqlk);
     emitText(s, rt.pickproc);
     emitTouch(s, map.runQueueAddr(), 24, false);
@@ -825,7 +833,8 @@ Kernel::onResched(CpuId cpu)
     }
 
     const Pid next = pickNext(cpu);
-    Script s;
+    const PathScope path(*this);
+    Script &s = path.s;
     if (next == sim::invalidPid) {
         curProc[cpu] = sim::invalidPid;
         s.push_back(ScriptItem::mark(MarkerOp::OsExit));

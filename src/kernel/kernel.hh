@@ -199,8 +199,9 @@ class Kernel : public sim::Executor
     /// lock table, VM (page tables, free list, text page cache,
     /// shared map), file system (buffer cache, disk, ttys), the timed
     /// event queue, per-CPU clock/context nesting state, the RNG, and
-    /// every counter. Scratch buffers (chunkBuf, the lazily built
-    /// idle chunk) are rebuilt on demand and deliberately excluded.
+    /// every counter. Scratch buffers (pathBuf and reclaimScratch,
+    /// empty between calls; the idle chunk, rebuilt on demand) are
+    /// deliberately excluded.
     /// The target kernel must have been built from the same config;
     /// structural mismatches raise util::SimError(SnapshotCorrupt).
     /// @{
@@ -210,6 +211,26 @@ class Kernel : public sim::Executor
 
   private:
     using Script = std::vector<ScriptItem>;
+
+    /**
+     * Claims pathBuf, cleared, for building one script and pushing it
+     * to a CPU; releases it on scope exit. Builders never nest: a
+     * second claim while one is live panics instead of overwriting a
+     * script that was not pushed yet.
+     */
+    class PathScope
+    {
+      public:
+        explicit PathScope(Kernel &k);
+        ~PathScope() { busy = false; }
+        PathScope(const PathScope &) = delete;
+        PathScope &operator=(const PathScope &) = delete;
+
+        Script &s;
+
+      private:
+        bool &busy;
+    };
 
     /// @name Script emission helpers
     /// @{
@@ -232,10 +253,11 @@ class Kernel : public sim::Executor
 
     /// @name Path builders
     /// @{
-    Script pathUtlbFault(Process &p, Addr vpage, const Pte &pte);
-    Script pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
-                       bool is_prot);
-    Script pathSyscall(CpuId cpu, Process &p, Sys n, uint64_t payload);
+    void pathUtlbFault(Script &s, Process &p, Addr vpage);
+    void pathVmFault(Script &s, CpuId cpu, Process &p, Addr vaddr,
+                     bool is_prot);
+    void pathSyscall(Script &s, CpuId cpu, Process &p, Sys n,
+                     uint64_t payload);
     void bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload);
     void bodyWrite(Script &s, CpuId cpu, Process &p, uint64_t payload);
     void bodyTtyRead(Script &s, Process &p, uint32_t session,
@@ -249,10 +271,10 @@ class Kernel : public sim::Executor
     void bodyOther(Script &s, CpuId cpu, Process &p);
     /** Kernel entry of a futex wait: syscall overhead ending in the
      *  customFutexWait marker that blocks (or returns if raced). */
-    Script pathFutexWait(Process &p, uint32_t lock_id);
-    Script pathClockInterrupt(CpuId cpu);
-    Script pathDiskInterrupt(CpuId cpu, Pid sleeper);
-    Script pathTtyInterrupt(CpuId cpu, uint32_t session);
+    void pathFutexWait(Script &s, Process &p, uint32_t lock_id);
+    void pathClockInterrupt(Script &s, CpuId cpu);
+    void pathDiskInterrupt(Script &s, CpuId cpu, Pid sleeper);
+    void pathTtyInterrupt(Script &s, CpuId cpu, uint32_t session);
     /** Run-queue requeue + pick sequence ending in a Resched marker. */
     void emitReschedSeq(Script &s);
     /** Block p, running on cpu: save its continuation, reschedule. */
@@ -349,8 +371,13 @@ class Kernel : public sim::Executor
         RoutineId alloc_kmem;
     } rt;
 
-    /** Scratch buffer reused by refill() for user chunk generation. */
-    Script chunkBuf;
+    /**
+     * The one buffer every script pushed to a CPU is built in (user
+     * chunks and kernel paths), through a PathScope. Cleared per use,
+     * its capacity kept, so a trap allocates nothing.
+     */
+    Script pathBuf;
+    bool pathBusy = false;
     /** The (constant) idle-loop chunk, built once on first idle. */
     Script idleChunk;
 

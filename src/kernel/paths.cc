@@ -23,6 +23,29 @@ using sim::OsOp;
 // Emission helpers
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** Grow s by n items and return the first new one; the caller writes
+ *  all n. One resize per helper call instead of a push_back per item. */
+ScriptItem *
+extend(std::vector<ScriptItem> &s, size_t n)
+{
+    const size_t k = s.size();
+    s.resize(k + n);
+    return s.data() + k;
+}
+
+} // namespace
+
+Kernel::PathScope::PathScope(Kernel &k) : s(k.pathBuf), busy(k.pathBusy)
+{
+    if (busy)
+        util::panic("kernel path built while another is unpushed");
+    busy = true;
+    s.clear();
+}
+
 void
 Kernel::emitText(Script &s, RoutineId r, double f0, double f1)
 {
@@ -34,20 +57,21 @@ Kernel::emitText(Script &s, RoutineId r, double f0, double f1)
         hi = lines;
     if (lo >= hi)
         hi = lo + 1 <= lines ? lo + 1 : lines;
-    s.push_back(ScriptItem::mark(MarkerOp::RoutineEnter, r));
-    for (uint32_t l = lo; l < hi; ++l) {
-        s.push_back(ScriptItem::ifetch(info.textBase +
-                                       Addr(l) * cfg.layout.lineBytes));
-    }
+    ScriptItem *it = extend(s, 1 + (hi > lo ? hi - lo : 0));
+    *it++ = ScriptItem::mark(MarkerOp::RoutineEnter, r);
+    for (uint32_t l = lo; l < hi; ++l)
+        *it++ = ScriptItem::ifetch(info.textBase +
+                                   Addr(l) * cfg.layout.lineBytes);
 }
 
 void
 Kernel::emitTouch(Script &s, Addr addr, uint32_t bytes, bool write)
 {
     const Addr line = Addr(cfg.layout.lineBytes);
-    for (Addr a = addr & ~(line - 1); a < addr + bytes; a += line) {
-        s.push_back(write ? ScriptItem::store(a) : ScriptItem::load(a));
-    }
+    const Addr first = addr & ~(line - 1);
+    ScriptItem *it = extend(s, (addr + bytes - first + line - 1) / line);
+    for (Addr a = first; a < addr + bytes; a += line)
+        *it++ = write ? ScriptItem::store(a) : ScriptItem::load(a);
 }
 
 void
@@ -329,13 +353,11 @@ Kernel::ensureResident(Script &s, CpuId cpu, Process &p, Addr vaddr,
     return np;
 }
 
-Kernel::Script
-Kernel::pathUtlbFault(Process &p, Addr vpage, const Pte &pte)
+void
+Kernel::pathUtlbFault(Script &s, Process &p, Addr vpage)
 {
-    (void)pte;
     // The nine-instruction UTLB refill vector: near miss-free and very
     // fast (Figure 1).
-    Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter,
                                  uint64_t(OsOp::UtlbFault)));
     emitText(s, rt.utlbmiss);
@@ -343,11 +365,10 @@ Kernel::pathUtlbFault(Process &p, Addr vpage, const Pte &pte)
                     (vpage % 1024) * 4;
     s.push_back(ScriptItem::load(pt));
     s.push_back(ScriptItem::mark(MarkerOp::OsExit));
-    return s;
 }
 
-Kernel::Script
-Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
+void
+Kernel::pathVmFault(Script &s, CpuId cpu, Process &p, Addr vaddr,
                     bool is_prot)
 {
     const Addr vpage = vaddr / cfg.layout.pageBytes;
@@ -370,7 +391,6 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
         expensive = false;
     }
 
-    Script s;
     s.push_back(ScriptItem::mark(
         MarkerOp::OsEnter, uint64_t(expensive ? OsOp::ExpensiveTlbFault
                                               : OsOp::CheapTlbFault)));
@@ -484,7 +504,6 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
         p.pageTable[vpage] =
             Pte{uint32_t(pp), true, true, false, false, false};
         m.cpu(cpu).tlb.insert(p.pid, vpage, pp, true);
-        (void)is_store;
     }
 
     // Record the new translation in the page table.
@@ -494,15 +513,15 @@ Kernel::pathVmFault(CpuId cpu, Process &p, Addr vaddr, bool is_store,
 
     emitEpilogue(s, p);
     s.push_back(ScriptItem::mark(MarkerOp::OsExit));
-    return s;
 }
 
 // ---------------------------------------------------------------------
 // System calls
 // ---------------------------------------------------------------------
 
-Kernel::Script
-Kernel::pathSyscall(CpuId cpu, Process &p, Sys n, uint64_t payload)
+void
+Kernel::pathSyscall(Script &s, CpuId cpu, Process &p, Sys n,
+                    uint64_t payload)
 {
     OsOp op;
     switch (n) {
@@ -518,7 +537,6 @@ Kernel::pathSyscall(CpuId cpu, Process &p, Sys n, uint64_t payload)
         break;
     }
 
-    Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter, uint64_t(op)));
     emitPrologue(s, p);
     emitText(s, rt.syscall_entry);
@@ -566,16 +584,14 @@ Kernel::pathSyscall(CpuId cpu, Process &p, Sys n, uint64_t payload)
         emitEpilogue(s, p);
         s.push_back(ScriptItem::mark(MarkerOp::OsExit));
     }
-    return s;
 }
 
-Kernel::Script
-Kernel::pathFutexWait(Process &p, uint32_t lock_id)
+void
+Kernel::pathFutexWait(Script &s, Process &p, uint32_t lock_id)
 {
     // FUTEX_WAIT: full syscall entry, the in-kernel re-check/sleep
     // marker, then a normal return path (executed on wake, or
     // immediately when the re-check finds the lock already free).
-    Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter,
                                  uint64_t(OsOp::OtherSyscall)));
     emitPrologue(s, p);
@@ -587,7 +603,6 @@ Kernel::pathFutexWait(Process &p, uint32_t lock_id)
                                  lock_id));
     emitEpilogue(s, p);
     s.push_back(ScriptItem::mark(MarkerOp::OsExit));
-    return s;
 }
 
 void
@@ -1064,11 +1079,10 @@ Kernel::emitReschedSeq(Script &s)
     s.push_back(ScriptItem::mark(MarkerOp::Resched));
 }
 
-Kernel::Script
-Kernel::pathClockInterrupt(CpuId cpu)
+void
+Kernel::pathClockInterrupt(Script &s, CpuId cpu)
 {
     ++clockCount;
-    Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter,
                                  uint64_t(OsOp::Interrupt)));
     const Pid pid = curProc[cpu];
@@ -1115,13 +1129,11 @@ Kernel::pathClockInterrupt(CpuId cpu)
             emitEpilogue(s, *p);
         s.push_back(ScriptItem::mark(MarkerOp::OsExit));
     }
-    return s;
 }
 
-Kernel::Script
-Kernel::pathDiskInterrupt(CpuId cpu, Pid sleeper)
+void
+Kernel::pathDiskInterrupt(Script &s, CpuId cpu, Pid sleeper)
 {
-    Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter,
                                  uint64_t(OsOp::Interrupt)));
     const Pid pid = curProc[cpu];
@@ -1154,13 +1166,11 @@ Kernel::pathDiskInterrupt(CpuId cpu, Pid sleeper)
     if (p)
         emitEpilogue(s, *p);
     s.push_back(ScriptItem::mark(MarkerOp::OsExit));
-    return s;
 }
 
-Kernel::Script
-Kernel::pathTtyInterrupt(CpuId cpu, uint32_t session)
+void
+Kernel::pathTtyInterrupt(Script &s, CpuId cpu, uint32_t session)
 {
-    Script s;
     s.push_back(ScriptItem::mark(MarkerOp::OsEnter,
                                  uint64_t(OsOp::Interrupt)));
     const Pid pid = curProc[cpu];
@@ -1197,7 +1207,6 @@ Kernel::pathTtyInterrupt(CpuId cpu, uint32_t session)
     if (p)
         emitEpilogue(s, *p);
     s.push_back(ScriptItem::mark(MarkerOp::OsExit));
-    return s;
 }
 
 } // namespace mpos::kernel

@@ -106,25 +106,14 @@ class UserScript
   public:
     explicit UserScript(std::vector<ScriptItem> &sink) : out(sink) {}
 
+    /** Make room for n more items up front, so the item calls below
+     *  write in place and never reallocate on the way. */
+    void reserve(size_t n) { out.reserve(out.size() + n); }
+
     /** Fetch the instruction line containing vaddr. */
-    void
-    ifetch(Addr vaddr)
-    {
-        ScriptItem it = ScriptItem::ifetch(vaddr, sim::AddrSpace::Virtual);
-        out.push_back(it);
-    }
-
-    void
-    load(Addr vaddr)
-    {
-        out.push_back(ScriptItem::load(vaddr, sim::AddrSpace::Virtual));
-    }
-
-    void
-    store(Addr vaddr)
-    {
-        out.push_back(ScriptItem::store(vaddr, sim::AddrSpace::Virtual));
-    }
+    void ifetch(Addr vaddr) { ref(sim::ItemKind::IFetchLine, vaddr); }
+    void load(Addr vaddr) { ref(sim::ItemKind::Load, vaddr); }
+    void store(Addr vaddr) { ref(sim::ItemKind::Store, vaddr); }
 
     void think(Cycle cycles) { out.push_back(ScriptItem::think(cycles)); }
 
@@ -149,26 +138,16 @@ class UserScript
                                        lock_id, 0));
     }
 
-    /**
-     * Bulk append n virtual user references staged as parallel flat
-     * arrays (structure of arrays): kinds[i] one of IFetchLine /
-     * Load / Store, addrs[i] its virtual address. One reserve plus a
-     * tight expansion loop replaces n calls through the per-item
-     * builders; the workload generators stage into a ReferenceBatch
-     * and flush through here.
-     */
-    void
-    appendRefs(const sim::ItemKind *kinds, const Addr *addrs, size_t n)
-    {
-        out.reserve(out.size() + n);
-        for (size_t i = 0; i < n; ++i)
-            out.push_back({kinds[i], sim::AddrSpace::Virtual,
-                           sim::MarkerOp::PathDone, addrs[i], 0});
-    }
-
     size_t size() const { return out.size(); }
 
   private:
+    void
+    ref(sim::ItemKind kind, Addr vaddr)
+    {
+        out.push_back({kind, sim::AddrSpace::Virtual,
+                       sim::MarkerOp::PathDone, vaddr, 0});
+    }
+
     std::vector<ScriptItem> &out;
 };
 

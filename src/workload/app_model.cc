@@ -84,9 +84,9 @@ SyntheticApp::maybeJump()
 void
 SyntheticApp::emitWork(UserScript &s, uint32_t instrs)
 {
-    // The whole chunk stages into the SoA batch and lands in the
-    // script with one flush; the item order is exactly what the
-    // per-item calls produced.
+    // At most one fetch and instrPerLine data references per line.
+    s.reserve((instrs + instrPerLine - 1) / instrPerLine *
+              (1 + instrPerLine));
     uint32_t emitted = 0;
     const bool shared_write_ok = prm.sharedBytes > 0;
     while (emitted < instrs) {
@@ -97,7 +97,7 @@ SyntheticApp::emitWork(UserScript &s, uint32_t instrs)
             loopRepsLeft = 2 + uint32_t(rng.below(prm.maxLoopReps));
         }
 
-        batch.ifetch(VaMap::textBase + codePos);
+        s.ifetch(VaMap::textBase + codePos);
         for (uint32_t i = 0; i < instrPerLine; ++i) {
             if (!rng.chanceBelow(thDataRef))
                 continue;
@@ -107,9 +107,9 @@ SyntheticApp::emitWork(UserScript &s, uint32_t instrs)
                 a < prm.sharedBase + prm.sharedBytes;
             if (rng.chanceBelow(is_shared ? thSharedStore
                                           : thStore))
-                batch.store(a);
+                s.store(a);
             else
-                batch.load(a);
+                s.load(a);
         }
         emitted += instrPerLine;
 
@@ -127,7 +127,6 @@ SyntheticApp::emitWork(UserScript &s, uint32_t instrs)
         if (codePos >= prm.codeBytes)
             codePos = 0;
     }
-    batch.flush(s);
 }
 
 void

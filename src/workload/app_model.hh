@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "kernel/process.hh"
 #include "util/rng.hh"
@@ -67,49 +66,6 @@ struct AppParams
 };
 
 /**
- * Staging buffer for reference generation. References accumulate as
- * parallel flat arrays (structure of arrays: one for the item kind,
- * one for the address) and flush to the UserScript in a single bulk
- * append. The emit loop therefore writes one byte and one word per
- * reference into dense retained storage instead of constructing a
- * five-field ScriptItem per call, and the script vector reserves the
- * whole batch at once.
- */
-class ReferenceBatch
-{
-  public:
-    void ifetch(Addr a) { push(sim::ItemKind::IFetchLine, a); }
-    void load(Addr a) { push(sim::ItemKind::Load, a); }
-    void store(Addr a) { push(sim::ItemKind::Store, a); }
-
-    size_t size() const { return kinds.size(); }
-    bool empty() const { return kinds.empty(); }
-
-    /** Append everything staged to s (in order) and clear; capacity
-     *  is retained for the next batch. */
-    void
-    flush(UserScript &s)
-    {
-        if (kinds.empty())
-            return;
-        s.appendRefs(kinds.data(), addrs.data(), kinds.size());
-        kinds.clear();
-        addrs.clear();
-    }
-
-  private:
-    void
-    push(sim::ItemKind k, Addr a)
-    {
-        kinds.push_back(k);
-        addrs.push_back(a);
-    }
-
-    std::vector<sim::ItemKind> kinds;
-    std::vector<Addr> addrs;
-};
-
-/**
  * Base behavior: emits synthetic user work. Subclasses override
  * chunk() and call emitWork() around their system-call logic.
  */
@@ -133,10 +89,6 @@ class SyntheticApp : public AppBehavior
     util::Rng rng;
 
   private:
-    /** SoA staging for emitWork; member so capacity persists across
-     *  chunks (steady state: zero allocations per chunk). */
-    ReferenceBatch batch;
-
     Addr codePos = 0;      ///< Byte offset into the code footprint.
     bool loopActive = false;
     Addr loopStart = 0;

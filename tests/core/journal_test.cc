@@ -21,22 +21,13 @@
 #include "sim/snapshot/container.hh"
 #include "util/binio.hh"
 #include "util/error.hh"
+#include "temp_path.hh"
 
 using namespace mpos;
 using namespace mpos::core;
 
 namespace
 {
-
-/** Fresh per-test journal directory under the gtest temp root. */
-std::string
-journalDir(const std::string &leaf)
-{
-    const std::string dir = testing::TempDir() + "/" + leaf;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
 
 JournalJobRow
 sampleRow(const std::string &name, uint64_t hash)
@@ -68,7 +59,8 @@ quickConfig(uint64_t seed = 7)
 
 TEST(SweepJournal, RoundTripsEveryRecordType)
 {
-    const std::string dir = journalDir("journal_roundtrip");
+    const test::TempPath tmp("journal_roundtrip", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
     {
         SweepJournal j;
         j.open(dir, false);
@@ -109,7 +101,8 @@ TEST(SweepJournal, RoundTripsEveryRecordType)
 
 TEST(SweepJournal, TornTailIsTruncatedNotFatal)
 {
-    const std::string dir = journalDir("journal_torn");
+    const test::TempPath tmp("journal_torn", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
     {
         SweepJournal j;
         j.open(dir, false);
@@ -149,7 +142,8 @@ TEST(SweepJournal, TornTailIsTruncatedNotFatal)
 
 TEST(SweepJournal, FreshOpenDiscardsAnExistingJournal)
 {
-    const std::string dir = journalDir("journal_fresh");
+    const test::TempPath tmp("journal_fresh", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
     {
         SweepJournal j;
         j.open(dir, false);
@@ -169,7 +163,8 @@ TEST(SweepJournal, FreshOpenDiscardsAnExistingJournal)
 
 TEST(SweepJournal, LastJobEndWinsAndPlansDedup)
 {
-    const std::string dir = journalDir("journal_lastwins");
+    const test::TempPath tmp("journal_lastwins", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
     {
         SweepJournal j;
         j.open(dir, false);
@@ -191,7 +186,8 @@ TEST(SweepJournal, LastJobEndWinsAndPlansDedup)
 
 TEST(SweepJournal, RejectsAForeignFile)
 {
-    const std::string dir = journalDir("journal_foreign");
+    const test::TempPath tmp("journal_foreign", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
     const std::string path = dir + "/sweep.mpj";
     FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);

@@ -11,12 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "core/runner.hh"
 #include "core/warmcache.hh"
 #include "util/error.hh"
+#include "temp_path.hh"
 
 using namespace mpos;
 using namespace mpos::core;
@@ -64,17 +64,6 @@ runDigest(ExperimentConfig cfg, WarmStartCache *cache)
     Experiment e(cfg);
     e.run();
     return digest(e);
-}
-
-/** A fresh on-disk cache dir: images from earlier test-binary runs
- *  under the same TempDir would otherwise satisfy the "cold" pass. */
-std::string
-freshDir(const char *leaf)
-{
-    const std::string dir = testing::TempDir() + "/" + leaf;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
 }
 
 } // namespace
@@ -172,7 +161,9 @@ TEST(WarmStart, RestoredRunIsCheckerClean)
 
 TEST(WarmStart, DiskCacheWarmsALaterProcess)
 {
-    const std::string dir = freshDir("mpos_warm_disk");
+    // Fresh: images from an earlier run would satisfy the cold pass.
+    const test::TempPath tmp("mpos_warm_disk", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
     const ExperimentConfig cfg = quickConfig(WorkloadKind::Multpgm);
 
     std::string cold;
@@ -195,7 +186,8 @@ TEST(WarmStart, DiskCacheWarmsALaterProcess)
 
 TEST(WarmStart, CorruptDiskImageIsAMissNotAnError)
 {
-    const std::string dir = freshDir("mpos_warm_corrupt");
+    const test::TempPath tmp("mpos_warm_corrupt", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
     const ExperimentConfig cfg = quickConfig(WorkloadKind::Oracle);
 
     std::string cold;

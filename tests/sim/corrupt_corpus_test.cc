@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "sim/snapshot/container.hh"
 #include "util/binio.hh"
 #include "util/error.hh"
+#include "temp_path.hh"
 
 using namespace mpos;
 using namespace mpos::sim;
@@ -109,10 +109,8 @@ TEST(CorruptCorpus, PreviousFormatVersionIsRejected)
 
 TEST(CorruptCorpus, WarmCacheTreatsACorruptDiskFileAsAMiss)
 {
-    const std::string dir =
-        testing::TempDir() + "/corrupt_warmcache";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    const test::TempPath tmp("corrupt_warmcache", test::TempPath::Dir);
+    const std::string &dir = tmp.path;
 
     // Plant every corpus image under the exact name the cache would
     // look up; a poisoned-by-corruption cache entry must read as a
@@ -137,5 +135,4 @@ TEST(CorruptCorpus, WarmCacheTreatsACorruptDiskFileAsAMiss)
     }
     EXPECT_EQ(cache.stats().misses, 5u);
     EXPECT_EQ(cache.stats().hits, 0u);
-    std::filesystem::remove_all(dir);
 }

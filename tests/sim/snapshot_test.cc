@@ -13,6 +13,7 @@
 #include "sim/snapshot/container.hh"
 #include "util/binio.hh"
 #include "util/error.hh"
+#include "temp_path.hh"
 
 using namespace mpos;
 using sim::snapshot::Section;
@@ -82,8 +83,8 @@ TEST(SnapshotContainer, TruncationIsDetected)
 
 TEST(SnapshotContainer, FileRoundTripAtomic)
 {
-    const std::string path =
-        testing::TempDir() + "/mpos_snapshot_test.bin";
+    const test::TempPath tmp("mpos_snapshot_test.bin", test::TempPath::File);
+    const std::string &path = tmp.path;
     const std::vector<uint8_t> image = sampleImage();
     ASSERT_TRUE(sim::snapshot::writeFileAtomic(path, image));
     std::vector<uint8_t> back;

@@ -22,6 +22,7 @@
 #include "sim/trace/trace.hh"
 #include "util/error.hh"
 #include "util/json.hh"
+#include "temp_path.hh"
 
 using namespace mpos;
 using namespace mpos::sim;
@@ -29,12 +30,6 @@ using namespace mpos::sim::trace;
 
 namespace
 {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
 
 std::string
 slurp(const std::string &path)
@@ -131,11 +126,11 @@ TEST(Trace, OffByDefault)
 
 TEST(Trace, StreamedTraceConvertsToValidJsonl)
 {
-    const std::string jsonl = tmpPath("stream.jsonl");
+    const test::TempPath jsonl("stream.jsonl", test::TempPath::File);
 
-    runTracedWorkload(jsonl, 4096, false);
+    runTracedWorkload(jsonl.path, 4096, false);
 
-    const std::string text = slurp(jsonl);
+    const std::string text = slurp(jsonl.path);
     const uint64_t lines = lineCount(text);
     EXPECT_GT(lines, 100u); // a real run produces real traffic
 
@@ -153,28 +148,28 @@ TEST(Trace, StreamedTraceConvertsToValidJsonl)
 
 TEST(Trace, StreamingWritesEveryEvent)
 {
-    const std::string jsonl = tmpPath("count.jsonl");
+    const test::TempPath jsonl("count.jsonl", test::TempPath::File);
 
     // Ring far smaller than the event count of a real workload.
-    auto e = runTracedWorkload(jsonl, 64, false);
+    auto e = runTracedWorkload(jsonl.path, 64, false);
     const uint64_t total = e->machine().tracer()->totalEvents();
     ASSERT_GT(total, 64u);
 
     // Streaming mode: the file holds all events, not just the ring.
-    EXPECT_EQ(lineCount(slurp(jsonl)), total);
+    EXPECT_EQ(lineCount(slurp(jsonl.path)), total);
 }
 
 TEST(Trace, RingModeWritesOnlyFinalRingContents)
 {
-    const std::string jsonl = tmpPath("ring.jsonl");
+    const test::TempPath jsonl("ring.jsonl", test::TempPath::File);
 
-    auto e = runTracedWorkload(jsonl, 64, true);
+    auto e = runTracedWorkload(jsonl.path, 64, true);
     const Tracer &tr = *e->machine().tracer();
     const uint64_t total = tr.totalEvents();
     const Cycle lastRingCycle = tr.ring().tail(tr.ring().size() - 1).cycle;
     ASSERT_GT(total, 64u);
 
-    const std::string text = slurp(jsonl);
+    const std::string text = slurp(jsonl.path);
     EXPECT_EQ(lineCount(text), 64u);
     // The last emitted event is the last ring entry.
     char want[64];
@@ -185,10 +180,10 @@ TEST(Trace, RingModeWritesOnlyFinalRingContents)
 
 TEST(Trace, IdenticalRunsProduceIdenticalTraces)
 {
-    const std::string a = tmpPath("det_a.jsonl");
-    const std::string b = tmpPath("det_b.jsonl");
+    const test::TempPath a("det_a.jsonl", test::TempPath::File);
+    const test::TempPath b("det_b.jsonl", test::TempPath::File);
 
-    for (const std::string &path : {a, b}) {
+    for (const std::string &path : {a.path, b.path}) {
         MachineConfig cfg;
         cfg.numCpus = 2;
         cfg.trace = true;
@@ -196,7 +191,7 @@ TEST(Trace, IdenticalRunsProduceIdenticalTraces)
         cfg.traceRingEntries = 256;
         runTraced(cfg, 80000);
     }
-    EXPECT_EQ(slurp(a), slurp(b)); // byte-identical
+    EXPECT_EQ(slurp(a.path), slurp(b.path)); // byte-identical
 }
 
 // ------------------------------------------------------------------ //
@@ -281,7 +276,8 @@ TEST(Trace, GoldenByteIdentical)
     // tests/golden/update.sh (which sets MPOS_UPDATE_GOLDEN).
     const std::string golden_jsonl =
         std::string(MPOS_GOLDEN_DIR) + "/trace_smoke.jsonl";
-    const std::string fresh_jsonl = tmpPath("golden_fresh.jsonl");
+    const test::TempPath fresh_jsonl("golden_fresh.jsonl",
+                                     test::TempPath::File);
 
     core::ExperimentConfig cfg;
     cfg.kind = workload::WorkloadKind::Pmake;
@@ -289,7 +285,7 @@ TEST(Trace, GoldenByteIdentical)
     cfg.measureCycles = 100000;
     cfg.options.seed = 7;
     cfg.machine.trace = true;
-    cfg.machine.traceFile = fresh_jsonl;
+    cfg.machine.traceFile = fresh_jsonl.path;
     cfg.machine.traceRingEntries = 256;
     cfg.machine.traceRingMode = true;
     core::Experiment exp(cfg);
@@ -297,7 +293,7 @@ TEST(Trace, GoldenByteIdentical)
 
     if (std::getenv("MPOS_UPDATE_GOLDEN")) {
         std::ofstream(golden_jsonl, std::ios::binary)
-            << slurp(fresh_jsonl);
+            << slurp(fresh_jsonl.path);
         GTEST_LOG_(INFO) << "golden trace updated in "
                          << MPOS_GOLDEN_DIR;
         return;
@@ -306,7 +302,7 @@ TEST(Trace, GoldenByteIdentical)
     // A missing golden is a failure, not a skip (check.sh policy).
     ASSERT_TRUE(std::ifstream(golden_jsonl).good())
         << "no committed golden trace; run tests/golden/update.sh";
-    EXPECT_EQ(slurp(fresh_jsonl), slurp(golden_jsonl))
+    EXPECT_EQ(slurp(fresh_jsonl.path), slurp(golden_jsonl))
         << "JSONL trace differs from the committed golden";
 }
 #endif
