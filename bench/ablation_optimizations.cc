@@ -35,7 +35,7 @@ variantConfig(WK kind, bool affinity, BM mode, uint32_t iassoc,
               bool optimized_layout = false)
 {
     auto cfg = bench::standardConfig(kind);
-    cfg.measureCycles = bench::envOr("MPOS_CYCLES", 20000000) / 2;
+    cfg.measureCycles /= 2;
     cfg.kernelCfg.affinitySched = affinity;
     cfg.kernelCfg.blockOpMode = mode;
     cfg.kernelCfg.layout.optimizedTextLayout = optimized_layout;

@@ -8,7 +8,8 @@
  *   MPOS_CYCLES   - measured cycles per CPU (default 20,000,000)
  *   MPOS_WARMUP   - warmup cycles (default 8,000,000)
  *   MPOS_SEED     - workload seed (default 7)
- *   MPOS_JOBS     - host threads for parallel experiment jobs
+ *   MPOS_JOBS     - host threads for parallel experiment jobs, read
+ *                   by mpos_bench as --jobs (0 = all cores)
  *   MPOS_PROTOCOL - coherence protocol: mesi (default), msi, mi
  *   MPOS_LOCK_PROTO - lock primitive: tas (default), ticket, mcs,
  *                     futex, rcu

@@ -33,7 +33,7 @@ mpos::bench::prepare_fig11(BenchContext &ctx)
         auto cfg = standardConfig(workload::WorkloadKind::Multpgm);
         cfg.machine.numCpus = ncpu;
         cfg.collectMisses = false; // only lock stats needed
-        cfg.measureCycles = envOr("MPOS_CYCLES", 20000000) / 2;
+        cfg.measureCycles /= 2;
         ctx.submit(jobName(ncpu), cfg);
     }
 }

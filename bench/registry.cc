@@ -630,8 +630,8 @@ usage()
         "  --list          list registered analyses and exit\n"
         "  --only NAME     run one analysis (repeatable); default "
         "all\n"
-        "  --jobs N        worker threads (default: MPOS_JOBS or all "
-        "cores)\n"
+        "  --jobs N        worker threads, 0 = all cores (default: "
+        "MPOS_JOBS or 0)\n"
         "  --json PATH     machine-readable results (default "
         "mpos_bench_results.json)\n"
         "  --smoke         tiny-run smoke mode: sets "
@@ -726,7 +726,8 @@ benchMain(int argc, char **argv)
     bool list = false;
     bool check = false;
     bool keepGoing = false;
-    unsigned jobs = 0;
+    // Read before any runner exists, by --jobs' rule; --jobs overrides.
+    unsigned jobs = unsigned(envOr("MPOS_JOBS", 0, maxJobs));
     double jobTimeout = 0;
     std::string snapshotDir;
     if (const char *env = std::getenv("MPOS_SNAPSHOT_DIR"))

@@ -6,7 +6,7 @@
  *
  * The three standard workload runs (Pmake/Multpgm/Oracle, standard
  * configuration, resim recording on) are simulated once each --
- * concurrently, on the MPOS_JOBS thread pool -- and every analysis
+ * concurrently, on the --jobs thread pool -- and every analysis
  * reads from them; true sweeps (Figure 6 cache sizes are replays of
  * the recorded stream, Figure 11 CPU counts and the ablations are
  * extra machine configurations) fan out as additional parallel jobs.
@@ -49,7 +49,7 @@ std::string obsFileBase(const std::string &dir, const std::string &job);
 class BenchContext
 {
   public:
-    /** @param jobs Worker threads; 0 means MPOS_JOBS/default. */
+    /** @param jobs Worker threads; 0 means all cores. */
     explicit BenchContext(unsigned jobs = 0);
 
     /** Full runner policy (timeouts, warm cache, journal). */

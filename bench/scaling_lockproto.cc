@@ -60,7 +60,7 @@ mpos::bench::prepare_lockproto(BenchContext &ctx)
             cfg.machine.lockPolicy = p;
             // An eighth of the standard budget per cell keeps the
             // 25-cell sweep close to three standard runs' cost.
-            cfg.measureCycles = envOr("MPOS_CYCLES", 20000000) / 8;
+            cfg.measureCycles /= 8;
             ctx.submit(jobName(p, ncpu), cfg);
         }
     }

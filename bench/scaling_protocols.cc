@@ -41,7 +41,7 @@ mpos::bench::prepare_scaling(BenchContext &ctx)
             cfg.machine.protocol = p;
             // A quarter of the standard budget per cell keeps the
             // 8-cell sweep close to one standard run's cost.
-            cfg.measureCycles = envOr("MPOS_CYCLES", 20000000) / 4;
+            cfg.measureCycles /= 4;
             ctx.submit(jobName(p, ncpu), cfg);
         }
     }

@@ -75,22 +75,38 @@ MissClassifier::Unmap::operator()(uint32_t *p) const
     munmap(p, bytes);
 }
 
-MissClassifier::ChunkTable
-MissClassifier::mapChunkTable(uint64_t lines, uint32_t cpus)
+namespace
 {
-    const size_t bytes =
-        (((lines - 1) >> chunkShift) + 1) * cpus * 2 * sizeof(uint32_t);
+
+/** Chunk slots: one per chunk of lines, CPU and cache kind. */
+size_t
+chunkSlots(uint64_t lines, uint32_t cpus, uint32_t chunk_shift)
+{
+    return size_t(((lines - 1) >> chunk_shift) + 1) * cpus * 2;
+}
+
+} // namespace
+
+MissClassifier::ZeroMap
+MissClassifier::mapZeroed(size_t bytes)
+{
+    // MAP_NORESERVE: the word pool is sized for the worst case, and
+    // only the pages a run touches ever become resident.
     void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (p == MAP_FAILED)
         throw std::bad_alloc();
-    return ChunkTable(static_cast<uint32_t *>(p), Unmap{bytes});
+    return ZeroMap(static_cast<uint32_t *>(p), Unmap{bytes});
 }
 
 MissClassifier::MissClassifier(uint32_t num_cpus, uint64_t mem_bytes,
                                uint32_t line_bytes)
     : nCpus(num_cpus), nLines(mem_bytes / line_bytes),
-      lineBytes(line_bytes), chunkAt(mapChunkTable(nLines, num_cpus)),
+      lineBytes(line_bytes),
+      chunkAt(mapZeroed(chunkSlots(nLines, num_cpus, chunkShift) *
+                        sizeof(uint32_t))),
+      words(mapZeroed(chunkSlots(nLines, num_cpus, chunkShift) *
+                      (sizeof(uint32_t) << chunkShift))),
       appEpoch(num_cpus, 1)
 {
 }
@@ -104,10 +120,8 @@ MissClassifier::slot(CpuId cpu, CacheKind kind, Addr line)
                     static_cast<unsigned long long>(line));
     uint32_t &chunk = chunkAt[((idx >> chunkShift) * nCpus + cpu) * 2 +
                               (kind == CacheKind::Instr ? 0 : 1)];
-    if (chunk == 0) {
-        words.resize(words.size() + (size_t(1) << chunkShift), 0);
-        chunk = uint32_t(words.size() >> chunkShift);
-    }
+    if (chunk == 0)
+        chunk = ++usedChunks;
     return words[(size_t(chunk - 1) << chunkShift) |
                  (idx & ((uint64_t(1) << chunkShift) - 1))];
 }

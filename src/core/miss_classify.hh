@@ -146,24 +146,25 @@ class MissClassifier : public sim::MonitorObserver
     /** log2 of the lines in a chunk: 256, one 4 KB page of 16 B lines. */
     static constexpr uint32_t chunkShift = 8;
     /**
-     * Tracking words live in zero-filled chunks allocated on first
-     * touch, back to back in words, so memory follows the lines a run
-     * touches rather than CPUs x physical memory. chunkAt[chunk][cpu]
-     * [kind] is 1 + the chunk's number in words, or 0 if untouched.
-     * It is an anonymous mapping of its own, not heap memory: its
-     * pages are zero until a run first touches them, so construction
-     * writes nothing and resident memory follows the chunks touched,
-     * whatever a previous job in the process left in the heap.
+     * Tracking words live in chunks handed out on first touch, back
+     * to back in words, so memory follows the lines a run touches
+     * rather than CPUs x physical memory. chunkAt[chunk][cpu][kind] is
+     * 1 + the chunk's number in words, or 0 if untouched. Both are
+     * anonymous mappings, not heap memory: their pages are zero until
+     * a run first touches them, so construction writes nothing,
+     * resident memory follows the chunks touched, and words, sized
+     * for every chunk at once, never grows or moves.
      */
     struct Unmap
     {
         size_t bytes;
         void operator()(uint32_t *p) const;
     };
-    using ChunkTable = std::unique_ptr<uint32_t[], Unmap>;
-    static ChunkTable mapChunkTable(uint64_t lines, uint32_t cpus);
-    ChunkTable chunkAt;
-    std::vector<uint32_t> words;
+    using ZeroMap = std::unique_ptr<uint32_t[], Unmap>;
+    static ZeroMap mapZeroed(size_t bytes);
+    ZeroMap chunkAt;
+    ZeroMap words;
+    uint32_t usedChunks = 0;
     /** Application-invocation epoch per CPU. */
     std::vector<uint32_t> appEpoch;
 

@@ -6,7 +6,7 @@
  * deterministic for a given configuration, so unrelated experiments
  * can run on host threads without any possibility of changing
  * simulated events. The runner exploits that: jobs are submitted by
- * name, execute on a util::ThreadPool (sized by MPOS_JOBS), and
+ * name, execute on a util::ThreadPool of the caller's size, and
  * results are retrieved in submission order -- so everything built on
  * top produces byte-identical output no matter how many host threads
  * were used.
@@ -80,7 +80,7 @@ struct ExperimentResult
 /** Scheduling and resilience policy for a runner. */
 struct RunnerOptions
 {
-    unsigned jobs = 0;        ///< Worker threads; 0 = MPOS_JOBS.
+    unsigned jobs = 0;        ///< Worker threads; 0 = all cores.
     double jobTimeoutSec = 0; ///< Per-job wall budget; 0 = none.
     /** Warm-start cache shared by every job; null disables. */
     WarmStartCache *warmCache = nullptr;
@@ -100,7 +100,7 @@ class ExperimentRunner
   public:
     static constexpr size_t npos = size_t(-1);
 
-    /** @param jobs Worker threads; 0 means MPOS_JOBS/default. */
+    /** @param jobs Worker threads; 0 means all cores. */
     explicit ExperimentRunner(unsigned jobs = 0);
 
     explicit ExperimentRunner(const RunnerOptions &opt);

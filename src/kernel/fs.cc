@@ -1,5 +1,7 @@
 #include "kernel/fs.hh"
 
+#include "util/binio.hh"
+
 namespace mpos::kernel
 {
 
@@ -45,5 +47,27 @@ BufferCache::chainLength(int64_t blkno) const
             ++n;
     return n > 4 ? 4 : (n == 0 ? 1 : n);
 }
+
+template <class Ar>
+void
+BufferCache::state(Ar &ar)
+{
+    ar.fixed(uint32_t(bufs.size()), "buffer cache size");
+    for (Buf &b : bufs) {
+        ar.i64(b.blkno);
+        ar.b(b.dirty);
+        ar.u64(b.lastUse);
+    }
+    ar.u64(useClock);
+    if constexpr (Ar::loading) {
+        map.clear();
+        for (uint32_t i = 0; i < bufs.size(); ++i)
+            if (bufs[i].blkno >= 0)
+                map[bufs[i].blkno] = i;
+    }
+}
+
+template void BufferCache::state(util::SaveArchive &);
+template void BufferCache::state(util::LoadArchive &);
 
 } // namespace mpos::kernel

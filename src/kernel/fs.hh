@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "sim/types.hh"
-#include "util/binio.hh"
 
 namespace mpos::kernel
 {
@@ -65,42 +64,12 @@ class BufferCache
     uint32_t size() const { return uint32_t(bufs.size()); }
     const Buf &buf(uint32_t i) const { return bufs[i]; }
 
-    /// @name Snapshot save/restore
+    /// @name Snapshot state
     /// The hash index is derived state: restore rebuilds it from the
     /// buffer array, so lookups behave identically however the map
     /// ended up bucketed before the save.
     /// @{
-    void
-    saveState(util::ByteWriter &w) const
-    {
-        w.u32(uint32_t(bufs.size()));
-        for (const Buf &b : bufs) {
-            w.i64(b.blkno);
-            w.b(b.dirty);
-            w.u64(b.lastUse);
-        }
-        w.u64(useClock);
-    }
-
-    void
-    restoreState(util::ByteReader &r)
-    {
-        const uint32_t n = r.u32();
-        if (n != bufs.size())
-            util::raise(util::ErrCode::SnapshotCorrupt,
-                        "buffer cache size mismatch (%u vs %zu)", n,
-                        bufs.size());
-        map.clear();
-        for (uint32_t i = 0; i < n; ++i) {
-            Buf &b = bufs[i];
-            b.blkno = r.i64();
-            b.dirty = r.b();
-            b.lastUse = r.u64();
-            if (b.blkno >= 0)
-                map[b.blkno] = i;
-        }
-        useClock = r.u64();
-    }
+    template <class Ar> void state(Ar &ar);
     /// @}
 
   private:

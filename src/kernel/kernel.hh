@@ -212,6 +212,9 @@ class Kernel : public sim::Executor
   private:
     using Script = std::vector<ScriptItem>;
 
+    /** The one field walk behind saveState and restoreState. */
+    template <class Ar> void state(Ar &ar, const BehaviorCodec &codec);
+
     /**
      * Claims pathBuf, cleared, for building one script and pushing it
      * to a CPU; releases it on scope exit. Builders never nest: a

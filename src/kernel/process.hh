@@ -21,6 +21,7 @@
 
 #include "sim/cpu.hh"
 #include "sim/types.hh"
+#include "util/binio.hh"
 
 namespace mpos::util
 {

@@ -18,7 +18,6 @@
 
 #include "sim/tlb.hh"
 #include "sim/types.hh"
-#include "util/binio.hh"
 
 namespace mpos::sim
 {
@@ -103,42 +102,13 @@ class ScriptQueue
 
     void clear() { head = tail = 0; }
 
-    /// @name Snapshot save/restore
+    /// @name Snapshot state
     /// Only the logical contents travel: items are written front to
     /// back and re-appended into a cleared queue, so the ring's
     /// physical layout (capacity, head offset) never leaks into a
     /// snapshot image.
     /// @{
-    void
-    saveState(util::ByteWriter &w) const
-    {
-        const uint64_t n = size();
-        w.u64(n);
-        for (uint64_t i = 0; i < n; ++i) {
-            const ScriptItem &it = at(i);
-            w.u8(uint8_t(it.kind));
-            w.u8(uint8_t(it.space));
-            w.u8(uint8_t(it.marker));
-            w.u64(it.addr);
-            w.u64(it.arg2);
-        }
-    }
-
-    void
-    restoreState(util::ByteReader &r)
-    {
-        clear();
-        const uint64_t n = r.u64();
-        for (uint64_t i = 0; i < n; ++i) {
-            ScriptItem it;
-            it.kind = ItemKind(r.u8());
-            it.space = AddrSpace(r.u8());
-            it.marker = MarkerOp(r.u8());
-            it.addr = r.u64();
-            it.arg2 = r.u64();
-            push_back(it);
-        }
-    }
+    template <class Ar> void state(Ar &ar);
     /// @}
 
   private:

@@ -194,22 +194,59 @@ userLockRelease(LockPolicy policy, LockState &l, uint32_t lock_id,
     return {LockEvent::FutexWake, int(grantHead(l))};
 }
 
+template <class Ar>
+void
+lockTableState(Ar &ar, std::vector<LockState> &locks,
+               uint32_t kernel_locks, uint32_t num_cpus,
+               uint32_t num_pids)
+{
+    ar.fixed(uint32_t(locks.size()), "lock table size");
+    for (uint32_t id = 0; id < locks.size(); ++id) {
+        LockState &l = locks[id];
+        const uint32_t bound = id < kernel_locks ? num_cpus : num_pids;
+        // Holder and grantee travel as i64 and are range-checked
+        // before they narrow.
+        auto owner = [&](int32_t &field, const char *what) {
+            int64_t v = field;
+            ar.i64(v);
+            if constexpr (Ar::loading)
+                field = int32_t(checkedId(v, -1, bound, id, what));
+        };
+        owner(l.heldByCpu, "holder");
+        ar.u64(l.spinMask);
+        if constexpr (Ar::loading)
+            checkedId(std::bit_width(l.spinMask), 0, num_cpus + 1, id,
+                      "spin mask width");
+        ar.u32(l.napWaiters);
+        ar.u32(l.nextTicket);
+        ar.u32(l.nowServing);
+        owner(l.grantedTo, "grantee");
+        uint32_t queued = uint32_t(l.waitQueue.size());
+        ar.u32(queued);
+        // A CPU or pid waits in a queue at most once.
+        if constexpr (Ar::loading)
+            l.waitQueue.resize(
+                checkedId(queued, 0, bound + 1, id, "queue length"));
+        for (uint32_t &q : l.waitQueue) {
+            ar.u32(q);
+            if constexpr (Ar::loading)
+                checkedId(q, 0, bound, id, "waiter");
+        }
+        ar.u32(l.rcuReaders);
+    }
+}
+
+template void lockTableState(util::SaveArchive &, std::vector<LockState> &,
+                             uint32_t, uint32_t, uint32_t);
+template void lockTableState(util::LoadArchive &, std::vector<LockState> &,
+                             uint32_t, uint32_t, uint32_t);
+
 void
 saveLockTable(util::ByteWriter &w, const std::vector<LockState> &locks)
 {
-    w.u32(uint32_t(locks.size()));
-    for (const LockState &l : locks) {
-        w.i64(l.heldByCpu);
-        w.u64(l.spinMask);
-        w.u32(l.napWaiters);
-        w.u32(l.nextTicket);
-        w.u32(l.nowServing);
-        w.i64(l.grantedTo);
-        w.u32(uint32_t(l.waitQueue.size()));
-        for (uint32_t q : l.waitQueue)
-            w.u32(q);
-        w.u32(l.rcuReaders);
-    }
+    util::SaveArchive ar(w);
+    lockTableState(ar, const_cast<std::vector<LockState> &>(locks), 0, 0,
+                   0);
 }
 
 void
@@ -217,31 +254,8 @@ restoreLockTable(util::ByteReader &r, std::vector<LockState> &locks,
                  uint32_t kernel_locks, uint32_t num_cpus,
                  uint32_t num_pids)
 {
-    const uint32_t n = r.u32();
-    if (n != locks.size())
-        util::raise(util::ErrCode::SnapshotCorrupt,
-                    "lock table: snapshot has %u locks, machine has %zu",
-                    n, locks.size());
-    for (uint32_t id = 0; id < locks.size(); ++id) {
-        LockState &l = locks[id];
-        const uint32_t bound = id < kernel_locks ? num_cpus : num_pids;
-        l.heldByCpu = int32_t(checkedId(r.i64(), -1, bound, id,
-                                        "holder"));
-        l.spinMask = r.u64();
-        checkedId(std::bit_width(l.spinMask), 0, num_cpus + 1, id,
-                  "spin mask width");
-        l.napWaiters = r.u32();
-        l.nextTicket = r.u32();
-        l.nowServing = r.u32();
-        l.grantedTo = int32_t(checkedId(r.i64(), -1, bound, id,
-                                        "grantee"));
-        // A CPU or pid waits in a queue at most once.
-        l.waitQueue.resize(checkedId(r.u32(), 0, bound + 1, id,
-                                     "queue length"));
-        for (uint32_t &q : l.waitQueue)
-            q = uint32_t(checkedId(r.u32(), 0, bound, id, "waiter"));
-        l.rcuReaders = r.u32();
-    }
+    util::LoadArchive ar(r);
+    lockTableState(ar, locks, kernel_locks, num_cpus, num_pids);
 }
 
 } // namespace mpos::sim

@@ -117,8 +117,12 @@ LockReleaseStep userLockRelease(LockPolicy policy, LockState &l,
 /// spinners must be CPUs below num_cpus; user locks' must be pids
 /// below num_pids (their spinners CPUs). Anything else raises
 /// util::SimError(SnapshotCorrupt): a queue entry later becomes a
-/// transport peer, i.e. a shift amount.
+/// transport peer, i.e. a shift amount. Saving ignores the bounds.
 /// @{
+template <class Ar>
+void lockTableState(Ar &ar, std::vector<LockState> &locks,
+                    uint32_t kernel_locks, uint32_t num_cpus,
+                    uint32_t num_pids);
 void saveLockTable(util::ByteWriter &w,
                    const std::vector<LockState> &locks);
 void restoreLockTable(util::ByteReader &r, std::vector<LockState> &locks,

@@ -502,66 +502,76 @@ Machine::run(Cycle cycles)
         runFast(target);
 }
 
+template <class Ar>
+void
+ScriptQueue::state(Ar &ar)
+{
+    uint64_t n = size();
+    ar.count(n, 19);
+    if constexpr (Ar::loading)
+        clear();
+    for (uint64_t i = 0; i < n; ++i) {
+        ScriptItem it = Ar::loading ? ScriptItem{} : at(i);
+        ar.u8(it.kind);
+        ar.u8(it.space);
+        ar.u8(it.marker);
+        ar.u64(it.addr);
+        ar.u64(it.arg2);
+        if constexpr (Ar::loading)
+            push_back(it);
+    }
+}
+
+template void ScriptQueue::state(util::SaveArchive &);
+template void ScriptQueue::state(util::LoadArchive &);
+
+template <class Ar>
+void
+Machine::state(Ar &ar)
+{
+    ar.u64(currentCycle);
+    ar.fixed(uint32_t(cpus.size()), "machine cpu count");
+    for (Cpu &c : cpus) {
+        c.ctx.state(ar);
+        ar.u64(c.busyUntil);
+        ar.u64(c.nextPollAt);
+        ar.u32(c.intrDisable);
+        for (unsigned m = 0; m < 3; ++m) {
+            ar.u64(c.account.total[m]);
+            ar.u64(c.account.stall[m]);
+        }
+        c.tlb.state(ar);
+        c.script.state(ar);
+    }
+    mem.state(ar);
+    syncTransport.state(ar);
+    uint64_t tx = mon.transactions();
+    uint64_t txos = mon.osTransactions();
+    ar.u64(tx);
+    ar.u64(txos);
+    if constexpr (Ar::loading) {
+        mon.restoreCounters(tx, txos);
+        // Anything the checker inferred from events preceding the
+        // restore (notably the kernel-boot idle enters emitted before
+        // observers could see them) describes a history this machine
+        // never lived.
+        if (chk)
+            chk->onRestore();
+    }
+}
+
 void
 Machine::saveState(util::ByteWriter &w) const
 {
-    w.u64(currentCycle);
-    w.u32(uint32_t(cpus.size()));
-    for (const Cpu &c : cpus) {
-        w.u8(uint8_t(c.ctx.mode));
-        w.u8(uint8_t(c.ctx.op));
-        w.u16(c.ctx.routine);
-        w.i64(c.ctx.pid);
-        w.u64(c.busyUntil);
-        w.u64(c.nextPollAt);
-        w.u32(c.intrDisable);
-        for (unsigned m = 0; m < 3; ++m) {
-            w.u64(c.account.total[m]);
-            w.u64(c.account.stall[m]);
-        }
-        c.tlb.saveState(w);
-        c.script.saveState(w);
-    }
-    mem.saveState(w);
-    syncTransport.saveState(w);
-    w.u64(mon.transactions());
-    w.u64(mon.osTransactions());
+    util::SaveArchive ar(w);
+    const_cast<Machine *>(this)->state(ar);
 }
 
 void
 Machine::restoreState(util::ByteReader &r)
 {
-    currentCycle = r.u64();
-    const uint32_t n = r.u32();
-    if (n != cpus.size())
-        util::raise(util::ErrCode::SnapshotCorrupt,
-                    "machine: snapshot has %u cpus, machine has %zu",
-                    n, cpus.size());
-    for (Cpu &c : cpus) {
-        c.ctx.mode = ExecMode(r.u8());
-        c.ctx.op = OsOp(r.u8());
-        c.ctx.routine = r.u16();
-        c.ctx.pid = Pid(r.i64());
-        c.busyUntil = r.u64();
-        c.nextPollAt = r.u64();
-        c.intrDisable = r.u32();
-        for (unsigned m = 0; m < 3; ++m) {
-            c.account.total[m] = r.u64();
-            c.account.stall[m] = r.u64();
-        }
-        c.tlb.restoreState(r);
-        c.script.restoreState(r);
-    }
-    mem.restoreState(r);
-    syncTransport.restoreState(r);
-    const uint64_t tx = r.u64();
-    const uint64_t txos = r.u64();
-    mon.restoreCounters(tx, txos);
-    // Anything the checker inferred from events preceding the restore
-    // (notably the kernel-boot idle enters emitted before observers
-    // could see them) describes a history this machine never lived.
-    if (chk)
-        chk->onRestore();
+    util::LoadArchive ar(r);
+    state(ar);
 }
 
 } // namespace mpos::sim

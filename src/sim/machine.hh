@@ -159,6 +159,9 @@ class Machine
     /// @}
 
   private:
+    /** The one field walk behind saveState and restoreState. */
+    template <class Ar> void state(Ar &ar);
+
     /**
      * Execute one script item on a CPU at time now. Returns true if
      * the item consumed time (markers do not).

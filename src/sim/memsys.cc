@@ -315,33 +315,20 @@ MemorySystem::flushICachesForPage(Addr ppage)
     }
 }
 
+template <class Ar>
 void
-MemorySystem::saveState(util::ByteWriter &w) const
+MemorySystem::state(Ar &ar)
 {
-    w.u32(uint32_t(hier.size()));
-    for (const CpuCaches &h : hier) {
-        h.icache.saveState(w);
-        h.l1d.saveState(w);
-        h.l2d.saveState(w);
-    }
-    w.u64(busBusyUntil);
-    w.u64(txTotal);
-}
-
-void
-MemorySystem::restoreState(util::ByteReader &r)
-{
-    const uint32_t ncpus = r.u32();
-    if (ncpus != hier.size())
-        util::raise(util::ErrCode::SnapshotCorrupt,
-                    "memsys: snapshot has %u cpus, machine has %zu",
-                    ncpus, hier.size());
-    for (std::unique_ptr<SharerChunk> &c : sharers)
-        c.reset();
+    ar.fixed(uint32_t(hier.size()), "memsys cpu count");
+    if constexpr (Ar::loading)
+        for (std::unique_ptr<SharerChunk> &c : sharers)
+            c.reset();
     for (CpuCaches &h : hier) {
-        h.icache.restoreState(r);
-        h.l1d.restoreState(r);
-        h.l2d.restoreState(r);
+        ar.split(h.icache);
+        ar.split(h.l1d);
+        ar.split(h.l2d);
+        if constexpr (!Ar::loading)
+            continue;
         h.l2d.forEachResident([&](Addr line, Coh s) {
             // A snapshot may only contain lines in memory and states
             // its protocol can produce (MSI never E; MI never S or E).
@@ -359,8 +346,11 @@ MemorySystem::restoreState(util::ByteReader &r)
             sharerWord(line >> lineShift) |= uint64_t(1) << h.cpu;
         });
     }
-    busBusyUntil = r.u64();
-    txTotal = r.u64();
+    ar.u64(busBusyUntil);
+    ar.u64(txTotal);
 }
+
+template void MemorySystem::state(util::SaveArchive &);
+template void MemorySystem::state(util::LoadArchive &);
 
 } // namespace mpos::sim

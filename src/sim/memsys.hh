@@ -27,7 +27,6 @@
 #include "sim/cache.hh"
 #include "sim/monitor.hh"
 #include "sim/types.hh"
-#include "util/binio.hh"
 
 namespace mpos::sim
 {
@@ -184,14 +183,13 @@ class MemorySystem
     uint64_t parked() const { return parkedCpus; }
     /// @}
 
-    /// @name Snapshot save/restore
+    /// @name Snapshot state
     /// Every cache's packed tag/state words, the bus occupancy horizon
     /// and the transaction counter; all geometry is reconstructed from
     /// config and validated, and the snoop filter is rebuilt from the
     /// L2 ways.
     /// @{
-    void saveState(util::ByteWriter &w) const;
-    void restoreState(util::ByteReader &r);
+    template <class Ar> void state(Ar &ar);
     /// @}
 
   private:

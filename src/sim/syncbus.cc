@@ -4,6 +4,7 @@
 
 #include "sim/check/checker.hh"
 #include "sim/fault/watchdog.hh"
+#include "util/binio.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -211,36 +212,14 @@ SyncTransport::cachedStallTotal() const
     return cachedOpsTotal * cfg.busMissStall;
 }
 
+template <class Ar>
 void
-SyncTransport::saveState(util::ByteWriter &w) const
+SyncTransport::state(Ar &ar)
 {
-    w.u32(uint32_t(perLock.size()));
-    for (const SyncOpCounts &c : perLock) {
-        w.u64(c.uncachedOps);
-        w.u64(c.cachedOps);
-    }
-    for (uint64_t m : cachedAt)
-        w.u64(m);
-    for (uint64_t m : qnodeAt)
-        w.u64(m);
-    w.u32(uint32_t(stall.size()));
-    for (Cycle s : stall)
-        w.u64(s);
-    w.u64(uncachedOpsTotal);
-    w.u64(cachedOpsTotal);
-}
-
-void
-SyncTransport::restoreState(util::ByteReader &r)
-{
-    const uint32_t nl = r.u32();
-    if (nl != perLock.size())
-        util::raise(util::ErrCode::SnapshotCorrupt,
-                    "syncbus: snapshot has %u locks, machine has %zu",
-                    nl, perLock.size());
+    ar.fixed(uint32_t(perLock.size()), "syncbus lock count");
     for (SyncOpCounts &c : perLock) {
-        c.uncachedOps = r.u64();
-        c.cachedOps = r.u64();
+        ar.u64(c.uncachedOps);
+        ar.u64(c.cachedOps);
     }
     // Only bits [0, numCpus) may be set in a sharer mask; phantom
     // sharers from a corrupt image would otherwise surface much later
@@ -251,25 +230,24 @@ SyncTransport::restoreState(util::ByteReader &r)
     for (auto [masks, name] : {std::pair{&cachedAt, "cachedAt"},
                                std::pair{&qnodeAt, "qnodeAt"}}) {
         for (size_t i = 0; i < masks->size(); ++i) {
-            const uint64_t m = r.u64();
-            if (m & ~legal)
+            uint64_t &m = (*masks)[i];
+            ar.u64(m);
+            if (Ar::loading && (m & ~legal))
                 util::raise(util::ErrCode::SnapshotCorrupt,
                             "syncbus: lock %zu %s mask %llx has "
                             "sharers beyond cpu %u",
                             i, name, static_cast<unsigned long long>(m),
                             cfg.numCpus - 1);
-            (*masks)[i] = m;
         }
     }
-    const uint32_t nc = r.u32();
-    if (nc != stall.size())
-        util::raise(util::ErrCode::SnapshotCorrupt,
-                    "syncbus: snapshot has %u cpus, machine has %zu",
-                    nc, stall.size());
+    ar.fixed(uint32_t(stall.size()), "syncbus cpu count");
     for (Cycle &s : stall)
-        s = r.u64();
-    uncachedOpsTotal = r.u64();
-    cachedOpsTotal = r.u64();
+        ar.u64(s);
+    ar.u64(uncachedOpsTotal);
+    ar.u64(cachedOpsTotal);
 }
+
+template void SyncTransport::state(util::SaveArchive &);
+template void SyncTransport::state(util::LoadArchive &);
 
 } // namespace mpos::sim

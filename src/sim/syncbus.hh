@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "sim/types.hh"
-#include "util/binio.hh"
 
 namespace mpos::sim
 {
@@ -157,14 +156,13 @@ class SyncTransport
         return qnodeAt[lock_id];
     }
 
-    /// @name Snapshot save/restore
+    /// @name Snapshot state
     /// Restore validates every sharer mask against numCpus: a corrupt
     /// image with phantom sharers (bits >= numCpus) raises
     /// SnapshotCorrupt here instead of tripping the coherence checker
     /// later with a misleading diagnostic.
     /// @{
-    void saveState(util::ByteWriter &w) const;
-    void restoreState(util::ByteReader &r);
+    template <class Ar> void state(Ar &ar);
     /// @}
 
   private:

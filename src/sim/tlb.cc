@@ -1,5 +1,7 @@
 #include "sim/tlb.hh"
 
+#include "util/binio.hh"
+
 namespace mpos::sim
 {
 
@@ -81,5 +83,26 @@ Tlb::residentEntries() const
         n += e.valid;
     return n;
 }
+
+template <class Ar>
+void
+Tlb::state(Ar &ar)
+{
+    ar.fixed(uint32_t(entries.size()), "tlb entry count");
+    for (TlbEntry &e : entries) {
+        ar.i64(e.pid);
+        ar.u64(e.vpage);
+        ar.u64(e.ppage);
+        ar.b(e.writable);
+        ar.b(e.valid);
+    }
+    ar.u32(fifoNext);
+    ar.u64(hits);
+    ar.u64(misses);
+    ar.raw(hint, sizeof(hint));
+}
+
+template void Tlb::state(util::SaveArchive &);
+template void Tlb::state(util::LoadArchive &);
 
 } // namespace mpos::sim

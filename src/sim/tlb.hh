@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "sim/types.hh"
-#include "util/binio.hh"
 
 namespace mpos::sim
 {
@@ -95,49 +94,13 @@ class Tlb
         return e;
     }
 
-    /// @name Snapshot save/restore
+    /// @name Snapshot state
     /// Entries, FIFO cursor, hit/miss counters, and the hint table.
     /// The hints are guesses that cannot change results, but restoring
     /// them keeps the restored machine byte-for-byte in step with the
     /// original on internal probes too.
     /// @{
-    void
-    saveState(util::ByteWriter &w) const
-    {
-        w.u32(uint32_t(entries.size()));
-        for (const TlbEntry &e : entries) {
-            w.i64(e.pid);
-            w.u64(e.vpage);
-            w.u64(e.ppage);
-            w.b(e.writable);
-            w.b(e.valid);
-        }
-        w.u32(fifoNext);
-        w.u64(hits);
-        w.u64(misses);
-        w.raw(hint, sizeof(hint));
-    }
-
-    void
-    restoreState(util::ByteReader &r)
-    {
-        const uint32_t n = r.u32();
-        if (n != entries.size())
-            util::raise(util::ErrCode::SnapshotCorrupt,
-                        "tlb: snapshot has %u entries, machine has %zu",
-                        n, entries.size());
-        for (TlbEntry &e : entries) {
-            e.pid = Pid(r.i64());
-            e.vpage = r.u64();
-            e.ppage = r.u64();
-            e.writable = r.b();
-            e.valid = r.b();
-        }
-        fifoNext = r.u32();
-        hits = r.u64();
-        misses = r.u64();
-        r.raw(hint, sizeof(hint));
-    }
+    template <class Ar> void state(Ar &ar);
     /// @}
 
   private:

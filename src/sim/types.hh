@@ -371,6 +371,16 @@ struct MonitorContext
     Pid pid = invalidPid;
 
     bool isOs() const { return mode != ExecMode::User; }
+
+    template <class Ar>
+    void
+    state(Ar &ar)
+    {
+        ar.u8(mode);
+        ar.u8(op);
+        ar.u16(routine);
+        ar.i64(pid);
+    }
 };
 
 } // namespace mpos::sim

@@ -10,11 +10,17 @@
  * raises util::SimError(SnapshotCorrupt) instead of reading past the
  * buffer. Doubles travel as their IEEE-754 bit patterns so workload
  * probability knobs round-trip bit-exactly.
+ *
+ * SaveArchive and LoadArchive put one interface over the two, so each
+ * snapshot-able class lists its fields once, in a
+ * `template <class Ar> void state(Ar &ar)` walk that serves both
+ * directions.
  */
 
 #ifndef MPOS_UTIL_BINIO_HH
 #define MPOS_UTIL_BINIO_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -80,19 +86,6 @@ class ByteWriter
     size_t size() const { return buf.size(); }
     const std::vector<uint8_t> &bytes() const { return buf; }
     std::vector<uint8_t> take() { return std::move(buf); }
-
-    /** Overwrite a previously written u32 (for back-patched lengths). */
-    void
-    patchU32(size_t at, uint32_t v)
-    {
-        if (at + 4 > buf.size())
-            raise(ErrCode::SnapshotCorrupt,
-                  "binio: patch at %zu past end %zu", at, buf.size());
-        buf[at] = uint8_t(v);
-        buf[at + 1] = uint8_t(v >> 8);
-        buf[at + 2] = uint8_t(v >> 16);
-        buf[at + 3] = uint8_t(v >> 24);
-    }
 
   private:
     std::vector<uint8_t> buf;
@@ -173,14 +166,6 @@ class ByteReader
         p += n;
     }
 
-    /** Skip n bytes (bounds-checked). */
-    void
-    skip(size_t n)
-    {
-        need(n);
-        p += n;
-    }
-
     /**
      * Read a u32 element count whose elements occupy at least
      * min_bytes_per_elem each. A count that promises more elements
@@ -210,16 +195,6 @@ class ByteReader
     size_t offset() const { return size_t(p - begin_); }
     bool atEnd() const { return p == end_; }
 
-    /** Sub-reader over the next n bytes, consuming them. */
-    ByteReader
-    sub(size_t n)
-    {
-        need(n);
-        ByteReader r(p, n);
-        p += n;
-        return r;
-    }
-
   private:
     void
     checkCount(uint64_t n, size_t min_bytes_per_elem)
@@ -245,6 +220,149 @@ class ByteReader
     const uint8_t *p;
     const uint8_t *end_;
     const uint8_t *begin_;
+};
+
+/**
+ * The save side of a state walk. Each call names the field's wire
+ * type (ar.u32(x) travels as 32 bits whatever x's type is), so a walk
+ * reads back exactly the bytes it wrote. The walk runs on a mutable
+ * object in both directions; a const save entry point casts constness
+ * away, and nothing here writes through it.
+ */
+class SaveArchive
+{
+  public:
+    static constexpr bool loading = false;
+
+    explicit SaveArchive(ByteWriter &writer) : w(writer) {}
+
+    template <class T> void u8(const T &v) { w.u8(uint8_t(v)); }
+    template <class T> void u16(const T &v) { w.u16(uint16_t(v)); }
+    template <class T> void u32(const T &v) { w.u32(uint32_t(v)); }
+    template <class T> void u64(const T &v) { w.u64(uint64_t(v)); }
+    template <class T> void i64(const T &v) { w.i64(int64_t(v)); }
+    void b(bool v) { w.b(v); }
+    void f64(double v) { w.f64(v); }
+    void str(const std::string &s) { w.str(s); }
+    void raw(const void *p, size_t n) { w.raw(p, n); }
+
+    /** A size the restoring object already has (a u32 or u64). */
+    template <class N> void fixed(N n, const char *) { word(n); }
+
+    /** An element count (a u32 or u64); the loader guards it. */
+    template <class N> void count(N &n, size_t) { word(n); }
+
+    /** A counted sequence: count N, then elem(e) for each element. */
+    template <class N, class C, class F>
+    void
+    seq(C &c, size_t min_elem_bytes, F &&elem)
+    {
+        N n = N(c.size());
+        count(n, min_elem_bytes);
+        for (auto &e : c)
+            elem(e);
+    }
+
+    /**
+     * A u64-counted map with u64 keys, written in key order so equal
+     * contents give equal bytes whatever the hash layout: each key,
+     * then val(value).
+     */
+    template <class M, class F>
+    void
+    map(M &m, size_t min_entry_bytes, F &&val)
+    {
+        std::vector<typename M::key_type> keys;
+        keys.reserve(m.size());
+        for (const auto &kv : m)
+            keys.push_back(kv.first);
+        std::sort(keys.begin(), keys.end());
+        uint64_t n = keys.size();
+        count(n, min_entry_bytes);
+        for (const auto &key : keys) {
+            u64(key);
+            val(m.at(key));
+        }
+    }
+
+    /** An object with a separate saveState/restoreState pair. */
+    template <class T> void split(T &obj) { obj.saveState(w); }
+
+    ByteWriter &w;
+
+  private:
+    void word(uint32_t n) { w.u32(n); }
+    void word(uint64_t n) { w.u64(n); }
+};
+
+/** The load side of a state walk: the same calls, read back. */
+class LoadArchive
+{
+  public:
+    static constexpr bool loading = true;
+
+    explicit LoadArchive(ByteReader &reader) : r(reader) {}
+
+    template <class T> void u8(T &v) { v = T(r.u8()); }
+    template <class T> void u16(T &v) { v = T(r.u16()); }
+    template <class T> void u32(T &v) { v = T(r.u32()); }
+    template <class T> void u64(T &v) { v = T(r.u64()); }
+    template <class T> void i64(T &v) { v = T(r.i64()); }
+    void b(bool &v) { v = r.b(); }
+    void f64(double &v) { v = r.f64(); }
+    void str(std::string &s) { s = r.str(); }
+    void raw(void *p, size_t n) { r.raw(p, n); }
+
+    /** Raises SnapshotCorrupt unless the image's size is n. */
+    template <class N>
+    void
+    fixed(N n, const char *what)
+    {
+        const N got = sizeof(N) == 4 ? N(r.u32()) : N(r.u64());
+        if (got != n)
+            raise(ErrCode::SnapshotCorrupt,
+                  "snapshot: %s mismatch (snapshot %llu, machine %llu)",
+                  what, (unsigned long long)got, (unsigned long long)n);
+    }
+
+    /** A count whose elements take at least min_elem_bytes each. */
+    template <class N>
+    void
+    count(N &n, size_t min_elem_bytes)
+    {
+        if constexpr (sizeof(N) == 4)
+            n = r.countU32(min_elem_bytes);
+        else
+            n = r.countU64(min_elem_bytes);
+    }
+
+    template <class N, class C, class F>
+    void
+    seq(C &c, size_t min_elem_bytes, F &&elem)
+    {
+        N n;
+        count(n, min_elem_bytes);
+        c.clear();
+        if constexpr (requires { c.reserve(n); })
+            c.reserve(n);
+        for (N i = 0; i < n; ++i)
+            elem(c.emplace_back());
+    }
+
+    template <class M, class F>
+    void
+    map(M &m, size_t min_entry_bytes, F &&val)
+    {
+        uint64_t n;
+        count(n, min_entry_bytes);
+        m.clear();
+        for (uint64_t i = 0; i < n; ++i)
+            val(m[r.u64()]);
+    }
+
+    template <class T> void split(T &obj) { obj.restoreState(r); }
+
+    ByteReader &r;
 };
 
 } // namespace mpos::util

@@ -11,7 +11,6 @@
 #ifndef MPOS_UTIL_RNG_HH
 #define MPOS_UTIL_RNG_HH
 
-#include <array>
 #include <cstdint>
 
 namespace mpos::util
@@ -25,7 +24,7 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL)
     {
         uint64_t x = seed;
-        for (auto &word : state) {
+        for (auto &word : s) {
             x += 0x9e3779b97f4a7c15ULL;
             uint64_t z = x;
             z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -38,14 +37,14 @@ class Rng
     uint64_t
     next()
     {
-        const uint64_t result = rotl(state[1] * 5, 7) * 9;
-        const uint64_t t = state[1] << 17;
-        state[2] ^= state[0];
-        state[3] ^= state[1];
-        state[1] ^= state[2];
-        state[0] ^= state[3];
-        state[2] ^= t;
-        state[3] = rotl(state[3], 45);
+        const uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
         return result;
     }
 
@@ -118,23 +117,16 @@ class Rng
         return n;
     }
 
-    /// @name Explicit state save/restore
+    /// @name Snapshot state
     /// The snapshot layer checkpoints every stream mid-run; a restored
     /// generator continues the exact draw sequence of the original.
     /// @{
-    std::array<uint64_t, 4>
-    saveState() const
-    {
-        return {state[0], state[1], state[2], state[3]};
-    }
-
+    template <class Ar>
     void
-    restoreState(const std::array<uint64_t, 4> &s)
+    state(Ar &ar)
     {
-        state[0] = s[0];
-        state[1] = s[1];
-        state[2] = s[2];
-        state[3] = s[3];
+        for (uint64_t &word : s)
+            ar.u64(word);
     }
     /// @}
 
@@ -145,7 +137,7 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    uint64_t state[4];
+    uint64_t s[4];
 };
 
 } // namespace mpos::util

@@ -1,25 +1,14 @@
 #include "util/threadpool.hh"
 
-#include <cstdlib>
+#include <algorithm>
 
 namespace mpos::util
 {
 
-unsigned
-ThreadPool::defaultThreads()
-{
-    if (const char *v = std::getenv("MPOS_JOBS")) {
-        const long n = std::strtol(v, nullptr, 10);
-        return n >= 1 ? unsigned(n) : 1u;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1u;
-}
-
 ThreadPool::ThreadPool(unsigned nthreads)
 {
     if (nthreads == 0)
-        nthreads = defaultThreads();
+        nthreads = std::max(1u, std::thread::hardware_concurrency());
     workers.reserve(nthreads);
     for (unsigned i = 0; i < nthreads; ++i)
         workers.emplace_back([this] { workerLoop(); });

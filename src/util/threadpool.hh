@@ -5,8 +5,7 @@
  * This is host-side orchestration machinery, not part of the simulated
  * machine: the pool lets several independent simulations run
  * concurrently, each remaining deterministic and single-threaded.
- * Sizing follows the MPOS_JOBS environment knob (default: all
- * hardware threads).
+ * The caller sizes it; 0 means all hardware threads.
  */
 
 #ifndef MPOS_UTIL_THREADPOOL_HH
@@ -33,7 +32,7 @@ namespace mpos::util
 class ThreadPool
 {
   public:
-    /** @param nthreads Worker count; 0 means defaultThreads(). */
+    /** @param nthreads Worker count; 0 means all hardware threads. */
     explicit ThreadPool(unsigned nthreads = 0);
 
     /** Finishes all queued work, then joins the workers. */
@@ -64,9 +63,6 @@ class ThreadPool
     }
 
     unsigned threads() const { return unsigned(workers.size()); }
-
-    /** MPOS_JOBS if set (clamped to >= 1), else all hardware threads. */
-    static unsigned defaultThreads();
 
   private:
     void workerLoop();

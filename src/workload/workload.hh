@@ -150,6 +150,9 @@ class Workload : public kernel::KernelClient
   private:
     Workload(WorkloadKind kind, kernel::Kernel &k);
 
+    /** The one field walk behind saveState and restoreState. */
+    template <class Ar> void state(Ar &ar);
+
     void buildPmake(const WorkloadOptions &opts);
     void buildMp3d(const WorkloadOptions &opts);
     void buildEdits(const WorkloadOptions &opts);

@@ -10,8 +10,6 @@
 namespace mpos::workload
 {
 
-using util::ByteReader;
-using util::ByteWriter;
 using util::ErrCode;
 
 namespace
@@ -27,74 +25,31 @@ enum class Tag : uint8_t
     OracleServer = 4,
 };
 
+template <class Ar>
 void
-saveRng(ByteWriter &w, const util::Rng &rng)
+paramsState(Ar &ar, AppParams &p)
 {
-    for (uint64_t word : rng.saveState())
-        w.u64(word);
-}
-
-void
-loadRng(ByteReader &r, util::Rng &rng)
-{
-    std::array<uint64_t, 4> st;
-    for (uint64_t &word : st)
-        word = r.u64();
-    rng.restoreState(st);
-}
-
-void
-saveParams(ByteWriter &w, const AppParams &p)
-{
-    w.u64(p.codeBytes);
-    w.u64(p.dataBytes);
-    w.f64(p.dataRefProb);
-    w.f64(p.storeFrac);
-    w.f64(p.hotCodeFrac);
-    w.f64(p.hotCodeProb);
-    w.f64(p.jumpProb);
-    w.f64(p.loopStartProb);
-    w.u32(p.maxLoopLines);
-    w.u32(p.maxLoopReps);
-    w.f64(p.hotDataFrac);
-    w.f64(p.hotDataProb);
-    w.u64(p.sharedBytes);
-    w.u64(p.sharedBase);
-    w.f64(p.sharedRefProb);
-    w.f64(p.sharedSweepProb);
-    w.f64(p.sharedStoreFrac);
-    w.f64(p.sharedHotFrac);
-    w.f64(p.sharedHotProb);
-    w.u32(p.chunkInstrs);
-    w.u64(p.seed);
-}
-
-AppParams
-loadParams(ByteReader &r)
-{
-    AppParams p;
-    p.codeBytes = r.u64();
-    p.dataBytes = r.u64();
-    p.dataRefProb = r.f64();
-    p.storeFrac = r.f64();
-    p.hotCodeFrac = r.f64();
-    p.hotCodeProb = r.f64();
-    p.jumpProb = r.f64();
-    p.loopStartProb = r.f64();
-    p.maxLoopLines = r.u32();
-    p.maxLoopReps = r.u32();
-    p.hotDataFrac = r.f64();
-    p.hotDataProb = r.f64();
-    p.sharedBytes = r.u64();
-    p.sharedBase = r.u64();
-    p.sharedRefProb = r.f64();
-    p.sharedSweepProb = r.f64();
-    p.sharedStoreFrac = r.f64();
-    p.sharedHotFrac = r.f64();
-    p.sharedHotProb = r.f64();
-    p.chunkInstrs = r.u32();
-    p.seed = r.u64();
-    return p;
+    ar.u64(p.codeBytes);
+    ar.u64(p.dataBytes);
+    ar.f64(p.dataRefProb);
+    ar.f64(p.storeFrac);
+    ar.f64(p.hotCodeFrac);
+    ar.f64(p.hotCodeProb);
+    ar.f64(p.jumpProb);
+    ar.f64(p.loopStartProb);
+    ar.u32(p.maxLoopLines);
+    ar.u32(p.maxLoopReps);
+    ar.f64(p.hotDataFrac);
+    ar.f64(p.hotDataProb);
+    ar.u64(p.sharedBytes);
+    ar.u64(p.sharedBase);
+    ar.f64(p.sharedRefProb);
+    ar.f64(p.sharedSweepProb);
+    ar.f64(p.sharedStoreFrac);
+    ar.f64(p.sharedHotFrac);
+    ar.f64(p.sharedHotProb);
+    ar.u32(p.chunkInstrs);
+    ar.u64(p.seed);
 }
 
 void
@@ -107,89 +62,126 @@ requireShared(const void *p, const char *what)
                     what);
 }
 
+/** A presence flag the restoring workload must agree with. */
+template <class Ar>
+void
+presence(Ar &ar, bool has, const char *what)
+{
+    bool flag = has;
+    ar.b(flag);
+    if (flag != has)
+        util::raise(ErrCode::SnapshotCorrupt,
+                    "workload snapshot %s presence mismatch", what);
+}
+
 } // namespace
 
+template <class Ar>
 void
-StateCodec::save(ByteWriter &w, const kernel::AppBehavior &b) const
+StateCodec::body(Ar &ar, SyntheticApp &a, uint8_t tag)
 {
-    const auto *app = dynamic_cast<const SyntheticApp *>(&b);
+    a.rng.state(ar);
+    ar.u64(a.codePos);
+    ar.b(a.loopActive);
+    ar.u64(a.loopStart);
+    ar.u32(a.loopLines);
+    ar.u32(a.loopRepsLeft);
+    ar.u64(a.sweepPos);
+    ar.u64(a.hotDataSpan);
+    ar.u64(a.hotCodeSpan);
+    ar.u64(a.sharedHotSpan);
+    ar.u64(a.thDataRef);
+    ar.u64(a.thStore);
+    ar.u64(a.thJumpLine);
+    ar.u64(a.thLoopStart);
+    ar.u64(a.thHotCode);
+    ar.u64(a.thHotData);
+    ar.u64(a.thSharedRef);
+    ar.u64(a.thSharedSweep);
+    ar.u64(a.thSharedStore);
+    ar.u64(a.thSharedHot);
+
+    switch (Tag(tag)) {
+      case Tag::CompileJob: {
+        auto &cj = static_cast<CompileJob &>(a);
+        ar.u32(cj.srcFile);
+        ar.u32(cj.tmpFile);
+        ar.u32(cj.asmFile);
+        ar.u32(cj.objFile);
+        ar.i64(cj.phase);
+        ar.u64(cj.done);
+        ar.i64(cj.ioStep);
+        break;
+      }
+      case Tag::Mp3dProc: {
+        auto &mp = static_cast<Mp3dProc &>(a);
+        ar.u32(mp.stepPhase);
+        ar.u32(mp.myGeneration);
+        ar.b(mp.atBarrier);
+        break;
+      }
+      case Tag::EdSession: {
+        auto &ed = static_cast<EdSession &>(a);
+        ar.u32(ed.tty);
+        ar.u32(ed.saveFile);
+        ar.u32(ed.inputs);
+        break;
+      }
+      case Tag::OracleServer: {
+        auto &os = static_cast<OracleServer &>(a);
+        ar.i64(os.txPhase);
+        ar.u64(os.done);
+        break;
+      }
+      default: // MakeDriver carries no state beyond the base.
+        break;
+    }
+}
+
+void
+StateCodec::save(util::ByteWriter &w, const kernel::AppBehavior &b) const
+{
+    auto *app = const_cast<SyntheticApp *>(
+        dynamic_cast<const SyntheticApp *>(&b));
     if (!app)
         util::raise(ErrCode::SnapshotCorrupt,
                     "cannot snapshot a non-SyntheticApp behavior");
 
+    Tag tag;
     if (dynamic_cast<const MakeDriver *>(app))
-        w.u8(uint8_t(Tag::MakeDriver));
+        tag = Tag::MakeDriver;
     else if (dynamic_cast<const CompileJob *>(app))
-        w.u8(uint8_t(Tag::CompileJob));
+        tag = Tag::CompileJob;
     else if (dynamic_cast<const Mp3dProc *>(app))
-        w.u8(uint8_t(Tag::Mp3dProc));
+        tag = Tag::Mp3dProc;
     else if (dynamic_cast<const EdSession *>(app))
-        w.u8(uint8_t(Tag::EdSession));
+        tag = Tag::EdSession;
     else if (dynamic_cast<const OracleServer *>(app))
-        w.u8(uint8_t(Tag::OracleServer));
+        tag = Tag::OracleServer;
     else
         util::raise(ErrCode::SnapshotCorrupt,
                     "cannot snapshot unknown SyntheticApp subclass");
 
-    // Base state.
-    const SyntheticApp &a = *app;
-    saveParams(w, a.prm);
-    saveRng(w, a.rng);
-    w.u64(a.codePos);
-    w.b(a.loopActive);
-    w.u64(a.loopStart);
-    w.u32(a.loopLines);
-    w.u32(a.loopRepsLeft);
-    w.u64(a.sweepPos);
-    w.u64(a.hotDataSpan);
-    w.u64(a.hotCodeSpan);
-    w.u64(a.sharedHotSpan);
-    w.u64(a.thDataRef);
-    w.u64(a.thStore);
-    w.u64(a.thJumpLine);
-    w.u64(a.thLoopStart);
-    w.u64(a.thHotCode);
-    w.u64(a.thHotData);
-    w.u64(a.thSharedRef);
-    w.u64(a.thSharedSweep);
-    w.u64(a.thSharedStore);
-    w.u64(a.thSharedHot);
-
-    // Class-specific state.
-    if (const auto *cj = dynamic_cast<const CompileJob *>(app)) {
-        w.u32(cj->srcFile);
-        w.u32(cj->tmpFile);
-        w.u32(cj->asmFile);
-        w.u32(cj->objFile);
-        w.i64(cj->phase);
-        w.u64(cj->done);
-        w.i64(cj->ioStep);
-    } else if (const auto *mp = dynamic_cast<const Mp3dProc *>(app)) {
-        w.u32(mp->stepPhase);
-        w.u32(mp->myGeneration);
-        w.b(mp->atBarrier);
-    } else if (const auto *ed = dynamic_cast<const EdSession *>(app)) {
-        w.u32(ed->tty);
-        w.u32(ed->saveFile);
-        w.u32(ed->inputs);
-    } else if (const auto *os = dynamic_cast<const OracleServer *>(app)) {
-        w.i64(os->txPhase);
-        w.u64(os->done);
-    }
-    // MakeDriver carries no state beyond the base.
+    util::SaveArchive ar(w);
+    ar.u8(tag);
+    paramsState(ar, app->prm);
+    body(ar, *app, uint8_t(tag));
 }
 
 std::unique_ptr<kernel::AppBehavior>
-StateCodec::load(ByteReader &r) const
+StateCodec::load(util::ByteReader &r) const
 {
-    const Tag tag = Tag(r.u8());
-    const AppParams prm = loadParams(r);
+    util::LoadArchive ar(r);
+    Tag tag;
+    ar.u8(tag);
+    AppParams prm;
+    paramsState(ar, prm);
 
     // Construct the right class wired to the owning workload's shared
     // structures. Every constructor here is side-effect-free with
     // respect to that shared state (CompileJob uses its dedicated
     // restore constructor); the base members the constructors derive
-    // are overwritten verbatim below.
+    // are overwritten verbatim by the walk below.
     std::unique_ptr<SyntheticApp> app;
     switch (tag) {
       case Tag::MakeDriver:
@@ -215,67 +207,8 @@ StateCodec::load(ByteReader &r) const
         util::raise(ErrCode::SnapshotCorrupt,
                     "unknown behavior tag %u", unsigned(tag));
     }
-
-    // Base state.
-    SyntheticApp &a = *app;
-    a.prm = prm;
-    loadRng(r, a.rng);
-    a.codePos = r.u64();
-    a.loopActive = r.b();
-    a.loopStart = r.u64();
-    a.loopLines = r.u32();
-    a.loopRepsLeft = r.u32();
-    a.sweepPos = r.u64();
-    a.hotDataSpan = r.u64();
-    a.hotCodeSpan = r.u64();
-    a.sharedHotSpan = r.u64();
-    a.thDataRef = r.u64();
-    a.thStore = r.u64();
-    a.thJumpLine = r.u64();
-    a.thLoopStart = r.u64();
-    a.thHotCode = r.u64();
-    a.thHotData = r.u64();
-    a.thSharedRef = r.u64();
-    a.thSharedSweep = r.u64();
-    a.thSharedStore = r.u64();
-    a.thSharedHot = r.u64();
-
-    // Class-specific state.
-    switch (tag) {
-      case Tag::CompileJob: {
-        auto &cj = static_cast<CompileJob &>(a);
-        cj.srcFile = r.u32();
-        cj.tmpFile = r.u32();
-        cj.asmFile = r.u32();
-        cj.objFile = r.u32();
-        cj.phase = int(r.i64());
-        cj.done = r.u64();
-        cj.ioStep = int(r.i64());
-        break;
-      }
-      case Tag::Mp3dProc: {
-        auto &mp = static_cast<Mp3dProc &>(a);
-        mp.stepPhase = r.u32();
-        mp.myGeneration = r.u32();
-        mp.atBarrier = r.b();
-        break;
-      }
-      case Tag::EdSession: {
-        auto &ed = static_cast<EdSession &>(a);
-        ed.tty = r.u32();
-        ed.saveFile = r.u32();
-        ed.inputs = r.u32();
-        break;
-      }
-      case Tag::OracleServer: {
-        auto &os = static_cast<OracleServer &>(a);
-        os.txPhase = int(r.i64());
-        os.done = r.u64();
-        break;
-      }
-      default:
-        break;
-    }
+    app->prm = prm;
+    body(ar, *app, uint8_t(tag));
     return app;
 }
 
@@ -283,110 +216,64 @@ StateCodec::load(ByteReader &r) const
 // Workload shared structures
 // ---------------------------------------------------------------------
 
+template <class Ar>
 void
-Workload::saveState(ByteWriter &w) const
+Workload::state(Ar &ar)
 {
-    w.b(pmake != nullptr);
+    const auto id = [&](uint32_t &v) { ar.u32(v); };
+    presence(ar, pmake != nullptr, "pmake");
     if (pmake) {
-        const PmakeShared &s = *pmake;
-        w.u32(s.jobsRemaining);
-        w.u32(s.maxJobs);
-        w.u32(s.files);
-        w.u32(s.running);
-        w.u64(s.jobsCompleted);
-        w.u32(s.nextFile);
-        w.u32(s.imgCpp);
-        w.u32(s.imgCc1);
-        w.u32(s.imgAs);
-        saveRng(w, s.rng);
+        PmakeShared &s = *pmake;
+        ar.u32(s.jobsRemaining);
+        ar.u32(s.maxJobs);
+        ar.u32(s.files);
+        ar.u32(s.running);
+        ar.u64(s.jobsCompleted);
+        ar.u32(s.nextFile);
+        ar.u32(s.imgCpp);
+        ar.u32(s.imgCc1);
+        ar.u32(s.imgAs);
+        s.rng.state(ar);
     }
-    w.b(mp3d != nullptr);
+    presence(ar, mp3d != nullptr, "mp3d");
     if (mp3d) {
-        const Mp3dShared &s = *mp3d;
-        w.u32(uint32_t(s.cellLocks.size()));
-        for (uint32_t id : s.cellLocks)
-            w.u32(id);
-        w.u32(s.barrierLock);
-        w.u64(s.particleBase);
-        w.u64(s.particleBytes);
-        w.u64(s.steps);
-        w.u32(s.generation);
-        w.u32(s.arrived);
-        w.u32(s.nprocs);
+        Mp3dShared &s = *mp3d;
+        ar.template seq<uint32_t>(s.cellLocks, 4, id);
+        ar.u32(s.barrierLock);
+        ar.u64(s.particleBase);
+        ar.u64(s.particleBytes);
+        ar.u64(s.steps);
+        ar.u32(s.generation);
+        ar.u32(s.arrived);
+        ar.u32(s.nprocs);
     }
-    w.b(oracle != nullptr);
+    presence(ar, oracle != nullptr, "oracle");
     if (oracle) {
-        const OracleShared &s = *oracle;
-        w.u32(uint32_t(s.latches.size()));
-        for (uint32_t id : s.latches)
-            w.u32(id);
-        w.u32(s.logLatch);
-        w.u32(s.logFile);
-        w.u32(s.dbFileBase);
-        w.u32(s.logBlock);
-        w.u64(s.sgaBase);
-        w.u64(s.sgaBytes);
-        w.u64(s.transactions);
-        saveRng(w, s.rng);
+        OracleShared &s = *oracle;
+        ar.template seq<uint32_t>(s.latches, 4, id);
+        ar.u32(s.logLatch);
+        ar.u32(s.logFile);
+        ar.u32(s.dbFileBase);
+        ar.u32(s.logBlock);
+        ar.u64(s.sgaBase);
+        ar.u64(s.sgaBytes);
+        ar.u64(s.transactions);
+        s.rng.state(ar);
     }
 }
 
 void
-Workload::restoreState(ByteReader &r)
+Workload::saveState(util::ByteWriter &w) const
 {
-    if (r.b() != (pmake != nullptr))
-        util::raise(ErrCode::SnapshotCorrupt,
-                    "workload snapshot pmake presence mismatch");
-    if (pmake) {
-        PmakeShared &s = *pmake;
-        s.jobsRemaining = r.u32();
-        s.maxJobs = r.u32();
-        s.files = r.u32();
-        s.running = r.u32();
-        s.jobsCompleted = r.u64();
-        s.nextFile = r.u32();
-        s.imgCpp = r.u32();
-        s.imgCc1 = r.u32();
-        s.imgAs = r.u32();
-        loadRng(r, s.rng);
-    }
-    if (r.b() != (mp3d != nullptr))
-        util::raise(ErrCode::SnapshotCorrupt,
-                    "workload snapshot mp3d presence mismatch");
-    if (mp3d) {
-        Mp3dShared &s = *mp3d;
-        s.cellLocks.clear();
-        const uint32_t n = r.countU32(4);
-        s.cellLocks.reserve(n);
-        for (uint32_t i = 0; i < n; ++i)
-            s.cellLocks.push_back(r.u32());
-        s.barrierLock = r.u32();
-        s.particleBase = r.u64();
-        s.particleBytes = r.u64();
-        s.steps = r.u64();
-        s.generation = r.u32();
-        s.arrived = r.u32();
-        s.nprocs = r.u32();
-    }
-    if (r.b() != (oracle != nullptr))
-        util::raise(ErrCode::SnapshotCorrupt,
-                    "workload snapshot oracle presence mismatch");
-    if (oracle) {
-        OracleShared &s = *oracle;
-        s.latches.clear();
-        const uint32_t n = r.countU32(4);
-        s.latches.reserve(n);
-        for (uint32_t i = 0; i < n; ++i)
-            s.latches.push_back(r.u32());
-        s.logLatch = r.u32();
-        s.logFile = r.u32();
-        s.dbFileBase = r.u32();
-        s.logBlock = r.u32();
-        s.sgaBase = r.u64();
-        s.sgaBytes = r.u64();
-        s.transactions = r.u64();
-        loadRng(r, s.rng);
-    }
+    util::SaveArchive ar(w);
+    const_cast<Workload *>(this)->state(ar);
+}
+
+void
+Workload::restoreState(util::ByteReader &r)
+{
+    util::LoadArchive ar(r);
+    state(ar);
 }
 
 } // namespace mpos::workload

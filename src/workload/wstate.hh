@@ -33,6 +33,11 @@ class StateCodec : public kernel::BehaviorCodec
     load(util::ByteReader &r) const override;
 
   private:
+    /** The walk after the class tag and params: the SyntheticApp
+     *  base, then the fields of the class the tag names. */
+    template <class Ar>
+    static void body(Ar &ar, SyntheticApp &a, uint8_t tag);
+
     Workload &wl;
 };
 

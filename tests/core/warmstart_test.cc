@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/runner.hh"
 #include "core/warmcache.hh"
+#include "sim/snapshot/container.hh"
 #include "util/error.hh"
 #include "temp_path.hh"
 
@@ -277,4 +279,112 @@ TEST(WarmStart, JobTimeoutComposesWithWarmStarts)
                   (unsigned long long)r.get("warm").elapsed(),
                   (unsigned long long)r.get("warm").misses().total());
     EXPECT_STREQ(a, b);
+}
+
+namespace
+{
+
+/** A job of the format pin: its config and the image's fnv1a. */
+struct PinnedImage
+{
+    const char *name;
+    ExperimentConfig cfg;
+    uint64_t fnv;
+};
+
+bool
+anyLockQueued(Experiment &e)
+{
+    for (uint32_t id = 0; id < e.kern().numLocks(); ++id)
+        if (!e.kern().lockState(id).waitQueue.empty())
+            return true;
+    return false;
+}
+
+} // namespace
+
+TEST(WarmStart, SnapshotFormatIsPinnedAndResavesByteIdentically)
+{
+    // Every snapshot-able class walks its fields once for both
+    // directions. An image restored into a fresh experiment must save
+    // back to the same bytes, and each image's checksum is pinned: a
+    // layout change, however small, must bump the format version.
+    ASSERT_EQ(sim::snapshot::formatVersion, 5u)
+        << "layout changed: bump snapshot::formatVersion and update "
+           "the pins";
+    // MCS queues drain between kernel paths and were empty at the end
+    // of every quick run probed, so the futex Oracle job is the one
+    // whose lock table carries waiters (asserted below).
+    ExperimentConfig mcs = quickConfig(WorkloadKind::Multpgm);
+    mcs.machine.lockPolicy = sim::LockPolicy::Mcs;
+    ExperimentConfig futex = quickConfig(WorkloadKind::Oracle);
+    futex.machine.lockPolicy = sim::LockPolicy::Futex;
+    const PinnedImage pins[] = {
+        {"Pmake", quickConfig(WorkloadKind::Pmake),
+         0x7b1f04493c087cd5ULL},
+        {"Multpgm", quickConfig(WorkloadKind::Multpgm),
+         0xdf16c11475cfb497ULL},
+        {"Oracle", quickConfig(WorkloadKind::Oracle),
+         0x69205527216c22d8ULL},
+        {"Multpgm/mcs", mcs,
+         0xbe6814c60cf8d96cULL},
+        {"Oracle/futex", futex,
+         0x1e48f3e6eaf31d97ULL},
+    };
+    for (const PinnedImage &pin : pins) {
+        Experiment first(pin.cfg);
+        first.run();
+        if (pin.cfg.machine.lockPolicy == sim::LockPolicy::Futex) {
+            EXPECT_TRUE(anyLockQueued(first))
+                << pin.name << ": no lock queue to serialize";
+        }
+        const std::vector<uint8_t> image = first.saveSnapshot();
+
+        Experiment second(pin.cfg);
+        second.restoreSnapshot(image);
+        EXPECT_TRUE(second.saveSnapshot() == image)
+            << pin.name << ": restore then save changed the image";
+        const uint64_t fnv =
+            sim::snapshot::fnv1a(image.data(), image.size());
+        EXPECT_EQ(fnv, pin.fnv)
+            << pin.name << std::hex << ": image fnv1a 0x" << fnv
+            << "; layout changed: bump snapshot::formatVersion and "
+               "update the pins";
+    }
+}
+
+TEST(WarmStart, RestoreRejectsSectionsOfAnotherWorkload)
+{
+    // Each section is checked against the experiment it lands in. A
+    // Pmake workload section fails Oracle's presence check, and a
+    // Pmake process's behavior needs shared state only Pmake has.
+    using sim::snapshot::Section;
+    Experiment pmake(quickConfig(WorkloadKind::Pmake));
+    pmake.run();
+    Experiment oracle(quickConfig(WorkloadKind::Oracle));
+    oracle.run();
+    const sim::snapshot::Parsed p =
+        sim::snapshot::parse(pmake.saveSnapshot());
+    const sim::snapshot::Parsed o =
+        sim::snapshot::parse(oracle.saveSnapshot());
+    const auto graft = [&](Section from_pmake) -> std::string {
+        std::vector<std::pair<Section, std::vector<uint8_t>>> sections;
+        for (Section s :
+             {Section::Machine, Section::Kernel, Section::Workload})
+            sections.emplace_back(s,
+                                  (s == from_pmake ? p : o).section(s));
+        Experiment target(quickConfig(WorkloadKind::Oracle));
+        try {
+            target.restoreSnapshot(sim::snapshot::pack(
+                target.warmKey(), std::move(sections)));
+        } catch (const util::SimError &e) {
+            EXPECT_EQ(e.code(), util::ErrCode::SnapshotCorrupt);
+            return e.what();
+        }
+        return "accepted";
+    };
+    EXPECT_NE(graft(Section::Workload).find("pmake presence mismatch"),
+              std::string::npos);
+    EXPECT_NE(graft(Section::Kernel).find("pmake shared state"),
+              std::string::npos);
 }

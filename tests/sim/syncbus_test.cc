@@ -237,7 +237,8 @@ TEST(SyncBus, RestoreRejectsPhantomSharerMask)
     SyncTransport st(cfg, 2);
     st.access(1, 0, LockEvent::AcquireSuccess);
     mpos::util::ByteWriter w;
-    st.saveState(w);
+    mpos::util::SaveArchive save(w);
+    st.state(save);
     std::vector<uint8_t> img = w.take();
     // cachedAt masks follow the 4-byte count and 16 bytes of op
     // counters per lock; set a sharer bit beyond the 2-CPU machine.
@@ -246,8 +247,9 @@ TEST(SyncBus, RestoreRejectsPhantomSharerMask)
     img[maskAt] |= 0x10; // bit 4
     SyncTransport fresh(cfg, 2);
     mpos::util::ByteReader r(img);
+    mpos::util::LoadArchive load(r);
     try {
-        fresh.restoreState(r);
+        fresh.state(load);
         FAIL() << "phantom sharer mask was accepted";
     } catch (const mpos::util::SimError &e) {
         EXPECT_EQ(e.code(), mpos::util::ErrCode::SnapshotCorrupt);
@@ -260,7 +262,8 @@ TEST(SyncBus, RestoreRejectsPhantomQnodeMask)
     cfg.numCpus = 2;
     SyncTransport st(cfg, 2);
     mpos::util::ByteWriter w;
-    st.saveState(w);
+    mpos::util::SaveArchive save(w);
+    st.state(save);
     std::vector<uint8_t> img = w.take();
     // qnodeAt masks follow the cachedAt masks (8 bytes per lock).
     const size_t maskAt = 4 + 2 * 16 + 2 * 8;
@@ -268,8 +271,9 @@ TEST(SyncBus, RestoreRejectsPhantomQnodeMask)
     img[maskAt] |= 0x80; // bit 7 on a 2-CPU machine
     SyncTransport fresh(cfg, 2);
     mpos::util::ByteReader r(img);
+    mpos::util::LoadArchive load(r);
     try {
-        fresh.restoreState(r);
+        fresh.state(load);
         FAIL() << "phantom qnode mask was accepted";
     } catch (const mpos::util::SimError &e) {
         EXPECT_EQ(e.code(), mpos::util::ErrCode::SnapshotCorrupt);
@@ -285,10 +289,12 @@ TEST(SyncBus, RoundTripRestoresMasksAndCounters)
     st.access(1, 0, LockEvent::McsEnqueue);
     st.access(1, 0, LockEvent::McsLocalPoll);
     mpos::util::ByteWriter w;
-    st.saveState(w);
+    mpos::util::SaveArchive save(w);
+    st.state(save);
     SyncTransport fresh(cfg, 2);
     mpos::util::ByteReader r(w.bytes());
-    fresh.restoreState(r);
+    mpos::util::LoadArchive load(r);
+    fresh.state(load);
     EXPECT_EQ(fresh.cachedAtMask(0), st.cachedAtMask(0));
     EXPECT_EQ(fresh.qnodeAtMask(0), st.qnodeAtMask(0));
     EXPECT_EQ(fresh.counts(0).uncachedOps, st.counts(0).uncachedOps);

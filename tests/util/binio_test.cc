@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/binio.hh"
@@ -109,29 +111,105 @@ TEST(BinIo, BadBoolByteRaises)
     EXPECT_THROW(r.b(), SimError);
 }
 
-TEST(BinIo, SkipAndSubReader)
+namespace
+{
+
+/** A walk over every archive call, the way a snapshot class writes one. */
+struct Walked
+{
+    uint32_t slots = 3;
+    int32_t owner = -1;
+    bool flag = true;
+    double prob = 0.25;
+    std::string name = "cc1";
+    std::vector<uint64_t> list{7, 9};
+    std::unordered_map<uint64_t, uint32_t> table{{5, 50}, {2, 20}};
+
+    template <class Ar>
+    void
+    state(Ar &ar)
+    {
+        ar.fixed(slots, "slot count");
+        ar.i64(owner);
+        ar.b(flag);
+        ar.f64(prob);
+        ar.str(name);
+        ar.template seq<uint64_t>(list, 8, [&](uint64_t &v) { ar.u64(v); });
+        ar.map(table, 12, [&](uint32_t &v) { ar.u32(v); });
+    }
+};
+
+std::vector<uint8_t>
+saved(Walked &x)
 {
     ByteWriter w;
-    w.u32(1);
-    w.u32(2);
-    w.u32(3);
-    ByteReader r(w.bytes());
-    r.skip(4);
-    ByteReader inner = r.sub(4);
-    EXPECT_EQ(inner.u32(), 2u);
-    EXPECT_TRUE(inner.atEnd());
-    EXPECT_EQ(r.u32(), 3u);
-    EXPECT_THROW(r.skip(1), SimError);
+    mpos::util::SaveArchive ar(w);
+    x.state(ar);
+    return w.take();
 }
 
-TEST(BinIo, PatchU32BackfillsLength)
+} // namespace
+
+TEST(BinIo, ArchivesReadBackWhatOneWalkWrites)
 {
+    Walked x;
+    const std::vector<uint8_t> bytes = saved(x);
+
+    // The wire is the plain ByteWriter encoding; the map goes in key
+    // order whatever its hash layout.
     ByteWriter w;
-    const size_t at = w.size();
-    w.u32(0); // placeholder
-    w.str("payload");
-    w.patchU32(at, uint32_t(w.size()));
-    ByteReader r(w.bytes());
-    EXPECT_EQ(r.u32(), w.size());
-    EXPECT_THROW(w.patchU32(w.size() - 2, 1), SimError);
+    w.u32(3);
+    w.i64(-1);
+    w.b(true);
+    w.f64(0.25);
+    w.str("cc1");
+    w.u64(2);
+    w.u64(7);
+    w.u64(9);
+    w.u64(2);
+    w.u64(2);
+    w.u32(20);
+    w.u64(5);
+    w.u32(50);
+    EXPECT_EQ(bytes, w.bytes());
+
+    Walked y;
+    y.owner = 0;
+    y.flag = false;
+    y.prob = 0;
+    y.name.clear();
+    y.list = {1, 2, 3};
+    y.table = {{9, 90}};
+    ByteReader r(bytes);
+    mpos::util::LoadArchive ar(r);
+    y.state(ar);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(saved(y), bytes);
+}
+
+TEST(BinIo, FixedSizeMismatchAndHugeCountsAreCorrupt)
+{
+    Walked x;
+    const std::vector<uint8_t> bytes = saved(x);
+    Walked y;
+    y.slots = 4;
+    ByteReader r(bytes);
+    mpos::util::LoadArchive ar(r);
+    try {
+        y.state(ar);
+        FAIL() << "a 3-slot image was accepted by a 4-slot object";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrCode::SnapshotCorrupt);
+        EXPECT_NE(std::string(e.what()).find("slot count mismatch"),
+                  std::string::npos);
+    }
+
+    // A sequence count larger than the remaining bytes could hold.
+    std::vector<uint8_t> forged = bytes;
+    const size_t at = 4 + 8 + 1 + 8 + 4 + 3; // the list's count
+    forged[at + 7] = 0x10;
+    Walked z;
+    ByteReader fr(forged);
+    mpos::util::LoadArchive far(fr);
+    EXPECT_THROW(z.state(far), SimError);
 }

@@ -1,9 +1,10 @@
 /** @file Host thread-pool tests: future delivery, FIFO draining,
- *  exception propagation, degenerate single-thread operation, and the
- *  MPOS_JOBS sizing knob. */
+ *  exception propagation, degenerate single-thread operation, and
+ *  zero meaning all cores. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -115,18 +116,15 @@ TEST(ThreadPool, DestructorDrainsQueue)
     EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPool, DefaultThreadsHonorsMposJobs)
+TEST(ThreadPool, ZeroThreadsMeansAllCores)
 {
+    // The pool reads no environment: MPOS_JOBS is mpos_bench's knob,
+    // parsed there by --jobs' rule.
     setenv("MPOS_JOBS", "3", 1);
-    EXPECT_EQ(ThreadPool::defaultThreads(), 3u);
-    ThreadPool pool; // nthreads = 0 -> env knob
-    EXPECT_EQ(pool.threads(), 3u);
-
-    setenv("MPOS_JOBS", "0", 1);
-    EXPECT_EQ(ThreadPool::defaultThreads(), 1u); // clamped up
-
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.threads(),
+              std::max(1u, std::thread::hardware_concurrency()));
     unsetenv("MPOS_JOBS");
-    EXPECT_GE(ThreadPool::defaultThreads(), 1u);
 }
 
 TEST(ThreadPool, DestructionDrainsTasksStillQueuedBehindABlocker)
