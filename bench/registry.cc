@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "bench/analyses.hh"
 #include "core/warmcache.hh"
@@ -47,9 +48,6 @@ BenchContext::submitJob(const std::string &name,
     if (obs_.trace) {
         cfg.machine.trace = true;
         cfg.machine.traceFile = obsFileBase(obs_.dir, name) + ".jsonl";
-        // Streaming mode: the file holds everything, so the in-memory
-        // ring (also serving the watchdog dump) can stay small.
-        cfg.machine.traceRingEntries = 64 * 1024;
     }
     if (obs_.metrics)
         cfg.machine.metrics = true;
@@ -58,11 +56,12 @@ BenchContext::submitJob(const std::string &name,
     if (check_)
         cfg.machine.check = true;
     if (!faultJob_.empty() && name == faultJob_) {
-        // Guaranteed failure: no workload retires a reference every
-        // cycle, so a one-cycle watchdog budget trips during boot.
-        cfg.machine.watchdogCycles = 1;
+        // Guaranteed failure at a fixed point: the deadline has passed
+        // by the first slice boundary, where runPhase checks it.
+        cfg.timeoutSeconds = std::numeric_limits<double>::denorm_min();
         std::fprintf(stderr,
-                     "[bench] fault-job %s: one-cycle watchdog budget\n",
+                     "[bench] fault-job %s: smallest positive wall "
+                     "budget\n",
                      name.c_str());
     }
     planned_.emplace_back(name, cfg);
@@ -277,9 +276,9 @@ class StdoutCapture
 };
 
 
-// Full RFC 8259 escaping: error strings routinely carry watchdog
-// dumps with tabs and other control characters the old ad-hoc
-// escaper passed through raw, corrupting the report.
+// Full RFC 8259 escaping: error strings may carry tabs and other
+// control characters the old ad-hoc escaper passed through raw,
+// corrupting the report.
 using util::jsonEscape;
 
 /** Write one analysis's captured output as a golden JSON file. */
@@ -673,11 +672,11 @@ usage()
         "                  invocations (also: MPOS_SNAPSHOT_DIR). "
         "Measured output is\n"
         "                  byte-identical with or without the cache\n"
-        "  --fault-job J   give job J (e.g. std/Pmake) a one-cycle "
-        "watchdog budget,\n"
-        "                  a guaranteed watchdog-trip failure, to "
-        "exercise the\n"
-        "                  failure paths\n"
+        "  --fault-job J   give job J (e.g. std/Pmake) the smallest "
+        "positive wall\n"
+        "                  budget: it times out at its first slice "
+        "boundary, to\n"
+        "                  exercise the failure paths\n"
         "  --trace         export a JSONL monitor trace per job into "
         "the --obs-dir\n"
         "  --metrics       time-sliced metrics windows per job, "

@@ -57,9 +57,10 @@ class BenchContext
 
     /**
      * Arrange for the named job to fail: when it is submitted, its
-     * config gets a one-cycle watchdog budget, which every workload
-     * trips during kernel boot. For exercising --keep-going and the
-     * failure paths of the JSON report.
+     * config gets the smallest positive wall budget, so it times out
+     * at its first slice boundary, at the same cycle every run. For
+     * exercising --keep-going and the failure paths of the JSON
+     * report.
      */
     void setFaultJob(const std::string &name) { faultJob_ = name; }
 

@@ -148,8 +148,6 @@ class SweepJournal
      */
     void open(const std::string &dir, bool resume);
 
-    bool isOpen() const { return f != nullptr; }
-
     /** Replayed state (empty unless open(dir, true) found records). */
     const JournalState &state() const { return st; }
 

@@ -12,7 +12,7 @@
  * were used.
  *
  * Jobs are allowed to fail: a util::SimError (resource exhaustion,
- * watchdog trip, timeout) is caught in the worker and recorded in the
+ * bad config, timeout) is caught in the worker and recorded in the
  * job's ExperimentResult (status/error) instead of tearing down the
  * sweep. Each job runs once, on its own seed: a simulation is a
  * deterministic function of its config, so a failure is reported,

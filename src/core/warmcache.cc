@@ -49,7 +49,7 @@ warmConfigHash(const ExperimentConfig &cfg)
     w.u64(m.uncachedAccessCycles);
     w.u64(m.clockTickCycles);
     // Excluded on purpose (event-neutral by construction, so a warm
-    // image is shareable across them): slowSim, check, watchdogCycles,
+    // image is shareable across them): slowSim, check,
     // trace/metrics/profile -- and every measurement-phase
     // knob (measureCycles, collectMisses, collectResim,
     // timeoutSeconds, useRecommendedPool, the cache pointer itself).

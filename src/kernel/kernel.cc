@@ -1,7 +1,5 @@
 #include "kernel/kernel.hh"
 
-#include <cstdio>
-
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -105,11 +103,6 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
         nextClockAt[c] = m.config().clockTickCycles + c * 997;
 
     m.setExecutor(this);
-    if (sim::Watchdog *w = m.watchdog()) {
-        // The sim layer has no lock vocabulary; the kernel supplies
-        // the lock-table half of the watchdog's diagnostic dump.
-        w->setDiagnosticProvider([this] { return describeSyncState(); });
-    }
 
     // Observability hooks: the kernel owns the routine symbol table
     // and reports routine boundaries and lock events. All null-gated.
@@ -127,47 +120,6 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
 
     for (uint32_t c = 0; c < ncpu; ++c)
         enterIdle(c);
-}
-
-std::string
-Kernel::describeSyncState() const
-{
-    char buf[224];
-    std::string out = "  locks:\n";
-    for (uint32_t id = 0; id < locks.size(); ++id) {
-        const LockState &l = locks[id];
-        if (l.heldByCpu < 0 && !l.spinMask && !l.napWaiters &&
-            l.grantedTo < 0 && l.waitQueue.empty() && !l.rcuReaders)
-            continue;
-        // Kernel locks are held by CPUs, user locks by processes.
-        std::snprintf(buf, sizeof buf,
-                      "    %s: held_by=%s%d spinners=0x%llx nap=%u\n",
-                      lockName(id, nUserLocks).c_str(),
-                      id < numKernelLocks ? "cpu" : "pid",
-                      int(l.heldByCpu),
-                      (unsigned long long)l.spinMask, l.napWaiters);
-        out += buf;
-        // Policy-layer state (all zero under the default primitive).
-        if (l.nextTicket || l.nowServing || l.grantedTo >= 0 ||
-            !l.waitQueue.empty() || l.rcuReaders) {
-            std::snprintf(buf, sizeof buf,
-                          "      ticket=%u/%u granted_to=%d queue=%u "
-                          "rcu_readers=%u\n",
-                          l.nowServing, l.nextTicket, l.grantedTo,
-                          uint32_t(l.waitQueue.size()), l.rcuReaders);
-            out += buf;
-        }
-    }
-    for (uint32_t c = 0; c < m.numCpus(); ++c) {
-        const Pid pid = curProc[c];
-        std::snprintf(buf, sizeof buf, "    cpu%u: pid=%d%s%s\n", c,
-                      int(pid), pid != sim::invalidPid ? " name=" : "",
-                      pid != sim::invalidPid
-                          ? procs[uint32_t(pid)]->name.c_str()
-                          : "");
-        out += buf;
-    }
-    return out;
 }
 
 uint32_t

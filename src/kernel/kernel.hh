@@ -182,12 +182,6 @@ class Kernel : public sim::Executor
     const OsOpCounts &osOpCounts() const { return opCounts; }
     const LockState &lockState(uint32_t id) const { return locks[id]; }
     uint32_t numLocks() const { return uint32_t(locks.size()); }
-    /**
-     * Human-readable lock table and per-CPU process state, for the
-     * watchdog's diagnostic dump (installed as its provider at
-     * construction when the machine has a watchdog).
-     */
-    std::string describeSyncState() const;
     uint32_t numUserLocks() const { return nUserLocks; }
     uint64_t freePageCount() const { return freePages.size(); }
     uint64_t diskRequests() const { return disk.requests; }

@@ -32,33 +32,14 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
         mon.attach(chk.get());
     }
 
-    if (cfg.watchdogCycles) {
-        wd = std::make_unique<Watchdog>(cfg, cfg.watchdogCycles);
-        wdp = wd.get();
-        syncTransport.setWatchdog(wdp);
-        // Observer role: bus settles count as progress. Event history
-        // for the dump comes from the shared trace ring (below).
-        mon.attach(wdp);
-    }
-
     // Observability layer: trace exporter, metrics engine, profiler.
     // Each follows the checker discipline -- allocated only when
     // enabled, raw alias pointer as the hot-path null gate.
     if (cfg.trace) {
-        tr = std::make_unique<trace::Tracer>(
-            cfg.traceRingEntries, cfg.traceFile, cfg.traceRingMode);
-        trp = tr.get();
-        mon.attach(trp);
-    } else if (wdp) {
-        // The watchdog's dump renders the last monitor events; without
-        // a full tracer, keep a small ring-only tracer so the dump and
-        // any future trace read the same buffer.
-        tr = std::make_unique<trace::Tracer>(32, "", false);
+        tr = std::make_unique<trace::Tracer>(cfg.traceFile);
         trp = tr.get();
         mon.attach(trp);
     }
-    if (wdp && trp)
-        wdp->setTracer(trp);
 
     if (cfg.metrics) {
         mx = std::make_unique<trace::Metrics>(cfg.metricsWindowCycles);
@@ -120,8 +101,6 @@ Machine::step(Cpu &c, Cycle now)
         c.script.pop_front();
         const AccessResult r = mem.ifetchAccess(c.id, pa, now, c.ctx);
         c.charge(lineExecCycles, r.cycles - lineExecCycles);
-        if (wdp)
-            wdp->noteProgress();
         return true;
       }
 
@@ -137,8 +116,6 @@ Machine::step(Cpu &c, Cycle now)
         const AccessResult r =
             mem.dataAccess(c.id, pa, is_store, now, c.ctx);
         c.charge(1, r.cycles - 1);
-        if (wdp)
-            wdp->noteProgress();
         return true;
       }
 
@@ -154,8 +131,6 @@ Machine::step(Cpu &c, Cycle now)
         const AccessResult r =
             mem.bypassAccess(c.id, pa, is_store, now, c.ctx);
         c.charge(1, r.cycles - 1);
-        if (wdp)
-            wdp->noteProgress();
         return true;
       }
 
@@ -173,8 +148,6 @@ Machine::step(Cpu &c, Cycle now)
         c.script.pop_front();
         mem.dataAccess(c.id, pa, is_store, now, c.ctx);
         c.charge(1, 0);
-        if (wdp)
-            wdp->noteProgress();
         return true;
       }
 
@@ -185,8 +158,6 @@ Machine::step(Cpu &c, Cycle now)
         const AccessResult r =
             mem.uncachedAccess(c.id, item.addr, is_store, now, c.ctx);
         c.charge(1, r.cycles - 1);
-        if (wdp)
-            wdp->noteProgress();
         return true;
       }
     }
@@ -272,19 +243,10 @@ Machine::runFast(Cycle target)
             // behind still advances one tick at a time, exactly as the
             // reference loop does).
             currentCycle = next > currentCycle ? next : currentCycle + 1;
-
-            if (wdp) {
-                if (mem.parked()) {
-                    // A parked CPU retires a reference every few
-                    // cycles; a trip's dump must see it up to date.
-                    wdp->noteProgress();
-                    if (wdp->wouldTrip(currentCycle))
-                        wakeParked();
-                }
-                wdp->poll(*this, currentCycle);
-            }
         }
     } catch (...) {
+        // An executor error unwinds through here: leave every CPU up
+        // to date, as the reference scheduler would at this cycle.
         wakeParked();
         scanPos = 0;
         throw;
@@ -304,10 +266,6 @@ Machine::tryPark(Cpu &c, const std::vector<ScriptItem> &chunk,
     if (!pk.spinnable || c.script.size() != chunk.size() ||
         c.busyUntil != currentCycle ||
         markers + pk.markerCount > markerBudget)
-        return false;
-    // The only time a park costs more cycles than its spin: the
-    // watchdog must still see a reference retire within its budget.
-    if (wdp && wdp->budget() <= pk.period)
         return false;
 
     // Leading markers run now, as the loop would run them.
@@ -482,9 +440,6 @@ Machine::runReference(Cycle target)
             activate(c);
         }
         ++currentCycle;
-
-        if (wdp)
-            wdp->poll(*this, currentCycle);
     }
 }
 

@@ -27,7 +27,6 @@
 
 #include "sim/check/checker.hh"
 #include "sim/cpu.hh"
-#include "sim/fault/watchdog.hh"
 #include "sim/memsys.hh"
 #include "sim/monitor.hh"
 #include "sim/syncbus.hh"
@@ -77,16 +76,8 @@ class Machine
     const Checker *checker() const { return chk.get(); }
 
     /**
-     * The forward-progress watchdog, or null when off
-     * (MachineConfig::watchdogCycles selects it).
-     */
-    Watchdog *watchdog() { return wdp; }
-    const Watchdog *watchdog() const { return wdp; }
-
-    /**
      * The trace exporter, or null when off (MachineConfig::trace
-     * selects it). Also allocated ring-only, with a small
-     * ring, when the watchdog is on: its dump reads the shared ring.
+     * selects it).
      */
     trace::Tracer *tracer() { return trp; }
     const trace::Tracer *tracer() const { return trp; }
@@ -146,7 +137,7 @@ class Machine
     /// CPU's context/busy horizon/accounting/TLB/pending script, the
     /// coherent memory system, the sync transport and the monitor's
     /// always-on counters.
-    /// Observer layers (checker, watchdog, tracer, metrics, profiler)
+    /// Observer layers (checker, tracer, metrics, profiler)
     /// are wiring, not state: a restored machine reconstructs them
     /// fresh, exactly as an uninterrupted run would have them at the
     /// same point with no observers attached during the skipped span.
@@ -247,12 +238,7 @@ class Machine
     Executor *exec = nullptr;
     /** Invariant checker; allocated only when checking is enabled. */
     std::unique_ptr<Checker> chk;
-    /** Forward-progress watchdog; allocated only when enabled. */
-    std::unique_ptr<Watchdog> wd;
-    /** Raw alias of wd used as the hot-path null gate. */
-    Watchdog *wdp = nullptr;
-    /** Trace exporter; allocated when tracing (or the watchdog, which
-     *  borrows the ring for its dump) is enabled. */
+    /** Trace exporter; allocated only when enabled. */
     std::unique_ptr<trace::Tracer> tr;
     /** Raw alias of tr: the null gate. */
     trace::Tracer *trp = nullptr;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/check/checker.hh"
-#include "sim/fault/watchdog.hh"
 #include "util/binio.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
@@ -165,11 +164,6 @@ SyncTransport::access(CpuId cpu, uint32_t lock_id, LockEvent ev,
         ? Cycle(cops) * cfg.busMissStall
         : Cycle(uops) * cfg.syncBusOpCycles;
     stall[cpu] += cost;
-    // A successful hand-off is forward progress; a failed poll (under
-    // any primitive) is the very spinning the watchdog exists to
-    // catch.
-    if (wd && !lockEventIsPoll(ev))
-        wd->noteProgress();
     if (checker)
         checker->onSyncEvent(cpu, lock_id, numLocks(),
                              cachedAt[lock_id]);

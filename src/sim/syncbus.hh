@@ -27,7 +27,6 @@ namespace mpos::sim
 {
 
 class Checker;
-class Watchdog;
 
 /**
  * What happened at a lock, as reported by the kernel lock layer.
@@ -76,15 +75,6 @@ enum class LockEvent : uint8_t
     RcuReadExit,  ///< Reader left a read-side section (free).
     RcuSync,      ///< Writer grace period: one op per other CPU.
 };
-
-/** Events that are a spin poll: no forward progress, so the watchdog
- *  must keep counting them against its no-progress budget. */
-constexpr bool
-lockEventIsPoll(LockEvent ev)
-{
-    return ev == LockEvent::AcquireFail || ev == LockEvent::TicketPoll
-        || ev == LockEvent::McsLocalPoll || ev == LockEvent::FutexWait;
-}
 
 /** Per-lock operation counters under both protocols. */
 struct SyncOpCounts
@@ -140,9 +130,6 @@ class SyncTransport
     /** Attach the invariant checker (null = disabled). */
     void setChecker(Checker *c) { checker = c; }
 
-    /** Attach the forward-progress watchdog (null = disabled). */
-    void setWatchdog(Watchdog *w) { wd = w; }
-
     /** Bitmask of CPUs caching lock_id's line (for the checker). */
     uint64_t cachedAtMask(uint32_t lock_id) const
     {
@@ -187,8 +174,6 @@ class SyncTransport
     uint64_t cachedOpsTotal = 0;
     /** Invariant checker; null unless checking is enabled. */
     Checker *checker = nullptr;
-    /** Forward-progress watchdog; null unless enabled. */
-    Watchdog *wd = nullptr;
 };
 
 } // namespace mpos::sim

@@ -30,8 +30,6 @@ cacheName(uint64_t kind)
     return CacheKind(kind) == CacheKind::Instr ? "I" : "D";
 }
 
-} // namespace
-
 const char *
 traceEventKindName(TraceEventKind k)
 {
@@ -48,9 +46,9 @@ traceEventKindName(TraceEventKind k)
     return "?";
 }
 
-Tracer::Tracer(uint64_t ring_entries, const std::string &file_path,
-               bool ring_mode)
-    : events(ring_entries), ringMode(ring_mode)
+} // namespace
+
+Tracer::Tracer(const std::string &file_path)
 {
     if (file_path.empty())
         return;
@@ -123,33 +121,21 @@ Tracer::appendJson(std::string &out, const TraceEvent &ev) const
 }
 
 void
-Tracer::writeEvent(const TraceEvent &ev)
+Tracer::record(const TraceEvent &ev)
 {
+    ++nEvents;
+    if (!file)
+        return;
     line.clear();
     appendJson(line, ev);
     std::fwrite(line.data(), 1, line.size(), file);
 }
 
 void
-Tracer::record(const TraceEvent &ev)
-{
-    events.push(ev);
-    if (file && !ringMode)
-        writeEvent(ev);
-}
-
-void
 Tracer::finish()
 {
-    if (finished)
-        return;
-    finished = true;
     if (!file)
         return;
-    if (ringMode) {
-        for (uint64_t i = 0; i < events.size(); ++i)
-            writeEvent(events.tail(i));
-    }
     std::fclose(file);
     file = nullptr;
 }

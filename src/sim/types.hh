@@ -193,39 +193,14 @@ struct MachineConfig
     bool check = false;
 
     /**
-     * Forward-progress watchdog budget: if no CPU retires a memory
-     * reference and no sync-transport acquire/release settles for this
-     * many cycles, the run throws util::SimError(WatchdogTrip) with a
-     * structured diagnostic dump (per-CPU context, lock table, last
-     * monitor events) instead of spinning forever. Zero-cost when 0
-     * (every hook is one null-pointer test, the checker discipline).
-     * The budget must exceed the longest legitimate reference-free
-     * stretch (Think bursts, spin backoff); the idle loop fetches
-     * instructions and so never trips it.
-     */
-    Cycle watchdogCycles = 0;
-
-    /**
-     * Structured trace exporter: record every monitor event (bus
+     * Structured trace exporter: stream every monitor event (bus
      * records with in-band OS context plus OS entry/exit, context
-     * switches, invalidations) into the shared event ring and, when
-     * traceFile is set, a JSONL trace file. Zero-cost when off
-     * (null-pointer gate).
+     * switches, invalidations) to traceFile as JSONL, and count them.
+     * Zero-cost when off (null-pointer gate).
      */
     bool trace = false;
-    /** JSONL trace output path; empty = in-memory ring only. */
+    /** JSONL trace output path; empty = count events only. */
     std::string traceFile;
-    /**
-     * Trace ring capacity in events: the paper's monitor kept the
-     * last two million records.
-     */
-    uint64_t traceRingEntries = 2 * 1024 * 1024;
-    /**
-     * Ring mode: instead of streaming every event to traceFile, write
-     * only the ring's final contents at finish() -- emulating the
-     * paper's read-the-buffer-after-the-run methodology.
-     */
-    bool traceRingMode = false;
 
     /**
      * Time-sliced metrics engine: window bus traffic, miss fills,

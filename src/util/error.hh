@@ -17,8 +17,8 @@
  *  - panic()   : internal invariant violated -> abort (unchanged).
  *  - fatal()   : unrecoverable CLI misuse in main() paths -> exit(1).
  *  - SimError  : anything a batch driver can usefully survive --
- *                resource exhaustion, bad MachineConfig, watchdog
- *                trips, per-job timeouts, corrupt snapshots.
+ *                resource exhaustion, bad MachineConfig, per-job
+ *                timeouts, corrupt snapshots.
  */
 
 #ifndef MPOS_UTIL_ERROR_HH
@@ -38,7 +38,6 @@ enum class ErrCode : uint8_t
 {
     BadConfig,         ///< Impossible MachineConfig/geometry/argument.
     ResourceExhausted, ///< Simulated resource ran out (slots, pages).
-    WatchdogTrip,      ///< Forward-progress watchdog fired (livelock).
     Timeout,           ///< Per-job host wall-clock budget exceeded.
     JobFailed,         ///< A runner job has no result to hand out.
     SnapshotCorrupt,   ///< A machine snapshot failed validation.
@@ -50,7 +49,6 @@ errCodeName(ErrCode code)
     switch (code) {
     case ErrCode::BadConfig: return "bad-config";
     case ErrCode::ResourceExhausted: return "resource-exhausted";
-    case ErrCode::WatchdogTrip: return "watchdog-trip";
     case ErrCode::Timeout: return "timeout";
     case ErrCode::JobFailed: return "job-failed";
     case ErrCode::SnapshotCorrupt: return "snapshot-corrupt";
@@ -70,7 +68,6 @@ class SimError : public std::runtime_error
     }
 
     ErrCode code() const { return code_; }
-    const char *codeName() const { return errCodeName(code_); }
 
   private:
     ErrCode code_;

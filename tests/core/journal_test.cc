@@ -172,7 +172,7 @@ TEST(SweepJournal, LastJobEndWinsAndPlansDedup)
         j.appendPlan("std/Pmake", 5); // resubmission: deduped
         JournalJobRow first = sampleRow("std/Pmake", 5);
         first.status = 3; // Failed
-        first.error = "watchdog";
+        first.error = "resource-exhausted";
         j.appendJobEnd(first);
         j.appendJobEnd(sampleRow("std/Pmake", 5));
     }

@@ -33,12 +33,13 @@ quickConfig(WorkloadKind kind, sim::Cycle cycles, uint64_t seed = 7)
     return cfg;
 }
 
-/** Give cfg a one-cycle watchdog budget: every standard workload
- *  trips it within the first few hundred cycles of kernel boot. */
+/** Give cfg a two-slot process table: Pmake spawns more processes
+ *  than that, so the job fails with ResourceExhausted, the same way
+ *  every run, with no wall clock involved. */
 void
-armGuaranteedTrip(ExperimentConfig &cfg)
+armGuaranteedFailure(ExperimentConfig &cfg)
 {
-    cfg.machine.watchdogCycles = 1;
+    cfg.kernelCfg.layout.maxProcs = 2;
 }
 
 /** Digest of one experiment, for byte-identical comparisons. */
@@ -59,14 +60,14 @@ TEST(RunnerResilience, JobFailureSurfacesStatusNotException)
 {
     ExperimentRunner r(1);
     auto bad = quickConfig(WorkloadKind::Pmake, 400000);
-    armGuaranteedTrip(bad);
+    armGuaranteedFailure(bad);
     r.submit("doomed", bad);
 
     const ExperimentResult &res = r.result(0); // must not throw
     EXPECT_EQ(res.status, JobStatus::Failed);
     EXPECT_FALSE(res.ok());
     EXPECT_EQ(res.exp, nullptr);
-    EXPECT_NE(res.error.find("watchdog-trip"), std::string::npos)
+    EXPECT_NE(res.error.find("resource-exhausted"), std::string::npos)
         << res.error;
 
     // get() on a failed job raises a typed error, not a crash.
@@ -88,7 +89,7 @@ TEST(RunnerResilience, SiblingJobsSurviveAndStayByteIdentical)
     // ...and a mixed runner where a sibling dies mid-sweep.
     ExperimentRunner mixed(2);
     auto bad = quickConfig(WorkloadKind::Pmake, 400000);
-    armGuaranteedTrip(bad);
+    armGuaranteedFailure(bad);
     mixed.submit("doomed", bad);
     mixed.submit("good", quickConfig(WorkloadKind::Multpgm, 400000));
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -219,11 +220,12 @@ TEST(WarmStart, CorruptDiskImageIsAMissNotAnError)
 
 TEST(WarmStart, FailedJobPoisonsItsWarmKey)
 {
-    // watchdogCycles is outside the warm key, so a job failed by a
-    // one-cycle watchdog budget shares its key with a healthy twin.
+    // timeoutSeconds is outside the warm key, so a job failed by the
+    // smallest positive wall budget shares its key with a healthy
+    // twin. It times out at its first measurement slice boundary.
     const ExperimentConfig cfg = quickConfig(WorkloadKind::Pmake);
     ExperimentConfig doomed = cfg;
-    doomed.machine.watchdogCycles = 1;
+    doomed.timeoutSeconds = std::numeric_limits<double>::denorm_min();
     const uint64_t key = Experiment(cfg).warmKey();
     ASSERT_EQ(Experiment(doomed).warmKey(), key);
 
@@ -233,13 +235,13 @@ TEST(WarmStart, FailedJobPoisonsItsWarmKey)
     opt.warmCache = &cache;
     ExperimentRunner r(opt);
     r.submit("cold", cfg);      // warms up and stores the image
-    r.submit("doomed", doomed); // restores the image, then trips
+    r.submit("doomed", doomed); // restores the image, then times out
     r.submit("after", cfg);     // must warm up from scratch
     r.waitAll();
 
     ASSERT_TRUE(r.result(0).ok()) << r.result(0).error;
-    EXPECT_EQ(r.result(1).status, JobStatus::Failed);
-    EXPECT_NE(r.result(1).error.find("watchdog-trip"), std::string::npos)
+    EXPECT_EQ(r.result(1).status, JobStatus::TimedOut);
+    EXPECT_NE(r.result(1).error.find("timeout"), std::string::npos)
         << r.result(1).error;
     ASSERT_TRUE(r.result(2).ok()) << r.result(2).error;
     EXPECT_TRUE(cache.poisoned(key));

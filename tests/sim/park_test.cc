@@ -37,10 +37,11 @@ constexpr Addr jobLine = 0x5080;
 constexpr Addr clockLine = 0x70c0;
 constexpr Addr eventLine = 0x9100;
 constexpr Cycle never = ~Cycle(0);
-/** Custom marker args: the executor's wake call, and scheduling a
- *  global event arg2 cycles ahead. */
+/** Custom marker args: the executor's wake call, scheduling a global
+ *  event arg2 cycles ahead, and raising a SimError. */
 constexpr uint64_t wakeCall = 1;
 constexpr uint64_t scheduleCall = 2;
+constexpr uint64_t raiseCall = 3;
 
 MachineConfig
 smallConfig(bool slow)
@@ -62,8 +63,9 @@ smallConfig(bool slow)
  * Spins every dry CPU on the idle-loop shaped chunk. A Custom marker
  * is the executor's wake call: it queues one job, which the next
  * IdlePoll of any CPU picks up. Another Custom marker schedules a
- * global event, which the first CPU to poll after it takes. An
- * optional per-CPU clock delivers a store through pollEvents. Both
+ * global event, which the first CPU to poll after it takes. A third
+ * raises a SimError out of Machine::run. An optional per-CPU clock
+ * delivers a store through pollEvents. The clock and the global event
  * feed nextEventAt(), the park deadline.
  */
 struct SpinExecutor : Executor
@@ -87,6 +89,8 @@ struct SpinExecutor : Executor
     Cycle eventAt = never;
     uint32_t jobs = 0;
     std::vector<std::string> log;
+    /** Parked-CPU mask when the raise call ran. */
+    uint64_t parkedAtRaise = 0;
 
     void
     note(const char *what, CpuId cpu)
@@ -120,6 +124,13 @@ struct SpinExecutor : Executor
             eventAt = m.now() + item.arg2;
             note("schedule", cpu);
             m.wakeParkedAfter(eventAt);
+        } else if (item.marker == MarkerOp::Custom &&
+                   item.addr == raiseCall) {
+            note("raise", cpu);
+            parkedAtRaise = m.memory().parked();
+            util::raise(util::ErrCode::ResourceExhausted,
+                        "rig raised at cycle %llu",
+                        (unsigned long long)m.now());
         } else if (item.marker == MarkerOp::InvalICache) {
             note("flush", cpu);
             m.memory().flushICachesForPage(0);
@@ -414,44 +425,28 @@ TEST(Park, SnapshotMidIdleMatchesUninterruptedRun)
     }
 }
 
-TEST(Park, WatchdogDoesNotTripDuringLongPark)
+TEST(Park, ThrowOutOfRunLeavesParkedCpuUpToDate)
 {
-    for (bool slow : {false, true}) {
-        MachineConfig cfg = smallConfig(slow);
-        cfg.watchdogCycles = 5000;
-        Rig r(cfg);
-        // CPU 1 only thinks, which is not progress: the spinner's
-        // hits are the only progress there is.
-        for (int i = 0; i < 3000; ++i)
-            r.m.cpu(1).push(ScriptItem::think(100));
-        EXPECT_NO_THROW(r.m.run(200000));
-        if (!slow) {
-            EXPECT_GT(r.m.parkedCycles(), 190000u);
-        }
+    // An executor error at cycle t unwinds out of run() while the
+    // other CPU is parked. The parked CPU must be left as the
+    // reference scheduler leaves it at t: through t if it is below
+    // the raising CPU in the scan, through t - 1 if above.
+    for (CpuId raiser : {1u, 0u}) {
+        SCOPED_TRACE("raising cpu " + std::to_string(raiser));
+        sweep([raiser](Cycle delay) {
+            Rig fast(smallConfig(false)), slow(smallConfig(true));
+            for (Rig *r : {&fast, &slow}) {
+                program(*r, raiser, delay,
+                        {ScriptItem::mark(MarkerOp::Custom, raiseCall)});
+                EXPECT_THROW(r->m.run(2000), util::SimError);
+                EXPECT_EQ(r->m.now(), delay);
+            }
+            EXPECT_EQ(fast.ex.parkedAtRaise, 1u << (1 - raiser));
+            EXPECT_EQ(fast.state(), slow.state());
+            EXPECT_EQ(fast.bus.tx, slow.bus.tx);
+            EXPECT_EQ(fast.ex.log, slow.ex.log);
+        });
     }
-}
-
-TEST(Park, WatchdogDumpSeesParkedCpuUpToDate)
-{
-    MachineConfig cfg = smallConfig(false);
-    cfg.watchdogCycles = 1000000;
-    Rig r(cfg);
-    program(r, 1, 300, {});
-    r.m.watchdog()->forceTripAt(5000);
-    std::string dump;
-    try {
-        r.m.run(200000);
-    } catch (const util::SimError &e) {
-        dump = e.what();
-    }
-    ASSERT_FALSE(dump.empty()) << "the synthetic trip did not fire";
-    EXPECT_GT(r.m.parkedCycles(), 0u);
-    // The trip unparked the spinner before the dump rendered it.
-    const Cpu &c = r.m.cpu(0);
-    const std::string line =
-        "busyUntil=" + std::to_string(c.busyUntil) +
-        " intrDisable=0 queued=" + std::to_string(c.script.size());
-    EXPECT_NE(dump.find(line), std::string::npos) << dump;
 }
 
 TEST(Park, EnvironmentDoesNotSwitchTheMachine)
@@ -468,7 +463,6 @@ TEST(Park, EnvironmentDoesNotSwitchTheMachine)
         setenv(name, "5", 1);
     Rig r{MachineConfig{}};
     EXPECT_EQ(r.m.checker(), nullptr);
-    EXPECT_EQ(r.m.watchdog(), nullptr);
     EXPECT_EQ(r.m.tracer(), nullptr);
     EXPECT_EQ(r.m.metrics(), nullptr);
     EXPECT_EQ(r.m.profiler(), nullptr);

@@ -1,13 +1,10 @@
-/** @file Trace exporter, event ring, and watchdog-ring unification.
+/** @file Trace exporter.
  *
- *  The contracts under test: the EventRing keeps exactly the last
- *  `capacity` events in order; every line of the JSONL trace is valid
- *  JSON; ring mode writes only the final ring contents; the
- *  watchdog's diagnostic dump renders the tail of the *same* ring the
- *  tracer fills, as the same JSONL lines (one buffer, two consumers);
- *  the whole layer is a null pointer unless enabled; and a pinned
- *  configuration produces a byte-identical JSONL trace against the
- *  committed golden file.
+ *  The contracts under test: every line of the JSONL trace is valid
+ *  JSON; the file holds every event the tracer counted and ends with
+ *  the last event the monitor delivered; the whole layer is a null
+ *  pointer unless enabled; and a pinned configuration streams a trace
+ *  whose tail is byte-identical to the committed golden file.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +17,6 @@
 #include "kernel/kernel.hh"
 #include "sim/machine.hh"
 #include "sim/trace/trace.hh"
-#include "util/error.hh"
 #include "util/json.hh"
 #include "temp_path.hh"
 
@@ -51,6 +47,22 @@ lineCount(const std::string &text)
     return n;
 }
 
+/** The last n lines of text (all of it if it has fewer). */
+std::string
+lastLines(const std::string &text, uint64_t n)
+{
+    // The (n+1)-th newline from the end precedes the last n lines.
+    size_t at = text.size();
+    for (uint64_t i = 0; i <= n; ++i) {
+        if (at == 0)
+            return text;
+        at = text.rfind('\n', at - 1);
+        if (at == std::string::npos)
+            return text;
+    }
+    return text.substr(at + 1);
+}
+
 /** Run a small kernel-driven machine with the given trace config. */
 void
 runTraced(MachineConfig &mcfg, Cycle cycles)
@@ -67,8 +79,7 @@ runTraced(MachineConfig &mcfg, Cycle cycles)
 
 /** Run a short traced Pmake experiment (real bus traffic). */
 std::unique_ptr<core::Experiment>
-runTracedWorkload(const std::string &trace_path, uint64_t ring_entries,
-                  bool ring_mode)
+runTracedWorkload(const std::string &trace_path)
 {
     core::ExperimentConfig cfg;
     cfg.kind = workload::WorkloadKind::Pmake;
@@ -77,43 +88,12 @@ runTracedWorkload(const std::string &trace_path, uint64_t ring_entries,
     cfg.options.seed = 7;
     cfg.machine.trace = true;
     cfg.machine.traceFile = trace_path;
-    cfg.machine.traceRingEntries = ring_entries;
-    cfg.machine.traceRingMode = ring_mode;
     auto e = std::make_unique<core::Experiment>(cfg);
     e->run(); // finishes (and closes) the trace
     return e;
 }
 
 } // namespace
-
-TEST(EventRing, KeepsLastCapacityEventsInOrder)
-{
-    EventRing ring(4);
-    EXPECT_EQ(ring.capacity(), 4u);
-    EXPECT_EQ(ring.size(), 0u);
-
-    for (uint64_t i = 0; i < 10; ++i) {
-        TraceEvent ev;
-        ev.cycle = i;
-        ring.push(ev);
-    }
-    EXPECT_EQ(ring.total(), 10u);
-    EXPECT_EQ(ring.size(), 4u);
-    // Oldest-first tail: cycles 6, 7, 8, 9.
-    for (uint64_t i = 0; i < 4; ++i)
-        EXPECT_EQ(ring.tail(i).cycle, 6 + i);
-}
-
-TEST(EventRing, PartiallyFilled)
-{
-    EventRing ring(8);
-    TraceEvent ev;
-    ev.cycle = 42;
-    ring.push(ev);
-    EXPECT_EQ(ring.total(), 1u);
-    EXPECT_EQ(ring.size(), 1u);
-    EXPECT_EQ(ring.tail(0).cycle, 42u);
-}
 
 TEST(Trace, OffByDefault)
 {
@@ -128,7 +108,7 @@ TEST(Trace, StreamedTraceConvertsToValidJsonl)
 {
     const test::TempPath jsonl("stream.jsonl", test::TempPath::File);
 
-    runTracedWorkload(jsonl.path, 4096, false);
+    runTracedWorkload(jsonl.path);
 
     const std::string text = slurp(jsonl.path);
     const uint64_t lines = lineCount(text);
@@ -150,32 +130,12 @@ TEST(Trace, StreamingWritesEveryEvent)
 {
     const test::TempPath jsonl("count.jsonl", test::TempPath::File);
 
-    // Ring far smaller than the event count of a real workload.
-    auto e = runTracedWorkload(jsonl.path, 64, false);
+    auto e = runTracedWorkload(jsonl.path);
     const uint64_t total = e->machine().tracer()->totalEvents();
-    ASSERT_GT(total, 64u);
+    ASSERT_GT(total, 100u);
 
-    // Streaming mode: the file holds all events, not just the ring.
+    // The file holds one line per counted event.
     EXPECT_EQ(lineCount(slurp(jsonl.path)), total);
-}
-
-TEST(Trace, RingModeWritesOnlyFinalRingContents)
-{
-    const test::TempPath jsonl("ring.jsonl", test::TempPath::File);
-
-    auto e = runTracedWorkload(jsonl.path, 64, true);
-    const Tracer &tr = *e->machine().tracer();
-    const uint64_t total = tr.totalEvents();
-    const Cycle lastRingCycle = tr.ring().tail(tr.ring().size() - 1).cycle;
-    ASSERT_GT(total, 64u);
-
-    const std::string text = slurp(jsonl.path);
-    EXPECT_EQ(lineCount(text), 64u);
-    // The last emitted event is the last ring entry.
-    char want[64];
-    std::snprintf(want, sizeof want, "\"cycle\":%llu",
-                  (unsigned long long)lastRingCycle);
-    EXPECT_NE(text.rfind(want), std::string::npos);
 }
 
 TEST(Trace, IdenticalRunsProduceIdenticalTraces)
@@ -188,80 +148,102 @@ TEST(Trace, IdenticalRunsProduceIdenticalTraces)
         cfg.numCpus = 2;
         cfg.trace = true;
         cfg.traceFile = path;
-        cfg.traceRingEntries = 256;
         runTraced(cfg, 80000);
     }
     EXPECT_EQ(slurp(a.path), slurp(b.path)); // byte-identical
 }
 
-// ------------------------------------------------------------------ //
-// Watchdog / trace ring unification                                  //
-// ------------------------------------------------------------------ //
-
-TEST(Trace, WatchdogAloneGetsRingOnlyTracer)
+namespace
 {
-    // The watchdog's event history comes from the shared ring, so
-    // enabling the watchdog materializes a small file-less tracer.
-    MachineConfig cfg;
-    cfg.numCpus = 2;
-    cfg.watchdogCycles = 5000;
-    Machine m(cfg, 8);
-    ASSERT_NE(m.watchdog(), nullptr);
-    ASSERT_NE(m.tracer(), nullptr);
-    EXPECT_EQ(m.tracer()->ring().capacity(), 32u);
-}
 
-TEST(Trace, WatchdogDumpRendersSharedRingTail)
+/** Remembers the last monitor event as its JSONL line would open. */
+class LastEventObserver : public MonitorObserver
 {
-    MachineConfig mcfg;
-    mcfg.numCpus = 2;
-    mcfg.watchdogCycles = 200000;
-    mcfg.trace = true; // one ring, two consumers
-    mcfg.traceRingEntries = 4096;
-    Machine m(mcfg, 128);
-    kernel::KernelConfig kcfg;
-    kcfg.layout.maxProcs = 16;
-    kcfg.userPoolPages = 600;
-    kernel::Kernel k(m, kcfg);
+  public:
+    uint64_t count = 0;
+    std::string lastPrefix;
 
-    m.watchdog()->forceTripAt(50000);
-    std::string dump;
-    try {
-        m.run(100000);
-        FAIL() << "synthetic trip did not fire";
-    } catch (const util::SimError &e) {
-        EXPECT_EQ(e.code(), util::ErrCode::WatchdogTrip);
-        dump = e.what();
+    void busTransaction(const BusRecord &rec) override
+    {
+        clocked("bus", rec.cycle, rec.cpu);
+    }
+    void evict(CpuId cpu, CacheKind, Addr, const MonitorContext &) override
+    {
+        stamped("evict", cpu);
+    }
+    void invalSharing(CpuId cpu, CacheKind, Addr) override
+    {
+        stamped("inval-sharing", cpu);
+    }
+    void invalPageRealloc(CpuId cpu, Addr) override
+    {
+        stamped("inval-realloc", cpu);
+    }
+    void flushPage(CpuId cpu, Addr, uint32_t) override
+    {
+        stamped("flush-page", cpu);
+    }
+    void osEnter(Cycle cycle, CpuId cpu, OsOp) override
+    {
+        clocked("os-enter", cycle, cpu);
+    }
+    void osExit(Cycle cycle, CpuId cpu, OsOp) override
+    {
+        clocked("os-exit", cycle, cpu);
+    }
+    void contextSwitch(Cycle cycle, CpuId cpu, Pid, Pid) override
+    {
+        clocked("context-switch", cycle, cpu);
     }
 
-    ASSERT_NE(m.tracer(), nullptr);
-    const EventRing &ring = m.tracer()->ring();
-    ASSERT_GT(ring.size(), 0u);
-    EXPECT_NE(dump.find("monitor events:"), std::string::npos) << dump;
-
-    // The dump's event tail is rendered from the tracer's own ring:
-    // the last bus event in the ring must appear in the dump as its
-    // trace JSONL line.
-    bool checked = false;
-    for (uint64_t i = ring.size(); i-- > 0;) {
-        const TraceEvent &ev = ring.tail(i);
-        if (ev.kind != TraceEventKind::Bus)
-            continue;
-        char want[160];
-        std::snprintf(want, sizeof want,
-                      "\n    {\"kind\":\"bus\",\"cycle\":%llu,\"cpu\":%u,"
-                      "\"line\":\"0x%llx\",\"op\":\"%s\",\"cache\":\"%c\"",
-                      (unsigned long long)ev.cycle, ev.cpu,
-                      (unsigned long long)ev.addr,
-                      busOpName(BusOp(ev.a)),
-                      CacheKind(ev.b) == CacheKind::Instr ? 'I' : 'D');
-        EXPECT_NE(dump.find(want), std::string::npos)
-            << "dump does not render ring tail event: " << want
-            << "\n" << dump;
-        checked = true;
-        break;
+  private:
+    void clocked(const char *kind, Cycle cycle, CpuId cpu)
+    {
+        lastCycle = cycle;
+        stamped(kind, cpu);
     }
-    EXPECT_TRUE(checked) << "no bus event in the ring to check";
+    /** Unclocked events carry the last clocked cycle, as the tracer
+     *  stamps them. */
+    void stamped(const char *kind, CpuId cpu)
+    {
+        ++count;
+        char buf[128];
+        std::snprintf(buf, sizeof buf,
+                      "{\"kind\":\"%s\",\"cycle\":%llu,\"cpu\":%u",
+                      kind, (unsigned long long)lastCycle, cpu);
+        lastPrefix = buf;
+    }
+
+    Cycle lastCycle = 0;
+};
+
+} // namespace
+
+TEST(Trace, FileEndsWithLastObservedEvent)
+{
+    // The streamed file is complete when finish() returns: its last
+    // line is the last event the monitor delivered.
+    const test::TempPath jsonl("last.jsonl", test::TempPath::File);
+
+    LastEventObserver obs; // outlives the machine it watches
+    core::ExperimentConfig cfg;
+    cfg.kind = workload::WorkloadKind::Pmake;
+    cfg.warmupCycles = 20000;
+    cfg.measureCycles = 60000;
+    cfg.options.seed = 7;
+    cfg.machine.trace = true;
+    cfg.machine.traceFile = jsonl.path;
+    core::Experiment e(cfg);
+    e.machine().monitor().attach(&obs);
+    e.run(); // finishes (and closes) the trace
+    e.machine().monitor().detach(&obs);
+
+    const std::string text = slurp(jsonl.path);
+    ASSERT_GT(obs.count, 100u);
+    EXPECT_EQ(lineCount(text), e.machine().tracer()->totalEvents());
+    const std::string last = lastLines(text, 1);
+    EXPECT_EQ(last.compare(0, obs.lastPrefix.size(), obs.lastPrefix), 0)
+        << "last line: " << last << "\nlast event: " << obs.lastPrefix;
 }
 
 // ------------------------------------------------------------------ //
@@ -271,9 +253,10 @@ TEST(Trace, WatchdogDumpRendersSharedRingTail)
 #ifdef MPOS_GOLDEN_DIR
 TEST(Trace, GoldenByteIdentical)
 {
-    // Pinned smoke configuration; ring mode keeps the committed
-    // corpus small. Regenerate intentionally with
-    // tests/golden/update.sh (which sets MPOS_UPDATE_GOLDEN).
+    // Pinned smoke configuration. The committed corpus keeps the
+    // stream's last 256 lines, which keeps it small. Regenerate
+    // intentionally with tests/golden/update.sh (which sets
+    // MPOS_UPDATE_GOLDEN).
     const std::string golden_jsonl =
         std::string(MPOS_GOLDEN_DIR) + "/trace_smoke.jsonl";
     const test::TempPath fresh_jsonl("golden_fresh.jsonl",
@@ -286,14 +269,12 @@ TEST(Trace, GoldenByteIdentical)
     cfg.options.seed = 7;
     cfg.machine.trace = true;
     cfg.machine.traceFile = fresh_jsonl.path;
-    cfg.machine.traceRingEntries = 256;
-    cfg.machine.traceRingMode = true;
     core::Experiment exp(cfg);
     exp.run();
+    const std::string tail = lastLines(slurp(fresh_jsonl.path), 256);
 
     if (std::getenv("MPOS_UPDATE_GOLDEN")) {
-        std::ofstream(golden_jsonl, std::ios::binary)
-            << slurp(fresh_jsonl.path);
+        std::ofstream(golden_jsonl, std::ios::binary) << tail;
         GTEST_LOG_(INFO) << "golden trace updated in "
                          << MPOS_GOLDEN_DIR;
         return;
@@ -302,7 +283,7 @@ TEST(Trace, GoldenByteIdentical)
     // A missing golden is a failure, not a skip (check.sh policy).
     ASSERT_TRUE(std::ifstream(golden_jsonl).good())
         << "no committed golden trace; run tests/golden/update.sh";
-    EXPECT_EQ(slurp(fresh_jsonl.path), slurp(golden_jsonl))
-        << "JSONL trace differs from the committed golden";
+    EXPECT_EQ(tail, slurp(golden_jsonl))
+        << "JSONL trace tail differs from the committed golden";
 }
 #endif
