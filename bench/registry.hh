@@ -7,9 +7,10 @@
  * The three standard workload runs (Pmake/Multpgm/Oracle, standard
  * configuration, resim recording on) are simulated once each --
  * concurrently, on the --jobs thread pool -- and every analysis
- * reads from them; true sweeps (Figure 6 cache sizes are replays of
- * the recorded stream, Figure 11 CPU counts and the ablations are
- * extra machine configurations) fan out as additional parallel jobs.
+ * reads from them; true sweeps (Figure 11 CPU counts and the
+ * ablations are extra machine configurations) fan out as additional
+ * parallel jobs. Figure 6 cache sizes are replays of the recorded
+ * stream, split by simulated CPU into tasks on the same pool.
  * Results are consumed in submission order, so the printed tables are
  * byte-identical no matter how many host threads ran the sweep.
  *

@@ -8,6 +8,12 @@
  * We record every bus-level instruction miss (application and OS, as
  * the paper does) plus every I-cache invalidation event, then replay
  * the stream through arbitrary cache geometries.
+ *
+ * Each simulated CPU's replay cache sees only that CPU's misses and
+ * flushes, so a replay splits exactly by CPU: the recorder keeps one
+ * stream per CPU, each replay loop runs one CPU's stream through one
+ * cache, and a whole-machine result is the sum of the per-CPU counts.
+ * Callers may run the per-CPU replays on separate host threads.
  */
 
 #ifndef MPOS_CORE_RESIM_HH
@@ -22,14 +28,22 @@
 namespace mpos::core
 {
 
-/** Result of one re-simulation. */
+/** Miss counts of one re-simulation. */
 struct ResimResult
 {
     uint64_t osMisses = 0;
     uint64_t appMisses = 0;
-    uint64_t invalMisses = 0; ///< OS misses attributable to flushes.
-    /** OS misses relative to the measured machine (1.0 = measured). */
+    /** OS misses relative to the measured machine (1.0 = measured);
+     *  set only on whole-machine results. */
     double relativeOsMissRate = 0.0;
+
+    ResimResult &
+    operator+=(const ResimResult &o)
+    {
+        osMisses += o.osMisses;
+        appMisses += o.appMisses;
+        return *this;
+    }
 };
 
 /** The solid and dashed Figure 6 curves from one replay. */
@@ -37,6 +51,14 @@ struct ResimPairResult
 {
     ResimResult withInval; ///< Flushes applied (solid curve).
     ResimResult noInval;   ///< Flushes ignored (dashed Inval floor).
+
+    ResimPairResult &
+    operator+=(const ResimPairResult &o)
+    {
+        withInval += o.withInval;
+        noInval += o.noInval;
+        return *this;
+    }
 };
 
 /** Recorder + replayer. */
@@ -52,42 +74,61 @@ class ICacheResim : public MissSink, public sim::MonitorObserver
                    uint32_t page_bytes) override;
     /// @}
 
+    uint32_t numCpus() const { return uint32_t(streams.size()); }
+
     /** OS I-misses recorded from the measured machine. */
     uint64_t baselineOsMisses() const { return baseOs; }
-    uint64_t recordedEvents() const { return uint64_t(events.size()); }
+    uint64_t recordedEvents() const { return nEvents; }
 
+    /// @name One CPU's replay (counts only; relativeOsMissRate is 0)
+    /// @{
     /**
-     * Replay the recorded stream through caches of the given
-     * geometry.
+     * Replay CPU cpu's recorded stream through one cache of the
+     * given geometry.
      * @param apply_invals If false, code-page-reallocation flushes
      *        are ignored (the dashed "no Inval" curve of Figure 6).
      */
-    ResimResult simulate(uint64_t cache_bytes, uint32_t assoc,
-                         bool apply_invals = true) const;
+    ResimResult simulateCpu(CpuId cpu, uint64_t cache_bytes,
+                            uint32_t assoc, bool apply_invals) const;
 
     /**
-     * Replay once, simulating the direct-mapped cache with and
-     * without invalidations side by side. Equivalent to two
-     * simulate(cache_bytes, 1, ...) calls at half the replay cost --
-     * the Figure 6 sweep walks the recorded stream per size, so the
-     * single pass matters.
+     * Replay CPU cpu's stream once, simulating the direct-mapped
+     * cache with and without invalidations side by side. Equivalent
+     * to two simulateCpu(cpu, cache_bytes, 1, ...) calls at half the
+     * replay cost.
      */
+    ResimPairResult simulateDirectPairCpu(CpuId cpu,
+                                          uint64_t cache_bytes) const;
+    /// @}
+
+    /** Set the relative OS miss rate of a sum over every CPU. */
+    ResimResult relative(ResimResult whole) const;
+    ResimPairResult relative(ResimPairResult whole) const;
+
+    /// @name Whole-machine replay: the per-CPU replays, summed
+    /// @{
+    ResimResult simulate(uint64_t cache_bytes, uint32_t assoc,
+                         bool apply_invals = true) const;
     ResimPairResult simulateDirectPair(uint64_t cache_bytes) const;
+    /// @}
 
     void clear();
 
   private:
-    struct Ev
-    {
-        uint32_t lineIdx;
-        uint8_t cpu;
-        uint8_t flags; // bit0 = page flush, bit1 = OS context
-        uint16_t lines; // flush extent in lines (page flushes)
-    };
+    /**
+     * A stream word is line number << 2 | OS context << 1 | flush. A
+     * flush word is followed by one word holding the flush extent in
+     * lines (0 = the whole cache). Line numbers fit: validateConfig
+     * keeps memory below 2^Cache::lineNumberBits lines.
+     */
+    static constexpr uint32_t flushBit = 1;
+    static constexpr uint32_t osBit = 2;
 
-    uint32_t nCpus;
+    void push(CpuId cpu, Addr line, uint32_t flags);
+
     uint32_t lineBytes;
-    std::vector<Ev> events;
+    std::vector<std::vector<uint32_t>> streams; ///< One per CPU.
+    uint64_t nEvents = 0;
     uint64_t baseOs = 0;
 };
 

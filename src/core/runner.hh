@@ -145,6 +145,15 @@ class ExperimentRunner
     size_t size() const { return slots.size(); }
     unsigned jobs() const { return pool.threads(); }
 
+    /**
+     * The pool the jobs run on, for analysis work that splits into
+     * independent tasks. Tasks queue FIFO behind jobs already
+     * submitted, so the host never runs more than jobs() threads.
+     * Submit and wait only from outside the pool: a task that waits
+     * on another pool task can deadlock a 1-thread pool.
+     */
+    util::ThreadPool &threadPool() { return pool; }
+
     /** Number of settled jobs that did not end Ok (waits for all). */
     size_t failedCount();
 

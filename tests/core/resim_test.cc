@@ -2,13 +2,18 @@
  * @file
  * Unit tests for the Figure 6 I-cache re-simulation: recording filters
  * (only instruction misses enter the stream), replay through bigger
- * caches, flush handling, and the one-pass simulateDirectPair
- * optimization, which must equal two independent simulate() replays.
+ * caches, flush handling, the one-pass simulateDirectPair
+ * optimization, which must equal two independent simulate() replays,
+ * and the split by simulated CPU: the per-CPU replays, summed, must
+ * equal one replay of the whole interleaved stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/resim.hh"
+#include "sim/cache.hh"
 
 using namespace mpos;
 using core::ClassifiedMiss;
@@ -57,6 +62,49 @@ expectSame(const ResimResult &a, const ResimResult &b)
     EXPECT_EQ(a.osMisses, b.osMisses);
     EXPECT_EQ(a.appMisses, b.appMisses);
     EXPECT_DOUBLE_EQ(a.relativeOsMissRate, b.relativeOsMissRate);
+}
+
+/** One recorded event, as the whole-stream reference replays it. */
+struct RefEv
+{
+    CpuId cpu;
+    Addr line;
+    bool os;
+    bool flush;
+    uint32_t flushBytes; ///< 0 = full-cache flush.
+};
+
+/**
+ * The whole-machine replay the per-CPU split must reproduce: one
+ * cache per CPU, every event in recorded order into caches[e.cpu].
+ */
+ResimResult
+referenceReplay(const std::vector<RefEv> &events, uint32_t cpus,
+                uint64_t bytes, uint32_t assoc, bool apply_invals)
+{
+    std::vector<sim::Cache> caches;
+    for (uint32_t c = 0; c < cpus; ++c)
+        caches.emplace_back("ref", bytes, assoc, lineBytes);
+    ResimResult r;
+    for (const RefEv &e : events) {
+        sim::Cache &c = caches[e.cpu];
+        if (e.flush) {
+            if (!apply_invals)
+                continue;
+            if (e.flushBytes == 0) {
+                c.reset();
+            } else {
+                for (Addr a = 0; a < e.flushBytes; a += lineBytes)
+                    c.invalidate(e.line + a);
+            }
+            continue;
+        }
+        if (!c.touch(e.line)) {
+            c.fill(e.line);
+            ++(e.os ? r.osMisses : r.appMisses);
+        }
+    }
+    return r;
 }
 
 } // namespace
@@ -149,5 +197,65 @@ TEST(ICacheResim, DirectPairMatchesTwoIndependentReplays)
         const ResimPairResult pair = rs.simulateDirectPair(bytes);
         expectSame(pair.withInval, rs.simulate(bytes, 1, true));
         expectSame(pair.noInval, rs.simulate(bytes, 1, false));
+    }
+}
+
+TEST(ICacheResim, PerCpuReplaysSumToWholeStreamReplay)
+{
+    // Four CPUs interleave misses over one shared address range, so
+    // any event that reached another CPU's cache would turn some of
+    // that CPU's misses into hits (or evict its lines). Full-cache
+    // flushes are sprinkled in, plus one ranged page flush.
+    constexpr uint32_t cpus = 4;
+    ICacheResim rs(cpus, lineBytes);
+    std::vector<RefEv> events;
+    uint64_t x = 2024;
+    for (int i = 0; i < 60000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const CpuId cpu = CpuId((x >> 33) % cpus);
+        // 2 MB of code: conflicts at 64 KB, mostly cold at 1 MB.
+        const Addr line = ((x >> 12) % (1u << 17)) * lineBytes;
+        if (i == 30000) {
+            events.push_back({cpu, 0x10000, false, true, 4096});
+            rs.flushPage(cpu, 0x10000, 4096);
+        } else if ((x >> 52) == 0) {
+            events.push_back({cpu, 0, false, true, 0});
+            rs.flushPage(cpu, 0, 0);
+        } else {
+            const bool os = (x & 3) != 0;
+            events.push_back({cpu, line, os, false, 0});
+            rs.onMiss(imiss(cpu, line, os));
+        }
+    }
+    ASSERT_EQ(rs.numCpus(), cpus);
+    ASSERT_EQ(rs.recordedEvents(), events.size());
+
+    for (uint64_t kb : {64, 256, 1024}) {
+        const uint64_t bytes = kb * 1024;
+        const ResimResult refWith =
+            referenceReplay(events, cpus, bytes, 1, true);
+        const ResimResult refNo =
+            referenceReplay(events, cpus, bytes, 1, false);
+        const ResimResult ref2way =
+            referenceReplay(events, cpus, bytes, 2, true);
+        ASSERT_NE(refWith.osMisses, refNo.osMisses) << kb << " KB";
+
+        ResimPairResult pairSum;
+        ResimResult twoSum;
+        for (CpuId c = 0; c < cpus; ++c) {
+            pairSum += rs.simulateDirectPairCpu(c, bytes);
+            twoSum += rs.simulateCpu(c, bytes, 2, true);
+        }
+        expectSame(pairSum.withInval, refWith);
+        expectSame(pairSum.noInval, refNo);
+        expectSame(twoSum, ref2way);
+
+        // The whole-machine entry points are the same sums, with the
+        // rate relative to the recorded OS misses.
+        expectSame(rs.simulateDirectPair(bytes).withInval,
+                   rs.relative(refWith));
+        expectSame(rs.simulateDirectPair(bytes).noInval,
+                   rs.relative(refNo));
+        expectSame(rs.simulate(bytes, 2, true), rs.relative(ref2way));
     }
 }

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "core/runner.hh"
@@ -122,4 +124,39 @@ TEST(ExperimentRunner, SeedChangesResults)
     r.waitAll();
     EXPECT_NE(r.get("a").misses().total(),
               r.get("b").misses().total());
+}
+
+TEST(ExperimentRunner, PoolTaskRunsBehindQueuedJobs)
+{
+    // Analyses submit work to the runner's own pool from the main
+    // thread while jobs are still queued. The task queues behind
+    // them and completes, also on a 1-thread pool.
+    for (const unsigned jobs : {1u, 2u}) {
+        ExperimentRunner r(jobs);
+        r.submit("a", quickConfig(WorkloadKind::Pmake, 600000));
+        r.submit("b", quickConfig(WorkloadKind::Oracle, 600000));
+        r.submit("c", quickConfig(WorkloadKind::Multpgm, 600000));
+        auto task = r.threadPool().submit([] { return 42; });
+        ASSERT_EQ(task.wait_for(std::chrono::seconds(120)),
+                  std::future_status::ready)
+            << "pool task never ran at --jobs " << jobs;
+        EXPECT_EQ(task.get(), 42);
+        EXPECT_EQ(r.failedCount(), 0u);
+    }
+}
+
+TEST(ExperimentRunner, PoolTaskExceptionReachesCaller)
+{
+    ExperimentRunner r(1);
+    auto task = r.threadPool().submit(
+        []() -> int { throw std::runtime_error("replay failed"); });
+    try {
+        task.get();
+        FAIL() << "the task's exception was lost";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "replay failed");
+    }
+    // The worker survives the throw: a later job still runs.
+    r.submit("after", quickConfig(WorkloadKind::Pmake, 600000));
+    EXPECT_GT(r.get("after").elapsed(), 0u);
 }
