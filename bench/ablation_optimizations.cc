@@ -31,10 +31,10 @@ struct Result
 };
 
 core::ExperimentConfig
-variantConfig(WK kind, bool affinity, BM mode, uint32_t iassoc,
-              bool optimized_layout = false)
+variantConfig(const bench::BenchOptions &o, WK kind, bool affinity,
+              BM mode, uint32_t iassoc, bool optimized_layout = false)
 {
-    auto cfg = bench::standardConfig(kind);
+    auto cfg = bench::standardConfig(kind, o);
     cfg.measureCycles /= 2;
     cfg.kernelCfg.affinitySched = affinity;
     cfg.kernelCfg.blockOpMode = mode;
@@ -51,23 +51,23 @@ struct Variant
 };
 
 std::vector<Variant>
-variants()
+variants(const bench::BenchOptions &o)
 {
     return {
         {"ablation/multpgm-base",
-         variantConfig(WK::Multpgm, false, BM::Normal, 1)},
+         variantConfig(o, WK::Multpgm, false, BM::Normal, 1)},
         {"ablation/affinity",
-         variantConfig(WK::Multpgm, true, BM::Normal, 1)},
+         variantConfig(o, WK::Multpgm, true, BM::Normal, 1)},
         {"ablation/pmake-base",
-         variantConfig(WK::Pmake, false, BM::Normal, 1)},
+         variantConfig(o, WK::Pmake, false, BM::Normal, 1)},
         {"ablation/bypass",
-         variantConfig(WK::Pmake, false, BM::Bypass, 1)},
+         variantConfig(o, WK::Pmake, false, BM::Bypass, 1)},
         {"ablation/prefetch",
-         variantConfig(WK::Pmake, false, BM::Prefetch, 1)},
+         variantConfig(o, WK::Pmake, false, BM::Prefetch, 1)},
         {"ablation/twoway",
-         variantConfig(WK::Pmake, false, BM::Normal, 2)},
+         variantConfig(o, WK::Pmake, false, BM::Normal, 2)},
         {"ablation/layout",
-         variantConfig(WK::Pmake, false, BM::Normal, 1, true)},
+         variantConfig(o, WK::Pmake, false, BM::Normal, 1, true)},
     };
 }
 
@@ -95,7 +95,7 @@ measure(core::Experiment &exp)
 void
 mpos::bench::prepare_ablation(BenchContext &ctx)
 {
-    for (const auto &v : variants())
+    for (const auto &v : variants(ctx.options()))
         ctx.submit(v.name, v.cfg);
 }
 

@@ -30,7 +30,8 @@ void
 mpos::bench::prepare_fig11(BenchContext &ctx)
 {
     for (const uint32_t ncpu : cpuCounts) {
-        auto cfg = standardConfig(workload::WorkloadKind::Multpgm);
+        auto cfg =
+            standardConfig(workload::WorkloadKind::Multpgm, ctx.options());
         cfg.machine.numCpus = ncpu;
         cfg.collectMisses = false; // only lock stats needed
         cfg.measureCycles /= 2;

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
 
 #include "bench/analyses.hh"
 #include "core/warmcache.hh"
@@ -23,12 +24,14 @@ namespace mpos::bench
 // ---------------------------------------------------------------- //
 
 BenchContext::BenchContext(unsigned jobs)
-    : runner_(jobs)
+    : BenchContext(core::RunnerOptions{jobs},
+                   BenchOptions::fromEnvironment())
 {
 }
 
-BenchContext::BenchContext(const core::RunnerOptions &opt)
-    : runner_(opt)
+BenchContext::BenchContext(const core::RunnerOptions &ropt,
+                           BenchOptions opts)
+    : runner_(ropt), opts_(std::move(opts)), journal_(ropt.journal)
 {
 }
 
@@ -45,17 +48,18 @@ void
 BenchContext::submitJob(const std::string &name,
                         core::ExperimentConfig cfg)
 {
-    if (obs_.trace) {
+    const ObsOptions &obs = opts_.obs;
+    if (obs.trace) {
         cfg.machine.trace = true;
-        cfg.machine.traceFile = obsFileBase(obs_.dir, name) + ".jsonl";
+        cfg.machine.traceFile = obsFileBase(obs.dir, name) + ".jsonl";
     }
-    if (obs_.metrics)
+    if (obs.metrics)
         cfg.machine.metrics = true;
-    if (obs_.profile)
+    if (obs.profile)
         cfg.machine.profile = true;
-    if (check_)
+    if (opts_.check)
         cfg.machine.check = true;
-    if (!faultJob_.empty() && name == faultJob_) {
+    if (!opts_.faultJob.empty() && name == opts_.faultJob) {
         // Guaranteed failure at a fixed point: the deadline has passed
         // by the first slice boundary, where runPhase checks it.
         cfg.timeoutSeconds = std::numeric_limits<double>::denorm_min();
@@ -103,7 +107,7 @@ BenchContext::prepareStandard(workload::WorkloadKind kind)
     // is a passive monitor observer (it cannot perturb simulated
     // events), and having the stream lets Figure 6 replay the same
     // run every other analysis reads.
-    auto cfg = standardConfig(kind);
+    auto cfg = standardConfig(kind, opts_);
     cfg.collectResim = true;
     submitJob(name, cfg);
 }
@@ -441,8 +445,8 @@ rowFromJournal(const core::JournalJobRow &j)
  * (the crash-recovery matrix diffs exactly this).
  */
 void
-writeJson(const std::string &path, bool smoke, unsigned jobs,
-          const ObsOptions &obs, bool journal,
+writeJson(const std::string &path, const BenchOptions &opts,
+          bool smoke, unsigned jobs, bool journal,
           const core::WarmStartCache *warm_cache,
           const std::vector<JobRow> &rows,
           const std::vector<AnalysisRecord> &analyses,
@@ -455,9 +459,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
         return;
     }
     auto flag = [](bool on) { return on ? "true" : "false"; };
-    // The configuration every standard job was built from.
-    const core::ExperimentConfig std_cfg =
-        standardConfig(workload::WorkloadKind::Pmake);
+    const ObsOptions &obs = opts.obs;
     std::fprintf(f, "{\n  \"driver\": \"mpos_bench\",\n");
     std::fprintf(f,
                  "  \"config\": {\"measure_cycles\": %llu, "
@@ -465,13 +467,12 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                  "\"jobs\": %u, "
                  "\"protocol\": \"%s\", \"lock_proto\": \"%s\", "
                  "\"assoc\": %u, \"cpus\": %u, \"smoke\": %s, ",
-                 (unsigned long long)std_cfg.measureCycles,
-                 (unsigned long long)std_cfg.warmupCycles,
-                 (unsigned long long)std_cfg.options.seed, jobs,
-                 sim::protocolName(std_cfg.machine.protocol),
-                 sim::lockPolicyName(std_cfg.machine.lockPolicy),
-                 std_cfg.machine.l1dAssoc, std_cfg.machine.numCpus,
-                 flag(smoke));
+                 (unsigned long long)opts.measureCycles,
+                 (unsigned long long)opts.warmupCycles,
+                 (unsigned long long)opts.seed, jobs,
+                 sim::protocolName(opts.protocol),
+                 sim::lockPolicyName(opts.lockPolicy), opts.assoc,
+                 opts.cpus, flag(smoke));
     if (journal) {
         std::fprintf(f, "\"journal\": true},\n");
     } else {
@@ -595,9 +596,6 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
     std::fclose(f);
 }
 
-/** Largest --jobs value: far more threads than any host has cores. */
-constexpr unsigned long maxJobs = 1024;
-
 /**
  * Parse a flag's value as a finite, non-negative decimal number of
  * seconds, or exit 2 naming the flag.
@@ -633,25 +631,25 @@ usage()
         "MPOS_JOBS or 0)\n"
         "  --json PATH     machine-readable results (default "
         "mpos_bench_results.json)\n"
-        "  --smoke         tiny-run smoke mode: sets "
-        "MPOS_CYCLES/MPOS_WARMUP to small\n"
-        "                  values unless already set; exit 1 if any "
-        "analysis throws\n"
+        "  --smoke         tiny-run smoke mode: 300,000 measured and "
+        "150,000 warmup\n"
+        "                  cycles unless MPOS_CYCLES/MPOS_WARMUP set "
+        "them; exit 1 if\n"
+        "                  any analysis throws\n"
         "  --check         run with the coherence/TLB/monitor "
         "invariant checkers on\n"
         "                  (slower; any violation aborts)\n"
         "  --protocol P    coherence protocol for every job: mesi "
         "(default), msi, mi\n"
-        "                  (sets MPOS_PROTOCOL)\n"
         "  --lock-proto P  lock primitive for every job: tas "
         "(default), ticket,\n"
-        "                  mcs, futex, rcu (sets MPOS_LOCK_PROTO)\n"
+        "                  mcs, futex, rcu\n"
         "  --assoc N       D-cache associativity for every job (L1 "
-        "and L2; sets\n"
-        "                  MPOS_ASSOC; default 1 = direct-mapped)\n"
-        "  --cpus N        simulated CPU count for every job (sets "
-        "MPOS_CPUS;\n"
-        "                  workload parallelism scales with it)\n"
+        "and L2; default\n"
+        "                  1 = direct-mapped)\n"
+        "  --cpus N        simulated CPU count for every job "
+        "(default 4; workload\n"
+        "                  parallelism scales with it)\n"
         "  --golden-dir D  write each analysis's exact output to "
         "D/<name>.json\n"
         "                  (the golden-regression corpus)\n"
@@ -707,36 +705,47 @@ usage()
         "                  without simulating\n"
         "  --help          this text\n\n"
         "Environment: MPOS_CYCLES, MPOS_WARMUP, MPOS_SEED, "
-        "MPOS_JOBS,\n"
-        "MPOS_PROTOCOL, MPOS_LOCK_PROTO, MPOS_ASSOC, MPOS_CPUS, "
-        "MPOS_SNAPSHOT_DIR (same as --snapshot-dir).\n");
+        "MPOS_JOBS (same as --jobs),\n"
+        "MPOS_SNAPSHOT_DIR (same as --snapshot-dir); the flags "
+        "override them.\n");
 }
 
-} // namespace
-
-int
-benchMain(int argc, char **argv)
+/** Exit 2 naming the flag: its value is not one of the choices. */
+[[noreturn]] void
+badChoice(const char *flag, const char *choices, const char *text)
 {
+    std::fprintf(stderr, "mpos_bench: %s wants %s, got '%s'\n", flag,
+                 choices, text);
+    std::exit(2);
+}
+
+/** mpos_bench's command line: the run's options and the driver's own. */
+struct BenchArgs
+{
+    BenchOptions opts;
     std::string jsonPath = "mpos_bench_results.json";
     std::string goldenDir;
-    std::string faultJob;
+    std::string journalDir;
     std::vector<std::string> only;
     bool smoke = false;
     bool list = false;
-    bool check = false;
     bool keepGoing = false;
-    // Read before any runner exists, by --jobs' rule; --jobs overrides.
-    unsigned jobs = unsigned(envOr("MPOS_JOBS", 0, maxJobs));
-    double jobTimeout = 0;
-    std::string snapshotDir;
-    if (const char *env = std::getenv("MPOS_SNAPSHOT_DIR"))
-        snapshotDir = env;
-    std::string journalDir;
     bool resume = false;
     bool dryRun = false;
-    ObsOptions obs;
-    obs.dir = "mpos_bench_obs";
+};
 
+/**
+ * Parse the flags and then the environment, each once. A bad value
+ * exits 2 naming its flag or variable, before anything runs.
+ */
+BenchArgs
+parseBenchArgs(int argc, char **argv)
+{
+    BenchArgs a;
+    BenchOptions &o = a.opts;
+    // The two values a flag and a variable both set: the flag wins.
+    std::optional<unsigned> jobs;
+    std::optional<std::string> snapshotDir;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&](const char *flag) -> const char * {
@@ -748,89 +757,106 @@ benchMain(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--smoke") {
-            smoke = true;
+            a.smoke = true;
         } else if (arg == "--check") {
-            check = true;
+            o.check = true;
         } else if (arg == "--protocol") {
-            // An env var, so standardConfig (which validates it)
-            // applies it to every job.
-            setenv("MPOS_PROTOCOL", value("--protocol"), 1);
+            const char *v = value("--protocol");
+            if (!sim::parseProtocol(v, o.protocol))
+                badChoice("--protocol", "mesi, msi or mi", v);
         } else if (arg == "--lock-proto") {
-            setenv("MPOS_LOCK_PROTO", value("--lock-proto"), 1);
+            const char *v = value("--lock-proto");
+            if (!sim::parseLockPolicy(v, o.lockPolicy))
+                badChoice("--lock-proto",
+                          "tas, ticket, mcs, futex or rcu", v);
         } else if (arg == "--assoc") {
-            const char *v = value("--assoc");
-            util::wholeNumber("mpos_bench", "--assoc", v, 1, UINT32_MAX);
-            setenv("MPOS_ASSOC", v, 1);
+            o.assoc = uint32_t(util::wholeNumber(
+                "mpos_bench", "--assoc", value("--assoc"), 1, UINT32_MAX));
         } else if (arg == "--cpus") {
-            const char *v = value("--cpus");
-            util::wholeNumber("mpos_bench", "--cpus", v, 1, UINT32_MAX);
-            setenv("MPOS_CPUS", v, 1);
+            o.cpus = uint32_t(util::wholeNumber(
+                "mpos_bench", "--cpus", value("--cpus"), 1, UINT32_MAX));
         } else if (arg == "--list") {
-            list = true;
+            a.list = true;
         } else if (arg == "--json") {
-            jsonPath = value("--json");
+            a.jsonPath = value("--json");
         } else if (arg == "--golden-dir") {
-            goldenDir = value("--golden-dir");
+            a.goldenDir = value("--golden-dir");
         } else if (arg == "--only") {
-            only.push_back(value("--only"));
+            a.only.push_back(value("--only"));
         } else if (arg == "--jobs") {
             jobs = unsigned(util::wholeNumber(
                 "mpos_bench", "--jobs", value("--jobs"), 0, maxJobs));
         } else if (arg == "--keep-going") {
-            keepGoing = true;
+            a.keepGoing = true;
         } else if (arg == "--job-timeout") {
-            jobTimeout = seconds("--job-timeout", value("--job-timeout"));
+            o.jobTimeout =
+                seconds("--job-timeout", value("--job-timeout"));
         } else if (arg == "--snapshot-dir") {
             snapshotDir = value("--snapshot-dir");
         } else if (arg == "--fault-job") {
-            faultJob = value("--fault-job");
+            o.faultJob = value("--fault-job");
         } else if (arg == "--trace") {
-            obs.trace = true;
+            o.obs.trace = true;
         } else if (arg == "--metrics") {
-            obs.metrics = true;
+            o.obs.metrics = true;
         } else if (arg == "--profile") {
-            obs.profile = true;
+            o.obs.profile = true;
         } else if (arg == "--obs-dir") {
-            obs.dir = value("--obs-dir");
+            o.obs.dir = value("--obs-dir");
         } else if (arg == "--journal") {
-            journalDir = value("--journal");
+            a.journalDir = value("--journal");
         } else if (arg == "--resume") {
-            resume = true;
+            a.resume = true;
         } else if (arg == "--dry-run") {
-            dryRun = true;
+            a.dryRun = true;
         } else if (arg == "--help" || arg == "-h") {
             usage();
-            return 0;
+            std::exit(0);
         } else {
             std::fprintf(stderr, "mpos_bench: unknown option '%s'\n",
                          arg.c_str());
             usage();
-            return 2;
+            std::exit(2);
         }
     }
+    if (a.smoke) {
+        // Tiny runs unless the environment pins the lengths.
+        o.measureCycles = 300000;
+        o.warmupCycles = 150000;
+    }
+    o = BenchOptions::fromEnvironment(o);
+    if (jobs)
+        o.jobs = *jobs;
+    if (snapshotDir)
+        o.snapshotDir = *snapshotDir;
+    return a;
+}
 
-    if (list) {
+} // namespace
+
+int
+benchMain(int argc, char **argv)
+{
+    const BenchArgs a = parseBenchArgs(argc, argv);
+    const BenchOptions &opts = a.opts;
+
+    if (a.list) {
         for (const auto &e : benchRegistry())
             std::printf("%-24s %s\n", e.name, e.title);
         return 0;
     }
 
-    if (smoke) {
-        // Tiny runs unless the caller already pinned the lengths.
-        setenv("MPOS_CYCLES", "300000", 0);
-        setenv("MPOS_WARMUP", "150000", 0);
-    }
-    if (!goldenDir.empty())
-        std::filesystem::create_directories(goldenDir);
-    if (obs.any())
-        std::filesystem::create_directories(obs.dir);
+    if (!a.goldenDir.empty())
+        std::filesystem::create_directories(a.goldenDir);
+    if (opts.obs.any())
+        std::filesystem::create_directories(opts.obs.dir);
 
     std::vector<const BenchEntry *> sel;
-    if (only.empty()) {
+    if (a.only.empty()) {
         for (const auto &e : benchRegistry())
             sel.push_back(&e);
     } else {
-        for (const auto &name : only) {
+        for (const auto &name : a.only) {
             const BenchEntry *e = findBench(name);
             if (!e) {
                 std::fprintf(stderr,
@@ -846,12 +872,12 @@ benchMain(int argc, char **argv)
     // Journal/resume sanity: the observability layer writes
     // per-job side files and wall-clock-dependent report sections,
     // which can never be byte-identical across a kill+resume.
-    if (resume && journalDir.empty()) {
+    if (a.resume && a.journalDir.empty()) {
         std::fprintf(stderr,
                      "mpos_bench: --resume requires --journal\n");
         return 2;
     }
-    if (!journalDir.empty() && obs.any()) {
+    if (!a.journalDir.empty() && opts.obs.any()) {
         std::fprintf(stderr,
                      "mpos_bench: --journal/--resume cannot be "
                      "combined with --trace/--metrics/--profile\n");
@@ -859,22 +885,22 @@ benchMain(int argc, char **argv)
     }
 
     core::RunnerOptions ropt;
-    ropt.jobs = jobs;
-    ropt.jobTimeoutSec = jobTimeout;
+    ropt.jobs = opts.jobs;
+    ropt.jobTimeoutSec = opts.jobTimeout;
     // The warm-start cache outlives the runner (jobs hold a raw
     // pointer); null when disabled, so the default path is untouched.
     std::unique_ptr<core::WarmStartCache> warmCache;
-    if (!snapshotDir.empty()) {
-        std::filesystem::create_directories(snapshotDir);
+    if (!opts.snapshotDir.empty()) {
+        std::filesystem::create_directories(opts.snapshotDir);
         warmCache =
-            std::make_unique<core::WarmStartCache>(snapshotDir);
+            std::make_unique<core::WarmStartCache>(opts.snapshotDir);
         ropt.warmCache = warmCache.get();
     }
     std::unique_ptr<core::SweepJournal> journal;
-    if (!journalDir.empty() && !dryRun) {
-        std::filesystem::create_directories(journalDir);
+    if (!a.journalDir.empty() && !a.dryRun) {
+        std::filesystem::create_directories(a.journalDir);
         journal = std::make_unique<core::SweepJournal>();
-        journal->open(journalDir, resume);
+        journal->open(a.journalDir, a.resume);
         ropt.journal = journal.get();
         if (warmCache) {
             // Re-quarantine before any job can look up a warm image:
@@ -895,20 +921,13 @@ benchMain(int argc, char **argv)
         }
     }
 
-    BenchContext ctx(ropt);
-    ctx.setCheck(check);
-    if (!faultJob.empty())
-        ctx.setFaultJob(faultJob);
-    if (obs.any())
-        ctx.setObservability(obs);
-    if (journal)
-        ctx.setJournal(journal.get());
+    BenchContext ctx(ropt, opts);
 
     // Analyses whose output is already journaled (ok only): their
     // jobs are not re-queued and their output replays byte-identical.
     auto journaledAnalysis =
         [&](const char *name) -> const core::JournalAnalysis * {
-        if (!journal || !resume)
+        if (!journal || !a.resume)
             return nullptr;
         auto it = journal->state().analyses.find(name);
         if (it != journal->state().analyses.end() && it->second.ok)
@@ -916,7 +935,7 @@ benchMain(int argc, char **argv)
         return nullptr;
     };
 
-    if (dryRun) {
+    if (a.dryRun) {
         // Plan-only: queue nothing, print the validated job plan.
         ctx.setPlanOnly(true);
         uint32_t mask = 0;
@@ -973,10 +992,10 @@ benchMain(int argc, char **argv)
                  "parallel runs");
     std::printf("Config: measure %llu cycles/CPU after %llu warmup, "
                 "seed %llu, %u host jobs%s\n",
-                (unsigned long long)envOr("MPOS_CYCLES", 20000000),
-                (unsigned long long)envOr("MPOS_WARMUP", 8000000),
-                (unsigned long long)envOr("MPOS_SEED", 7),
-                ctx.runner().jobs(), smoke ? " [smoke]" : "");
+                (unsigned long long)opts.measureCycles,
+                (unsigned long long)opts.warmupCycles,
+                (unsigned long long)opts.seed, ctx.runner().jobs(),
+                a.smoke ? " [smoke]" : "");
 
     const auto t0 = std::chrono::steady_clock::now();
 
@@ -1012,8 +1031,8 @@ benchMain(int argc, char **argv)
             std::fwrite(ja->output.data(), 1, ja->output.size(),
                         stdout);
             std::fflush(stdout);
-            if (!goldenDir.empty())
-                writeGolden(goldenDir, e->name, true, ja->output);
+            if (!a.goldenDir.empty())
+                writeGolden(a.goldenDir, e->name, true, ja->output);
             std::fprintf(stderr,
                          "[journal] %s: replayed from journal\n",
                          e->name);
@@ -1024,7 +1043,7 @@ benchMain(int argc, char **argv)
         std::unique_ptr<StdoutCapture> capture;
         // Journal mode always captures: the exact output is what a
         // resumed run must be able to re-emit.
-        if (!goldenDir.empty() || journal)
+        if (!a.goldenDir.empty() || journal)
             capture = std::make_unique<StdoutCapture>();
         try {
             e->run(ctx);
@@ -1037,8 +1056,8 @@ benchMain(int argc, char **argv)
         }
         if (capture) {
             const std::string output = capture->finish();
-            if (!goldenDir.empty())
-                writeGolden(goldenDir, e->name, rec.ok, output);
+            if (!a.goldenDir.empty())
+                writeGolden(a.goldenDir, e->name, rec.ok, output);
             if (journal)
                 journal->appendAnalysisEnd(e->name, rec.ok, rec.error,
                                            output);
@@ -1050,7 +1069,7 @@ benchMain(int argc, char **argv)
                          e->name, rec.error.c_str());
         }
         records.push_back(std::move(rec));
-        if (failed_now && !keepGoing) {
+        if (failed_now && !a.keepGoing) {
             std::fprintf(stderr,
                          "[mpos_bench] stopping after first failure "
                          "(use --keep-going to finish the rest)\n");
@@ -1061,7 +1080,7 @@ benchMain(int argc, char **argv)
     // Observability post-pass: write each job's collapsed
     // (flamegraph) profile.
     size_t obsFailures = 0;
-    if (obs.profile) {
+    if (opts.obs.profile) {
         for (const auto &r : ctx.runner().results()) {
             if (!r.ok() || !r.exp)
                 continue;
@@ -1069,7 +1088,7 @@ benchMain(int argc, char **argv)
             if (!pf)
                 continue;
             const std::string folded =
-                obsFileBase(obs.dir, r.name) + ".folded";
+                obsFileBase(opts.obs.dir, r.name) + ".folded";
             FILE *ff = std::fopen(folded.c_str(), "w");
             if (!ff) {
                 std::fprintf(stderr, "[mpos_bench] cannot write %s\n",
@@ -1120,7 +1139,7 @@ benchMain(int argc, char **argv)
         for (const auto &r : ctx.runner().results())
             rows.push_back(rowFromSlot(r));
     }
-    writeJson(jsonPath, smoke, ctx.runner().jobs(), obs,
+    writeJson(a.jsonPath, opts, a.smoke, ctx.runner().jobs(),
               journal != nullptr, warmCache.get(), rows, records,
               totalWall);
     if (warmCache) {
@@ -1134,7 +1153,7 @@ benchMain(int argc, char **argv)
                      (unsigned long long)ws.stores,
                      (unsigned long long)ws.bytesRead,
                      (unsigned long long)ws.bytesWritten,
-                     snapshotDir.c_str());
+                     opts.snapshotDir.c_str());
     }
 
     size_t failed = 0;
@@ -1143,14 +1162,14 @@ benchMain(int argc, char **argv)
     size_t failedJobs = 0;
     for (const JobRow &r : rows)
         failedJobs += !r.ok;
-    if (!faultJob.empty() &&
-        ctx.runner().find(faultJob) == core::ExperimentRunner::npos) {
+    if (!opts.faultJob.empty() &&
+        ctx.runner().find(opts.faultJob) == core::ExperimentRunner::npos) {
         // A fault job that never matched a submitted name would make
         // the sabotage a silent no-op; fail loudly instead.
         std::fprintf(stderr,
                      "[mpos_bench] --fault-job %s matched no submitted "
                      "job\n",
-                     faultJob.c_str());
+                     opts.faultJob.c_str());
         ++failedJobs;
     }
     if (ctx.runner().failedCount()) {
@@ -1170,7 +1189,7 @@ benchMain(int argc, char **argv)
                  "threads; results in %s\n",
                  records.size(), failed, ctx.runner().size(),
                  failedJobs, totalWall, ctx.runner().jobs(),
-                 jsonPath.c_str());
+                 a.jsonPath.c_str());
     return failed || failedJobs || obsFailures ? 1 : 0;
 }
 

@@ -32,17 +32,6 @@
 namespace mpos::bench
 {
 
-/** Observability switches applied to every simulation job. */
-struct ObsOptions
-{
-    bool trace = false;   ///< JSONL trace per job (--trace).
-    bool metrics = false; ///< Time-sliced metrics (--metrics).
-    bool profile = false; ///< Routine profiler (--profile).
-    std::string dir;      ///< Output directory for traces/profiles.
-
-    bool any() const { return trace || metrics || profile; }
-};
-
 /** Obs-output path stem for a job ("std/pmake" -> dir/std_pmake). */
 std::string obsFileBase(const std::string &dir, const std::string &job);
 
@@ -50,32 +39,24 @@ std::string obsFileBase(const std::string &dir, const std::string &job);
 class BenchContext
 {
   public:
-    /** @param jobs Worker threads; 0 means all cores. */
-    explicit BenchContext(unsigned jobs = 0);
-
-    /** Full runner policy (timeouts, warm cache, journal). */
-    explicit BenchContext(const core::RunnerOptions &opt);
+    /**
+     * perfbench's entry point: `jobs` worker threads (0 = all cores)
+     * and the options of the environment as it is at construction.
+     * Remove once perfbench passes a BenchOptions.
+     */
+    explicit BenchContext(unsigned jobs);
 
     /**
-     * Arrange for the named job to fail: when it is submitted, its
-     * config gets the smallest positive wall budget, so it times out
-     * at its first slice boundary, at the same cycle every run. For
-     * exercising --keep-going and the failure paths of the JSON
-     * report.
+     * @param ropt The runner's policy (threads, timeouts, warm cache,
+     *             journal: each submission writes a write-ahead Plan
+     *             record, the runner the JobEnd).
+     * @param opts What every job is built from, --fault-job, --check
+     *             and the observability switches included.
      */
-    void setFaultJob(const std::string &name) { faultJob_ = name; }
+    BenchContext(const core::RunnerOptions &ropt, BenchOptions opts);
 
-    /**
-     * Enable the observability layer on every subsequently submitted
-     * job: per-job JSONL traces under o.dir, the time-sliced metrics
-     * engine, and/or the routine profiler.
-     */
-    void setObservability(const ObsOptions &o) { obs_ = o; }
-    const ObsOptions &observability() const { return obs_; }
-
-    /** Run every subsequently submitted job under the invariant
-     *  checkers (--check). */
-    void setCheck(bool on) { check_ = on; }
+    /** The options every job of this context is built from. */
+    const BenchOptions &options() const { return opts_; }
 
     /** Queue the standard run for a workload without waiting. */
     void prepareStandard(workload::WorkloadKind kind);
@@ -91,12 +72,6 @@ class BenchContext
     core::Experiment &get(const std::string &name);
 
     core::ExperimentRunner &runner() { return runner_; }
-
-    /**
-     * Journal every submission (a write-ahead Plan record per job;
-     * the runner adds JobEnd via RunnerOptions::journal).
-     */
-    void setJournal(core::SweepJournal *j) { journal_ = j; }
 
     /**
      * Plan-only mode (--dry-run): submitJob records the planned job
@@ -116,10 +91,8 @@ class BenchContext
                    core::ExperimentConfig cfg);
 
     core::ExperimentRunner runner_;
-    std::string faultJob_; ///< Job to sabotage; empty = none.
-    ObsOptions obs_;       ///< Applied to every submitted job.
-    bool check_ = false;   ///< Invariant checkers on every job.
-    core::SweepJournal *journal_ = nullptr;
+    BenchOptions opts_;
+    core::SweepJournal *journal_; ///< The runner's; null = none.
     bool planOnly_ = false;
     std::vector<std::pair<std::string, core::ExperimentConfig>>
         planned_;

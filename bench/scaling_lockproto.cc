@@ -55,7 +55,8 @@ mpos::bench::prepare_lockproto(BenchContext &ctx)
 {
     for (const LockPolicy p : policies) {
         for (const uint32_t ncpu : cpuCounts) {
-            auto cfg = standardConfig(workload::WorkloadKind::Multpgm);
+            auto cfg = standardConfig(workload::WorkloadKind::Multpgm,
+                                      ctx.options());
             scaleToCpus(cfg, ncpu);
             cfg.machine.lockPolicy = p;
             // An eighth of the standard budget per cell keeps the

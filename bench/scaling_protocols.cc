@@ -36,7 +36,8 @@ mpos::bench::prepare_scaling(BenchContext &ctx)
 {
     for (const Protocol p : protocols) {
         for (const uint32_t ncpu : cpuCounts) {
-            auto cfg = standardConfig(workload::WorkloadKind::Multpgm);
+            auto cfg = standardConfig(workload::WorkloadKind::Multpgm,
+                                      ctx.options());
             scaleToCpus(cfg, ncpu);
             cfg.machine.protocol = p;
             // A quarter of the standard budget per cell keeps the

@@ -137,8 +137,8 @@ struct MachineConfig
      * Kernel lock primitive. TestAndSet reproduces the measured
      * machine exactly (goldens are pinned under it); the alternatives
      * swap in the modern acquire/release state machines and their
-     * per-primitive sync-transport accounting. mpos_bench's
-     * standardConfig sets it from MPOS_LOCK_PROTO=<name>.
+     * per-primitive sync-transport accounting. mpos_bench
+     * --lock-proto <name> sets it on every job.
      */
     LockPolicy lockPolicy = LockPolicy::TestAndSet;
     uint32_t lineBytes = 16;

@@ -38,23 +38,24 @@ export MPOS_CYCLES=300000
 export MPOS_WARMUP=150000
 export MPOS_SEED=7
 
-# Optional machine overrides for the non-default golden corpora (the
+# Optional machine flags for the non-default golden corpora (the
 # 8-CPU MESI smoke corpus in smoke8/ pins both).
+machine=()
 if [ -n "${MPOS_GOLDEN_CPUS:-}" ]; then
-    export MPOS_CPUS="$MPOS_GOLDEN_CPUS"
+    machine+=(--cpus "$MPOS_GOLDEN_CPUS")
 fi
 if [ -n "${MPOS_GOLDEN_PROTOCOL:-}" ]; then
-    export MPOS_PROTOCOL="$MPOS_GOLDEN_PROTOCOL"
+    machine+=(--protocol "$MPOS_GOLDEN_PROTOCOL")
 fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 if ! "$bench" --smoke --check --golden-dir "$tmp/fresh" \
-        --json "$tmp/results.json" "$@" > "$tmp/stdout.log" \
-        2> "$tmp/stderr.log"
+        --json "$tmp/results.json" "${machine[@]}" "$@" \
+        > "$tmp/stdout.log" 2> "$tmp/stderr.log"
 then
-    echo "FAIL: mpos_bench --smoke --check $* exited non-zero"
+    echo "FAIL: mpos_bench --smoke --check ${machine[*]} $* exited non-zero"
     tail -n 40 "$tmp/stderr.log"
     exit 1
 fi

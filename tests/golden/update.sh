@@ -26,18 +26,19 @@ mkdir -p "$golden"
 export MPOS_CYCLES=300000
 export MPOS_WARMUP=150000
 export MPOS_SEED=7
+machine=()
 if [ -n "${MPOS_GOLDEN_CPUS:-}" ]; then
-    export MPOS_CPUS="$MPOS_GOLDEN_CPUS"
+    machine+=(--cpus "$MPOS_GOLDEN_CPUS")
 fi
 if [ -n "${MPOS_GOLDEN_PROTOCOL:-}" ]; then
-    export MPOS_PROTOCOL="$MPOS_GOLDEN_PROTOCOL"
+    machine+=(--protocol "$MPOS_GOLDEN_PROTOCOL")
 fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 "$bench" --smoke --check --golden-dir "$tmp/fresh" \
-    --json "$tmp/results.json" "$@" > /dev/null
+    --json "$tmp/results.json" "${machine[@]}" "$@" > /dev/null
 
 # Replace the corpus wholesale so removed analyses don't leave stale
 # golden files behind.
