@@ -37,7 +37,7 @@ mpos::bench::run_table04(BenchContext &ctx)
         auto &exp = ctx.standard(bench::allWorkloads[i]);
         const auto r = core::computeMigration(
             exp.attribution(), exp.misses(), exp.account(),
-            exp.config().machine.busMissStall);
+            sim::busMissStall);
         const auto &p = paper[i];
         t.row({p.name, "paper", core::fmt1(p.kstack),
                core::fmt1(p.ustruct), core::fmt1(p.proctab),

@@ -41,7 +41,6 @@ Attribution::onMiss(const ClassifiedMiss &miss)
 
     // Data miss: attribute to structure and to executing routine.
     const KStruct st = map.structAt(rec.lineAddr);
-    ++osDByStruct[unsigned(st)];
 
     const kernel::RoutineId rid = rec.ctx.routine;
     RoutineGroup group = RoutineGroup::Other;

@@ -54,10 +54,6 @@ class Attribution : public MissSink
     /// @name Figure 5: OS Dispos I-misses per routine
     /// @{
     uint64_t disposMissesOfRoutine(kernel::RoutineId r) const;
-    const std::vector<uint64_t> &disposByRoutine() const
-    {
-        return disposIByRoutine;
-    }
     /// @}
 
     /// @name Table 4: migration misses
@@ -84,18 +80,11 @@ class Attribution : public MissSink
     uint64_t blockOpMissesOf(const char *routine_name) const;
     uint64_t blockOpDMissesTotal() const { return blockOpD; }
 
-    /** OS data misses per structure regardless of class. */
-    uint64_t osDMissesOn(KStruct s) const
-    {
-        return osDByStruct[unsigned(s)];
-    }
-
   private:
     const KernelLayout &map;
     SharingByStruct sharingTally;
     std::vector<uint64_t> disposIByRoutine;
     std::vector<uint64_t> dMissByRoutine;
-    uint64_t osDByStruct[kernel::numKStructs] = {};
     uint64_t migKStack = 0;
     uint64_t migUStruct = 0;
     uint64_t migProcTab = 0;

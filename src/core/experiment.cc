@@ -16,10 +16,6 @@ ExperimentConfig
 Experiment::resolvedConfig(const ExperimentConfig &config)
 {
     ExperimentConfig cfg = config;
-    // The kernel layout must describe the same machine.
-    cfg.kernelCfg.layout.memBytes = cfg.machine.memBytes;
-    cfg.kernelCfg.layout.pageBytes = cfg.machine.pageBytes;
-    cfg.kernelCfg.layout.lineBytes = cfg.machine.lineBytes;
     if (cfg.useRecommendedPool) {
         cfg.kernelCfg.userPoolPages =
             workload::Workload::recommendedPoolPages(cfg.kind);
@@ -30,8 +26,7 @@ Experiment::resolvedConfig(const ExperimentConfig &config)
 Experiment::Experiment(const ExperimentConfig &config)
     : cfg(resolvedConfig(config))
 {
-    const uint32_t nlocks =
-        kernel::numKernelLocks + cfg.kernelCfg.maxUserLocks;
+    const uint32_t nlocks = kernel::numKernelLocks + kernel::maxUserLocks;
     mach = std::make_unique<sim::Machine>(cfg.machine, nlocks);
     k = std::make_unique<kernel::Kernel>(*mach, cfg.kernelCfg);
     wl = workload::Workload::create(cfg.kind, *k, cfg.options);
@@ -242,7 +237,7 @@ Table1Row
 Experiment::table1() const
 {
     return computeTable1(account(), classifier->counts(),
-                         cfg.machine.busMissStall);
+                         sim::busMissStall);
 }
 
 Table9Row
@@ -253,14 +248,14 @@ Experiment::table9() const
                          attr->blockOpMissesOf("bcopy") +
                              attr->blockOpMissesOf("bclear") +
                              attr->blockOpMissesOf("pfdat_scan"),
-                         cfg.machine.busMissStall);
+                         sim::busMissStall);
 }
 
 BlockOpReport
 Experiment::blockOpReport() const
 {
     return computeBlockOps(*attr, classifier->counts(), account(),
-                           cfg.machine.busMissStall);
+                           sim::busMissStall);
 }
 
 ApDisposReport
@@ -282,11 +277,9 @@ Experiment::syncStallReport() const
     const uint64_t unc = now.uncachedOps -
                          baseKernelSyncOps.uncachedOps;
     const uint64_t cac = now.cachedOps - baseKernelSyncOps.cachedOps;
-    r.uncachedPct = 100.0 *
-                    double(unc * mach->sync().uncachedCyclesPerOp()) /
+    r.uncachedPct = 100.0 * double(unc * sim::syncBusOpCycles) /
                     double(non_idle);
-    r.cachedPct = 100.0 *
-                  double(cac * mach->sync().cachedCyclesPerOp()) /
+    r.cachedPct = 100.0 * double(cac * sim::busMissStall) /
                   double(non_idle);
     return r;
 }

@@ -80,10 +80,10 @@ class Experiment
     ~Experiment();
 
     /**
-     * The configuration as the constructor would normalize it: kernel
-     * layout geometry copied from the machine, the workload's
-     * recommended page pool applied. Pure; lets callers compute
-     * warmConfigHash() / journal identity without building a machine.
+     * The configuration as the constructor would normalize it: the
+     * workload's recommended page pool applied. Pure; lets callers
+     * compute warmConfigHash() / journal identity without building a
+     * machine.
      */
     static ExperimentConfig resolvedConfig(const ExperimentConfig &cfg);
 

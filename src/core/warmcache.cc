@@ -18,7 +18,8 @@ warmConfigHash(const ExperimentConfig &cfg)
     // FNV-1a it. Field order is part of the key format; bumping the
     // snapshot formatVersion (mixed in below) invalidates all cached
     // images whenever either this list or the serialized state layout
-    // changes.
+    // changes. The model constants that replaced former config fields
+    // keep their slots, so editing one still invalidates the images.
     util::ByteWriter w;
     w.u32(sim::snapshot::formatVersion);
     w.u8(uint8_t(cfg.kind));
@@ -38,16 +39,16 @@ warmConfigHash(const ExperimentConfig &cfg)
     w.u64(m.memBytes);
     w.u32(m.pageBytes);
     w.u32(m.tlbEntries);
-    w.u64(m.busMissStall);
-    w.u64(m.l2HitStall);
+    w.u64(sim::busMissStall);
+    w.u64(sim::l2HitStall);
     w.u64(m.busOccupancy);
-    w.u64(m.cyclesPerInstr);
-    w.u32(m.instrPerLine);
-    w.b(m.cachedLockRmw);
-    w.u64(m.syncBusOpCycles);
-    w.u32(m.syncOpsPerAcquire);
-    w.u64(m.uncachedAccessCycles);
-    w.u64(m.clockTickCycles);
+    w.u64(sim::cyclesPerInstr);
+    w.u32(sim::instrPerLine);
+    w.b(false); // locks are never cached: they ride the sync bus
+    w.u64(sim::syncBusOpCycles);
+    w.u32(sim::syncOpsPerAcquire);
+    w.u64(sim::uncachedAccessCycles);
+    w.u64(kernel::clockTickCycles);
     // Excluded on purpose (event-neutral by construction, so a warm
     // image is shareable across them): slowSim, check,
     // trace/metrics/profile -- and every measurement-phase
@@ -57,33 +58,33 @@ warmConfigHash(const ExperimentConfig &cfg)
     const kernel::KernelConfig &k = cfg.kernelCfg;
     w.u32(k.layout.maxProcs);
     w.b(k.layout.optimizedTextLayout);
-    w.u32(k.layout.numBuffers);
-    w.u32(k.layout.numInodes);
-    w.u32(k.layout.pageBytes);
-    w.u64(k.layout.memBytes);
-    w.u32(k.layout.lineBytes);
-    w.u32(k.maxUserLocks);
-    w.u64(k.diskLatency);
-    w.u64(k.diskPerBlock);
-    w.u64(k.spinGap);
-    w.u32(k.userLockSpins);
+    w.u32(kernel::numBuffers);
+    w.u32(kernel::numInodes);
+    w.u32(m.pageBytes); // the kernel layout's geometry is the machine's
+    w.u64(m.memBytes);
+    w.u32(m.lineBytes);
+    w.u32(kernel::maxUserLocks);
+    w.u64(kernel::diskLatency);
+    w.u64(kernel::diskPerBlock);
+    w.u64(kernel::spinGap);
+    w.u32(kernel::userLockSpins);
     w.b(k.affinitySched);
-    w.u32(k.affinityScanDepth);
+    w.u32(kernel::affinityScanDepth);
     w.u8(uint8_t(k.blockOpMode));
     w.u64(k.userPoolPages);
-    w.u32(k.reclaimBatch);
-    w.u32(k.reclaimScanEntries);
-    w.u32(k.freeLowWater);
-    w.i64(k.quantumTicks);
-    w.u64(k.interactiveShare);
-    w.u64(k.rngSeed);
+    w.u32(kernel::reclaimBatch);
+    w.u32(kernel::reclaimScanEntries);
+    w.u32(kernel::freeLowWater);
+    w.i64(kernel::quantumTicks);
+    w.u64(kernel::interactiveShare);
+    w.u64(kernel::rngSeed);
 
     const workload::WorkloadOptions &o = cfg.options;
     w.u64(o.seed);
     w.u32(o.pmakeFiles);
     w.u32(o.pmakeMaxJobs);
     w.u32(o.editSessions);
-    w.u64(o.editMeanGap);
+    w.u64(workload::editMeanGap);
     w.u32(o.oracleServers);
     w.u32(o.mp3dProcs);
 

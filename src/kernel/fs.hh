@@ -32,7 +32,7 @@ struct Buf
     uint64_t lastUse = 0;
 };
 
-/** LRU-hash buffer cache over numBuffers 4 KB buffers. */
+/** LRU-hash buffer cache over a fixed number of 4 KB buffers. */
 class BufferCache
 {
   public:
@@ -77,6 +77,11 @@ class BufferCache
     std::unordered_map<int64_t, uint32_t> map;
     uint64_t useClock = 0;
 };
+
+/** Disk access latency: ~2 ms at 33 MHz (scaled). */
+constexpr Cycle diskLatency = 70000;
+/** Disk transfer time per 4 KB block. */
+constexpr Cycle diskPerBlock = 5000;
 
 /** FIFO single-server disk. */
 class Disk

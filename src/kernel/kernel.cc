@@ -12,16 +12,15 @@ using sim::MarkerOp;
 using sim::OsOp;
 
 Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
-    : m(machine), cfg(config), map(cfg.layout), rng(cfg.rngSeed),
-      bufcache(cfg.layout.numBuffers),
-      disk(cfg.diskLatency, cfg.diskPerBlock)
+    : m(machine), cfg(config), map(cfg.layout, m.config()), rng(rngSeed),
+      bufcache(numBuffers), disk(diskLatency, diskPerBlock)
 {
     const uint32_t ncpu = m.numCpus();
-    if (m.sync().numLocks() < numKernelLocks + cfg.maxUserLocks)
+    if (m.sync().numLocks() < numKernelLocks + maxUserLocks)
         util::raise(util::ErrCode::BadConfig,
                     "machine sync transport has too few lock slots "
                     "(%u needed, %u present)",
-                    numKernelLocks + cfg.maxUserLocks,
+                    numKernelLocks + maxUserLocks,
                     m.sync().numLocks());
 
     procs.reserve(cfg.layout.maxProcs);
@@ -33,7 +32,7 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
     }
 
     curProc.assign(ncpu, sim::invalidPid);
-    locks.assign(numKernelLocks + cfg.maxUserLocks, LockState{});
+    locks.assign(numKernelLocks + maxUserLocks, LockState{});
 
     // Application page pool (optionally capped to create pressure).
     uint64_t pool = map.userPoolPages();
@@ -42,8 +41,8 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
     const uint64_t first = map.firstUserPage();
     for (uint64_t i = 0; i < pool; ++i)
         freePages.push_back(first + pool - 1 - i);
-    pageHeldCode.assign(cfg.layout.memBytes / cfg.layout.pageBytes, 0);
-    pageRefs.assign(cfg.layout.memBytes / cfg.layout.pageBytes, 0);
+    pageHeldCode.assign(m.config().memBytes / m.config().pageBytes, 0);
+    pageRefs.assign(m.config().memBytes / m.config().pageBytes, 0);
 
     const auto id = [this](const char *name) { return map.routine(name); };
     rt = {
@@ -100,7 +99,7 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
 
     nextClockAt.assign(ncpu, 0);
     for (uint32_t c = 0; c < ncpu; ++c)
-        nextClockAt[c] = m.config().clockTickCycles + c * 997;
+        nextClockAt[c] = clockTickCycles + c * 997;
 
     m.setExecutor(this);
 
@@ -128,8 +127,8 @@ Kernel::registerImage(const std::string &name, uint64_t text_bytes)
     Image img;
     img.id = uint32_t(images.size());
     img.name = name;
-    img.textPages = uint32_t((text_bytes + cfg.layout.pageBytes - 1) /
-                             cfg.layout.pageBytes);
+    img.textPages = uint32_t((text_bytes + m.config().pageBytes - 1) /
+                             m.config().pageBytes);
     images.push_back(img);
     return img.id;
 }
@@ -147,7 +146,7 @@ Kernel::spawn(std::unique_ptr<AppBehavior> behavior, uint32_t image_id,
         p.imageId = image_id;
         p.behavior = std::move(behavior);
         p.state = ProcState::Ready;
-        p.ticksLeft = cfg.quantumTicks;
+        p.ticksLeft = quantumTicks;
         p.ioBufVaddr = VaMap::dataBase;
         if (runQueue.empty())
             m.wakeParked();
@@ -165,7 +164,7 @@ Kernel::shmAlloc(uint64_t bytes)
 {
     const Addr base = sharedBrk;
     const uint64_t pages =
-        (bytes + cfg.layout.pageBytes - 1) / cfg.layout.pageBytes;
+        (bytes + m.config().pageBytes - 1) / m.config().pageBytes;
     // Refuse before taking any page, so a failed call leaves the free
     // pool and the shared region as they were.
     if (pages > freePages.size())
@@ -174,10 +173,10 @@ Kernel::shmAlloc(uint64_t bytes)
                     "(%llu bytes requested)",
                     (unsigned long long)bytes);
     for (uint64_t i = 0; i < pages; ++i) {
-        const Addr vpage = sharedBrk / cfg.layout.pageBytes;
+        const Addr vpage = sharedBrk / m.config().pageBytes;
         sharedMap[vpage] = freePages.back();
         freePages.pop_back();
-        sharedBrk += cfg.layout.pageBytes;
+        sharedBrk += m.config().pageBytes;
     }
     return base;
 }
@@ -185,10 +184,10 @@ Kernel::shmAlloc(uint64_t bytes)
 uint32_t
 Kernel::allocUserLock()
 {
-    if (nUserLocks >= cfg.maxUserLocks)
+    if (nUserLocks >= maxUserLocks)
         util::raise(util::ErrCode::ResourceExhausted,
                     "out of user lock slots (max %u)",
-                    cfg.maxUserLocks);
+                    maxUserLocks);
     return numKernelLocks + nUserLocks++;
 }
 
@@ -257,11 +256,11 @@ Kernel::refill(CpuId cpu)
         const RoutineId idle = rt.idleloop;
         const Routine &r = map.routineInfo(idle);
         s.push_back(ScriptItem::mark(MarkerOp::RoutineEnter, idle));
-        const uint32_t lines = r.textBytes / cfg.layout.lineBytes;
+        const uint32_t lines = r.textBytes / m.config().lineBytes;
         for (uint32_t rep = 0; rep < 4; ++rep) {
             for (uint32_t l = 0; l < lines; ++l)
                 s.push_back(ScriptItem::ifetch(r.textBase +
-                                               l * cfg.layout.lineBytes));
+                                               l * m.config().lineBytes));
             // The idle loop polls the run queue header without the lock.
             s.push_back(ScriptItem::load(map.runQueueAddr()));
         }
@@ -344,7 +343,7 @@ Kernel::fault(CpuId cpu, Addr vaddr, bool is_store, bool is_prot)
         util::panic("virtual fault with no current process on cpu %u",
                     cpu);
     Process &p = *procs[uint32_t(pid)];
-    const Addr vpage = vaddr / cfg.layout.pageBytes;
+    const Addr vpage = vaddr / m.config().pageBytes;
     Pte *pte = p.findPte(vpage);
 
     const bool needs_vm =
@@ -397,7 +396,7 @@ void
 Kernel::pollEvents(CpuId cpu, Cycle now)
 {
     if (now >= nextClockAt[cpu]) {
-        nextClockAt[cpu] += m.config().clockTickCycles;
+        nextClockAt[cpu] += clockTickCycles;
         const PathScope path(*this);
         pathClockInterrupt(path.s, cpu);
         m.cpu(cpu).pushFrontSeq(path.s);
@@ -486,7 +485,7 @@ Kernel::onLockAcquire(CpuId cpu, const ScriptItem &item)
     const bool user = item.marker == MarkerOp::UserLockAcquire;
     const sim::LockAcquireStep st = user
         ? sim::userLockAcquire(m.config().lockPolicy, l, cpu, curProc[cpu],
-                               uint32_t(item.arg2), cfg.userLockSpins)
+                               uint32_t(item.arg2), userLockSpins)
         : sim::lockAcquire(m.config().lockPolicy, l, lock_id, cpu,
                            item.arg2,
                            item.marker == MarkerOp::LockAcquireShared &&
@@ -515,7 +514,7 @@ Kernel::onLockAcquire(CpuId cpu, const ScriptItem &item)
         user ? MarkerOp::UserLockAcquire : MarkerOp::LockAcquire, lock_id,
         st.retryState));
     if (st.wait == sim::LockWait::Spin) {
-        c.pushFront(ScriptItem::think(cfg.spinGap));
+        c.pushFront(ScriptItem::think(spinGap));
         return;
     }
     Process &p = *procs[uint32_t(curProc[cpu])];
@@ -678,10 +677,10 @@ Kernel::enqueueReady(Pid pid)
     // SysV-style priority placement: interactive (low recent CPU)
     // processes queue ahead of CPU hogs; FIFO within each class.
     Process &p = *procs[uint32_t(pid)];
-    if (p.cpuShare < cfg.interactiveShare) {
+    if (p.cpuShare < interactiveShare) {
         for (uint32_t i = 0; i < runQueue.size(); ++i) {
             if (procs[uint32_t(runQueue[i])]->cpuShare >=
-                cfg.interactiveShare) {
+                interactiveShare) {
                 runQueue.insert(runQueue.begin() + i, pid);
                 rqSkips.insert(rqSkips.begin() + i, 0);
                 return;
@@ -730,7 +729,7 @@ Kernel::pickNext(CpuId cpu)
         return pid;
     }
     const uint32_t depth =
-        std::min<uint32_t>(cfg.affinityScanDepth,
+        std::min<uint32_t>(affinityScanDepth,
                            uint32_t(runQueue.size()));
     for (uint32_t i = 0; i < depth; ++i) {
         Process &p = *procs[uint32_t(runQueue[i])];
@@ -817,7 +816,7 @@ Kernel::onResched(CpuId cpu)
     np.state = ProcState::Running;
     np.everRan = true;
     np.lastCpu = cpu;
-    np.ticksLeft = cfg.quantumTicks;
+    np.ticksLeft = quantumTicks;
     np.runStart = m.now();
     ++np.dispatches;
     curProc[cpu] = next;

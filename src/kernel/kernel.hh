@@ -81,20 +81,32 @@ struct Image
     uint32_t textPages = 0;
 };
 
-/** Kernel tuning knobs. */
+/// @name Kernel model constants
+/// Fixed parameters of the simulated IRIX kernel; every run uses them.
+/// @{
+/** 33 MHz clock: cycles in one 10 ms scheduler tick. */
+constexpr Cycle clockTickCycles = 330000;
+constexpr Cycle spinGap = 30;          ///< Cycles between spin polls.
+constexpr uint32_t userLockSpins = 20; ///< Polls before sginap (paper).
+/** Run-queue entries the affinity scheduler scans for a warm process. */
+constexpr uint32_t affinityScanDepth = 4;
+constexpr uint32_t reclaimBatch = 12;        ///< Pages stolen per reclaim.
+constexpr uint32_t reclaimScanEntries = 384; ///< Pfdat descriptors swept.
+/** Free pages below which an allocation first reclaims. */
+constexpr uint32_t freeLowWater = 40;
+constexpr int32_t quantumTicks = 2; ///< Scheduler quantum in clock ticks.
+/** cpuShare below this counts as interactive (priority decay). */
+constexpr uint64_t interactiveShare = 200000;
+/** Seed of the kernel's own random stream. */
+constexpr uint64_t rngSeed = 12345;
+/// @}
+
+/** Kernel configuration: the ablation knobs and the page-pool cap. */
 struct KernelConfig
 {
     LayoutConfig layout;
-    uint32_t maxUserLocks = 32;
-
-    Cycle diskLatency = 70000;    ///< ~2 ms at 33 MHz (scaled).
-    Cycle diskPerBlock = 5000;    ///< Transfer time per 4 KB block.
-
-    Cycle spinGap = 30;           ///< Cycles between spin polls.
-    uint32_t userLockSpins = 20;  ///< Polls before sginap (paper).
 
     bool affinitySched = false;   ///< Cache-affinity scheduling ablation.
-    uint32_t affinityScanDepth = 4;
     BlockOpMode blockOpMode = BlockOpMode::Normal;
 
     /**
@@ -103,14 +115,6 @@ struct KernelConfig
      * reclaim and code-page reallocation (Inval misses).
      */
     uint64_t userPoolPages = 1600;
-    uint32_t reclaimBatch = 12;      ///< Pages stolen per reclaim.
-    uint32_t reclaimScanEntries = 384; ///< Pfdat descriptors swept.
-    uint32_t freeLowWater = 40;
-
-    int32_t quantumTicks = 2;     ///< Scheduler quantum in clock ticks.
-    /** cpuShare below this counts as interactive (priority decay). */
-    uint64_t interactiveShare = 200000;
-    uint64_t rngSeed = 12345;
 };
 
 /** Per-OsOp invocation counters (Figure 2). */
@@ -168,7 +172,6 @@ class Kernel : public sim::Executor
     const Process &process(Pid pid) const { return *procs[uint32_t(pid)]; }
     uint32_t maxProcs() const { return uint32_t(procs.size()); }
     Pid runningOn(CpuId cpu) const { return curProc[cpu]; }
-    uint32_t runQueueLength() const { return uint32_t(runQueue.size()); }
     uint64_t contextSwitches() const { return nCtxSwitches; }
     uint64_t migrations() const { return nMigrations; }
     uint64_t forks() const { return nForks; }
@@ -182,7 +185,6 @@ class Kernel : public sim::Executor
     const OsOpCounts &osOpCounts() const { return opCounts; }
     const LockState &lockState(uint32_t id) const { return locks[id]; }
     uint32_t numLocks() const { return uint32_t(locks.size()); }
-    uint32_t numUserLocks() const { return nUserLocks; }
     uint64_t freePageCount() const { return freePages.size(); }
     uint64_t diskRequests() const { return disk.requests; }
     /// @}

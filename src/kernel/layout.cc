@@ -16,6 +16,11 @@ roundUp(Addr x, Addr a)
     return (x + a - 1) & ~(a - 1);
 }
 
+/** Buffer header: 68 B; 256 buffers = 17408 B (Table 3). */
+constexpr uint32_t bufHeaderSize = 68;
+/** In-core inode: 268 B; 256 = 68608 B (Table 3). */
+constexpr uint32_t inodeSize = 268;
+
 } // namespace
 
 const char *
@@ -43,8 +48,10 @@ kstructName(KStruct s)
     return "?";
 }
 
-KernelLayout::KernelLayout(const LayoutConfig &config)
-    : cfg(config)
+KernelLayout::KernelLayout(const LayoutConfig &config,
+                           const sim::MachineConfig &machine)
+    : cfg(config), pageBytes(machine.pageBytes),
+      lineBytes(machine.lineBytes), memBytes(machine.memBytes)
 {
     if (cfg.maxProcs > 256)
         util::raise(util::ErrCode::BadConfig,
@@ -58,7 +65,7 @@ RoutineId
 KernelLayout::addRoutine(const std::string &name, uint32_t bytes,
                          RoutineGroup group)
 {
-    if (bytes % cfg.lineBytes != 0)
+    if (bytes % lineBytes != 0)
         util::panic("routine %s size %u not line-aligned", name.c_str(),
                     bytes);
     Routine r;
@@ -239,13 +246,13 @@ KernelLayout::buildTextOptimized()
 void
 KernelLayout::buildData()
 {
-    Addr p = roundUp(textLimit, cfg.pageBytes);
+    Addr p = roundUp(textLimit, pageBytes);
 
     runQueueBase = p;
     p += 24;
     hiNdprocBase = p;
     p += 8;
-    p = roundUp(p, cfg.lineBytes);
+    p = roundUp(p, lineBytes);
 
     freePgBuckBase = p;
     p += 3072;
@@ -255,56 +262,52 @@ KernelLayout::buildData()
     procEntrySize = 180;
     procTableBase = p;
     p += 256 * uint64_t(procEntrySize);
-    p = roundUp(p, cfg.lineBytes);
+    p = roundUp(p, lineBytes);
 
     // Pfdat: one descriptor per physical page. The paper's 210944-byte
     // array over 8192 pages gives 25.75 B per descriptor; we use 26.
     pfdatEntrySize = 26;
-    pfdatEntries = cfg.memBytes / cfg.pageBytes;
+    pfdatEntries = memBytes / pageBytes;
     pfdatBase = p;
     p += pfdatEntries * pfdatEntrySize;
-    p = roundUp(p, cfg.lineBytes);
+    p = roundUp(p, lineBytes);
 
-    // Buffer headers: 68 B each; 256 buffers = 17408 B (Table 3).
-    bufHeaderSize = 68;
     bufHeaderBase = p;
-    p += uint64_t(cfg.numBuffers) * bufHeaderSize;
-    p = roundUp(p, cfg.lineBytes);
+    p += uint64_t(numBuffers) * bufHeaderSize;
+    p = roundUp(p, lineBytes);
 
-    // In-core inodes: 268 B each; 256 = 68608 B (Table 3).
-    inodeSize = 268;
     inodeBase = p;
-    p += uint64_t(cfg.numInodes) * inodeSize;
-    p = roundUp(p, cfg.lineBytes);
+    p += uint64_t(numInodes) * inodeSize;
+    p = roundUp(p, lineBytes);
 
     calloutBase = p;
     p += 2048;
 
     // Per-process block: 4096 B kernel stack, then the user structure
     // (240 B PCB + 172 B Eframe + 3684 B rest = 4096 B).
-    p = roundUp(p, cfg.pageBytes);
+    p = roundUp(p, pageBytes);
     perProcBase = p;
     p += uint64_t(cfg.maxProcs) * 8192;
 
     // Per-process page tables in the kernel heap (4 KB each).
     pageTableBase = p;
-    p += uint64_t(cfg.maxProcs) * cfg.pageBytes;
+    p += uint64_t(cfg.maxProcs) * pageBytes;
 
     // Buffer-cache data pages.
-    p = roundUp(p, cfg.pageBytes);
+    p = roundUp(p, pageBytes);
     bufDataBase = p;
-    p += uint64_t(cfg.numBuffers) * cfg.pageBytes;
+    p += uint64_t(numBuffers) * pageBytes;
 
-    dataLimit = roundUp(p, cfg.pageBytes);
-    userPoolFirst = dataLimit / cfg.pageBytes;
-    userPoolCount = cfg.memBytes / cfg.pageBytes - userPoolFirst;
+    dataLimit = roundUp(p, pageBytes);
+    userPoolFirst = dataLimit / pageBytes;
+    userPoolCount = memBytes / pageBytes - userPoolFirst;
 
-    if (dataLimit >= cfg.memBytes)
+    if (dataLimit >= memBytes)
         util::raise(util::ErrCode::BadConfig,
                     "kernel image does not fit in physical memory "
                     "(%llu of %llu bytes)",
                     (unsigned long long)dataLimit,
-                    (unsigned long long)cfg.memBytes);
+                    (unsigned long long)memBytes);
 }
 
 RoutineId
@@ -365,19 +368,19 @@ KernelLayout::pfdatAddr(uint64_t page) const
 Addr
 KernelLayout::bufHeaderAddr(uint32_t buf) const
 {
-    return bufHeaderBase + uint64_t(buf % cfg.numBuffers) * bufHeaderSize;
+    return bufHeaderBase + uint64_t(buf % numBuffers) * bufHeaderSize;
 }
 
 Addr
 KernelLayout::bufDataAddr(uint32_t buf) const
 {
-    return bufDataBase + uint64_t(buf % cfg.numBuffers) * cfg.pageBytes;
+    return bufDataBase + uint64_t(buf % numBuffers) * pageBytes;
 }
 
 Addr
 KernelLayout::inodeAddr(uint32_t ino) const
 {
-    return inodeBase + uint64_t(ino % cfg.numInodes) * inodeSize;
+    return inodeBase + uint64_t(ino % numInodes) * inodeSize;
 }
 
 Addr
@@ -413,7 +416,7 @@ KernelLayout::uRestAddr(uint32_t slot) const
 Addr
 KernelLayout::pageTableAddr(uint32_t slot) const
 {
-    return pageTableBase + uint64_t(slot % cfg.maxProcs) * cfg.pageBytes;
+    return pageTableBase + uint64_t(slot % cfg.maxProcs) * pageBytes;
 }
 
 uint64_t KernelLayout::procTableBytes() const { return 256 * 180; }
@@ -425,12 +428,12 @@ KernelLayout::pfdatBytes() const
 uint64_t
 KernelLayout::bufHeadersBytes() const
 {
-    return uint64_t(cfg.numBuffers) * bufHeaderSize;
+    return uint64_t(numBuffers) * bufHeaderSize;
 }
 uint64_t
 KernelLayout::inodeTableBytes() const
 {
-    return uint64_t(cfg.numInodes) * inodeSize;
+    return uint64_t(numInodes) * inodeSize;
 }
 
 KStruct
@@ -470,7 +473,7 @@ KernelLayout::structAt(Addr addr) const
         return KStruct::PageTableHeap;
     if (addr >= bufDataBase && addr < dataLimit)
         return KStruct::BufData;
-    if (addr >= dataLimit && addr < cfg.memBytes)
+    if (addr >= dataLimit && addr < memBytes)
         return KStruct::UserPage;
     return KStruct::Other;
 }

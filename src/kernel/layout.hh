@@ -81,7 +81,16 @@ constexpr uint32_t numKStructs = 17;
 /** Name of a KStruct for reports. */
 const char *kstructName(KStruct s);
 
-/** Configuration of the synthetic kernel image. */
+/** Buffer-cache buffers: 68 B header + 4 KB data each. */
+constexpr uint32_t numBuffers = 256;
+/** In-core inodes: 268 B each => 68608 B. */
+constexpr uint32_t numInodes = 256;
+
+/**
+ * Configuration of the synthetic kernel image. Its page, line and
+ * memory sizes are the machine's (KernelLayout takes them from the
+ * MachineConfig it is built for).
+ */
 struct LayoutConfig
 {
     uint32_t maxProcs = 64;
@@ -92,11 +101,6 @@ struct LayoutConfig
      * proposes in Section 4.2.1 (we apply it at routine granularity).
      */
     bool optimizedTextLayout = false;
-    uint32_t numBuffers = 256;   ///< 68 B header + 4 KB data each.
-    uint32_t numInodes = 256;    ///< 268 B each => 68608 B.
-    uint32_t pageBytes = 4096;
-    uint64_t memBytes = 32ULL * 1024 * 1024;
-    uint32_t lineBytes = 16;
 };
 
 /**
@@ -106,7 +110,7 @@ struct LayoutConfig
 class KernelLayout
 {
   public:
-    explicit KernelLayout(const LayoutConfig &cfg);
+    KernelLayout(const LayoutConfig &cfg, const sim::MachineConfig &machine);
 
     /// @name Text segment
     /// @{
@@ -142,10 +146,6 @@ class KernelLayout
     uint32_t procEntryBytes() const { return procEntrySize; }
     /** Size in bytes of one pfdat descriptor. */
     uint32_t pfdatEntryBytes() const { return pfdatEntrySize; }
-    /** Size in bytes of one buffer header. */
-    uint32_t bufHeaderBytes() const { return bufHeaderSize; }
-    /** Size in bytes of one in-core inode. */
-    uint32_t inodeBytes() const { return inodeSize; }
 
     /** First physical page available for application memory. */
     uint64_t firstUserPage() const { return userPoolFirst; }
@@ -171,6 +171,10 @@ class KernelLayout
     void buildData();
 
     LayoutConfig cfg;
+    /** The machine's geometry. */
+    uint32_t pageBytes;
+    uint32_t lineBytes;
+    uint64_t memBytes;
     std::vector<Routine> routines;
     /** name -> id index for routine(); built by addRoutine(). */
     std::unordered_map<std::string, RoutineId> byName;
@@ -192,8 +196,6 @@ class KernelLayout
 
     uint32_t procEntrySize = 0;
     uint32_t pfdatEntrySize = 0;
-    uint32_t bufHeaderSize = 0;
-    uint32_t inodeSize = 0;
     uint64_t pfdatEntries = 0;
 
     uint64_t userPoolFirst = 0;

@@ -14,7 +14,6 @@
 #define MPOS_KERNEL_LOCKS_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/lockpolicy.hh"
 #include "sim/syncbus.hh"
@@ -39,21 +38,16 @@ enum KLock : uint32_t
     numKernelLocks = InoBase + 8,
 };
 
+/** User-library lock ids above numKernelLocks (the sync transport's
+ *  lock table holds numKernelLocks + maxUserLocks slots). */
+constexpr uint32_t maxUserLocks = 32;
+
 /** Pick the Shr_x lock protecting process slot's page tables. */
 inline uint32_t shrLock(uint32_t slot) { return ShrBase + slot % 8; }
 /** Pick the Streams_x lock for a tty session. */
 inline uint32_t streamsLock(uint32_t s) { return StreamsBase + s % 4; }
 /** Pick the Ino_x lock for an inode. */
 inline uint32_t inoLock(uint32_t ino) { return InoBase + ino % 8; }
-
-/**
- * Human-readable lock name ("Memlock", "Shr_3", "UserLock_2", ...).
- *
- * Callers must pass the kernel's real user-lock count: diagnostic
- * paths that guessed 0 used to misname user-library locks as plain
- * "Lock_N", which is why the parameter has no default.
- */
-std::string lockName(uint32_t lock_id, uint32_t num_user_locks);
 
 /** Ids whose read-mostly accesses get the RCU read path when the
  *  machine's lock policy is LockPolicy::Rcu: the free-inode list and

@@ -50,7 +50,7 @@ void
 Kernel::emitText(Script &s, RoutineId r, double f0, double f1)
 {
     const Routine &info = map.routineInfo(r);
-    const uint32_t lines = info.textBytes / cfg.layout.lineBytes;
+    const uint32_t lines = info.textBytes / m.config().lineBytes;
     uint32_t lo = uint32_t(f0 * lines);
     uint32_t hi = uint32_t(f1 * lines);
     if (hi > lines)
@@ -61,13 +61,13 @@ Kernel::emitText(Script &s, RoutineId r, double f0, double f1)
     *it++ = ScriptItem::mark(MarkerOp::RoutineEnter, r);
     for (uint32_t l = lo; l < hi; ++l)
         *it++ = ScriptItem::ifetch(info.textBase +
-                                   Addr(l) * cfg.layout.lineBytes);
+                                   Addr(l) * m.config().lineBytes);
 }
 
 void
 Kernel::emitTouch(Script &s, Addr addr, uint32_t bytes, bool write)
 {
-    const Addr line = Addr(cfg.layout.lineBytes);
+    const Addr line = Addr(m.config().lineBytes);
     const Addr first = addr & ~(line - 1);
     ScriptItem *it = extend(s, (addr + bytes - first + line - 1) / line);
     for (Addr a = first; a < addr + bytes; a += line)
@@ -147,7 +147,7 @@ Kernel::emitBcopy(Script &s, Addr src, Addr dst, uint32_t bytes,
 {
     blockStats.record(BlockKind::Copy, cls, bytes);
     emitText(s, rt.bcopy);
-    const uint32_t line = cfg.layout.lineBytes;
+    const uint32_t line = m.config().lineBytes;
     const uint32_t lines = (bytes + line - 1) / line;
     for (uint32_t i = 0; i < lines; ++i) {
         emitBlockRef(s, src + Addr(i) * line, false);
@@ -162,7 +162,7 @@ Kernel::emitBclear(Script &s, Addr dst, uint32_t bytes, BlockClass cls)
 {
     blockStats.record(BlockKind::Clear, cls, bytes);
     emitText(s, rt.bclear);
-    const uint32_t line = cfg.layout.lineBytes;
+    const uint32_t line = m.config().lineBytes;
     const uint32_t lines = (bytes + line - 1) / line;
     for (uint32_t i = 0; i < lines; ++i)
         emitBlockRef(s, dst + Addr(i) * line, true);
@@ -182,19 +182,19 @@ Kernel::reclaimPages(Script &s, CpuId cpu)
     // "a traversal of the array of page descriptors occurs when free
     // memory is needed").
     emitText(s, rt.pfdat_scan);
-    const uint32_t entries = cfg.reclaimScanEntries;
+    const uint32_t entries = reclaimScanEntries;
     const uint64_t bytes = uint64_t(entries) * map.pfdatEntryBytes();
     blockStats.record(BlockKind::Traverse, BlockClass::IrregularChunk,
                       bytes);
     emitTouch(s, map.pfdatAddr(pfdatCursor), uint32_t(bytes), false);
     pfdatCursor = (pfdatCursor + entries) %
-                  (cfg.layout.memBytes / cfg.layout.pageBytes);
+                  (m.config().memBytes / m.config().pageBytes);
 
     // Steal resident text pages, oldest first.
     uint32_t stolen = 0;
     uint32_t scanned = 0;
     const uint32_t scan_cap = uint32_t(textLru.size()) * 2;
-    while (stolen < cfg.reclaimBatch && !textLru.empty() &&
+    while (stolen < reclaimBatch && !textLru.empty() &&
            scanned++ < scan_cap) {
         const uint64_t key = textLru.front();
         textLru.pop_front();
@@ -245,7 +245,7 @@ Kernel::reclaimPages(Script &s, CpuId cpu)
 uint64_t
 Kernel::allocPage(Script &s, CpuId cpu)
 {
-    if (freePages.size() < cfg.freeLowWater)
+    if (freePages.size() < freeLowWater)
         reclaimPages(s, cpu);
     if (freePages.empty())
         util::raise(util::ErrCode::ResourceExhausted,
@@ -309,7 +309,7 @@ uint64_t
 Kernel::ensureResident(Script &s, CpuId cpu, Process &p, Addr vaddr,
                        bool for_write)
 {
-    const Addr vpage = vaddr / cfg.layout.pageBytes;
+    const Addr vpage = vaddr / m.config().pageBytes;
     Pte *pte = p.findPte(vpage);
     if (pte && pte->present) {
         if (for_write && pte->cow) {
@@ -317,8 +317,8 @@ Kernel::ensureResident(Script &s, CpuId cpu, Process &p, Addr vaddr,
             emitText(s, rt.cow_break);
             const uint64_t old = pte->ppage;
             const uint64_t np = allocPage(s, cpu);
-            emitBcopy(s, old * cfg.layout.pageBytes,
-                      np * cfg.layout.pageBytes, cfg.layout.pageBytes,
+            emitBcopy(s, old * m.config().pageBytes,
+                      np * m.config().pageBytes, m.config().pageBytes,
                       BlockClass::FullPage);
             pte->ppage = uint32_t(np);
             pte->cow = false;
@@ -341,7 +341,7 @@ Kernel::ensureResident(Script &s, CpuId cpu, Process &p, Addr vaddr,
     const uint64_t np = allocPage(s, cpu);
     if (!for_write) {
         emitText(s, rt.zfod);
-        emitBclear(s, np * cfg.layout.pageBytes, cfg.layout.pageBytes,
+        emitBclear(s, np * m.config().pageBytes, m.config().pageBytes,
                    BlockClass::FullPage);
     }
     p.pageTable[vpage] = Pte{uint32_t(np), true, true, false, false,
@@ -371,9 +371,9 @@ void
 Kernel::pathVmFault(Script &s, CpuId cpu, Process &p, Addr vaddr,
                     bool is_prot)
 {
-    const Addr vpage = vaddr / cfg.layout.pageBytes;
+    const Addr vpage = vaddr / m.config().pageBytes;
     const Image &img = images.at(p.imageId);
-    const Addr textVp0 = VaMap::textBase / cfg.layout.pageBytes;
+    const Addr textVp0 = VaMap::textBase / m.config().pageBytes;
     const bool isText =
         vpage >= textVp0 && vpage < textVp0 + img.textPages;
     const bool isShared =
@@ -413,8 +413,8 @@ Kernel::pathVmFault(Script &s, CpuId cpu, Process &p, Addr vaddr,
         emitText(s, rt.cow_break);
         const uint64_t old = pte->ppage;
         const uint64_t np = allocPage(s, cpu);
-        emitBcopy(s, old * cfg.layout.pageBytes,
-                  np * cfg.layout.pageBytes, cfg.layout.pageBytes,
+        emitBcopy(s, old * m.config().pageBytes,
+                  np * m.config().pageBytes, m.config().pageBytes,
                   BlockClass::FullPage);
         pte->ppage = uint32_t(np);
         pte->cow = false;
@@ -431,8 +431,8 @@ Kernel::pathVmFault(Script &s, CpuId cpu, Process &p, Addr vaddr,
         } else {
             pp = allocPage(s, cpu);
             emitText(s, rt.zfod);
-            emitBclear(s, pp * cfg.layout.pageBytes,
-                       cfg.layout.pageBytes, BlockClass::FullPage);
+            emitBclear(s, pp * m.config().pageBytes,
+                       m.config().pageBytes, BlockClass::FullPage);
             sharedMap[vpage] = pp;
         }
         p.pageTable[vpage] = Pte{uint32_t(pp), true, true, false, false,
@@ -499,7 +499,7 @@ Kernel::pathVmFault(Script &s, CpuId cpu, Process &p, Addr vaddr,
         // Demand-zero data or stack page.
         const uint64_t pp = allocPage(s, cpu);
         emitText(s, rt.zfod);
-        emitBclear(s, pp * cfg.layout.pageBytes, cfg.layout.pageBytes,
+        emitBclear(s, pp * m.config().pageBytes, m.config().pageBytes,
                    BlockClass::FullPage);
         p.pageTable[vpage] =
             Pte{uint32_t(pp), true, true, false, false, false};
@@ -613,7 +613,7 @@ Kernel::bodyTtyRead(Script &s, Process &p, uint32_t session,
     const uint32_t slock = streamsLock(session);
     // The per-session stream buffer lives in the tail of buffer data.
     const Addr qaddr =
-        map.bufDataAddr(cfg.layout.numBuffers - 1 - session % 8);
+        map.bufDataAddr(numBuffers - 1 - session % 8);
 
     emitLock(s, slock);
     emitText(s, rt.streams_core, 0.0, 0.03);
@@ -628,7 +628,7 @@ Kernel::bodyTtyRead(Script &s, Process &p, uint32_t session,
     emitText(s, rt.tty_driver, 0.0, 0.02);
     const uint64_t dst =
         ensureResident(s, 0, p, p.ioBufVaddr, true);
-    emitBcopy(s, qaddr, dst * cfg.layout.pageBytes,
+    emitBcopy(s, qaddr, dst * m.config().pageBytes,
               std::min(bytes, 64u), BlockClass::IrregularChunk);
     emitTouch(s, qaddr, 32, true);
     emitUnlock(s, slock);
@@ -653,7 +653,7 @@ Kernel::bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload)
         emitText(s, rt.namei, 0.0, 0.9);
         const uint64_t sp = ensureResident(
             s, cpu, p, VaMap::stackBase + 0x100, false);
-        emitBcopy(s, sp * cfg.layout.pageBytes,
+        emitBcopy(s, sp * m.config().pageBytes,
                   map.kernelStackAddr(p.slot) + 2048,
                   32 + uint32_t(rng.below(96)),
                   BlockClass::IrregularChunk);
@@ -669,19 +669,19 @@ Kernel::bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload)
 
     const Addr dstVaddr =
         p.ioBufVaddr +
-        Addr(p.ioRotor++ % 8) * cfg.layout.pageBytes;
+        Addr(p.ioRotor++ % 8) * m.config().pageBytes;
     const uint64_t dstPage = ensureResident(s, cpu, p, dstVaddr, true);
     // Deep call chain: a real read path builds several stack frames.
     emitTouch(s, map.kernelStackAddr(p.slot) + 4096 - 1024, 512, true);
     const uint32_t nblocks =
-        std::max(1u, (bytes + cfg.layout.pageBytes - 1) /
-                         cfg.layout.pageBytes);
+        std::max(1u, (bytes + m.config().pageBytes - 1) /
+                         m.config().pageBytes);
 
     uint32_t left = bytes;
     for (uint32_t b = 0; b < nblocks; ++b) {
         const int64_t blkno = int64_t(file) * 4096 + start + b;
         const uint32_t chunk =
-            std::min(left, cfg.layout.pageBytes);
+            std::min(left, m.config().pageBytes);
         left -= chunk;
 
         emitText(s, rt.bmap, 0.0, 0.8);
@@ -729,7 +729,7 @@ Kernel::bodyRead(Script &s, CpuId cpu, Process &p, uint64_t payload)
         }
         // Copy the block to the user's buffer.
         emitBcopy(s, map.bufDataAddr(uint32_t(idx)),
-                  dstPage * cfg.layout.pageBytes, chunk,
+                  dstPage * m.config().pageBytes, chunk,
                   BlockClass::RegularFragment);
     }
 
@@ -755,17 +755,17 @@ Kernel::bodyWrite(Script &s, CpuId cpu, Process &p, uint64_t payload)
 
     const Addr srcVaddr =
         p.ioBufVaddr +
-        Addr(p.ioRotor++ % 8) * cfg.layout.pageBytes;
+        Addr(p.ioRotor++ % 8) * m.config().pageBytes;
     const uint64_t srcPage = ensureResident(s, cpu, p, srcVaddr, false);
     emitTouch(s, map.kernelStackAddr(p.slot) + 4096 - 1024, 512, true);
     const uint32_t nblocks =
-        std::max(1u, (bytes + cfg.layout.pageBytes - 1) /
-                         cfg.layout.pageBytes);
+        std::max(1u, (bytes + m.config().pageBytes - 1) /
+                         m.config().pageBytes);
 
     uint32_t left = bytes;
     for (uint32_t b = 0; b < nblocks; ++b) {
         const int64_t blkno = int64_t(file) * 4096 + start + b;
-        const uint32_t chunk = std::min(left, cfg.layout.pageBytes);
+        const uint32_t chunk = std::min(left, m.config().pageBytes);
         left -= chunk;
 
         // Allocate the disk block for file growth.
@@ -791,7 +791,7 @@ Kernel::bodyWrite(Script &s, CpuId cpu, Process &p, uint64_t payload)
         }
         emitUnlock(s, Bfreelock);
 
-        emitBcopy(s, srcPage * cfg.layout.pageBytes,
+        emitBcopy(s, srcPage * m.config().pageBytes,
                   map.bufDataAddr(uint32_t(idx)), chunk,
                   BlockClass::RegularFragment);
         bufcache.markDirty(uint32_t(idx));
@@ -896,7 +896,7 @@ Kernel::bodyFork(Script &s, CpuId cpu, Process &parent)
     child.name = parent.name + "+";
     child.imageId = parent.imageId;
     child.parent = parent.pid;
-    child.ticksLeft = cfg.quantumTicks;
+    child.ticksLeft = quantumTicks;
     child.state = ProcState::Blocked; // makeReady flips it below
 
     if (!client)
@@ -928,7 +928,7 @@ Kernel::bodyExec(Script &s, CpuId cpu, Process &p, uint32_t image_id)
     emitText(s, rt.namei, 0.0, 0.8);
     const uint64_t sp =
         ensureResident(s, cpu, p, VaMap::stackBase + 0x200, false);
-    emitBcopy(s, sp * cfg.layout.pageBytes,
+    emitBcopy(s, sp * m.config().pageBytes,
               map.kernelStackAddr(p.slot) + 1024,
               64 + uint32_t(rng.below(160)), BlockClass::IrregularChunk);
     const uint32_t ino = 1000 + image_id;
@@ -1040,7 +1040,7 @@ Kernel::bodyOther(Script &s, CpuId cpu, Process &p)
         // Parameter copy-in/out: an irregular block copy.
         const uint64_t sp = ensureResident(
             s, cpu, p, VaMap::stackBase + 0x300, false);
-        emitBcopy(s, sp * cfg.layout.pageBytes,
+        emitBcopy(s, sp * m.config().pageBytes,
                   map.kernelStackAddr(p.slot) + 3072,
                   32 + uint32_t(rng.below(96)),
                   BlockClass::IrregularChunk);
@@ -1184,7 +1184,7 @@ Kernel::pathTtyInterrupt(Script &s, CpuId cpu, uint32_t session)
     emitLock(s, slock);
     emitText(s, rt.stream_svc, 0.0, 0.4);
     const Addr qaddr =
-        map.bufDataAddr(cfg.layout.numBuffers - 1 - session % 8);
+        map.bufDataAddr(numBuffers - 1 - session % 8);
     emitTouch(s, qaddr, 48, true);
     emitUnlock(s, slock);
 

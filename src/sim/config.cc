@@ -113,12 +113,6 @@ validateConfig(const MachineConfig &cfg)
     if (cfg.tlbEntries == 0)
         util::raise(ErrCode::BadConfig, "tlbEntries is zero");
 
-    if (cfg.instrPerLine == 0 || cfg.cyclesPerInstr == 0)
-        util::raise(ErrCode::BadConfig,
-                    "instrPerLine %u / cyclesPerInstr %llu must be "
-                    "nonzero", cfg.instrPerLine,
-                    static_cast<unsigned long long>(cfg.cyclesPerInstr));
-
     return cfg;
 }
 

@@ -14,7 +14,6 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
       syncTransport(cfg, num_locks),
       pageShift(uint32_t(std::countr_zero(cfg.pageBytes))),
       pageMask(Addr(cfg.pageBytes) - 1),
-      lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
       parks(cfg.numCpus)
 {
     cpus.reserve(cfg.numCpus);
@@ -48,8 +47,7 @@ Machine::Machine(const MachineConfig &config, uint32_t num_locks)
     }
 
     if (cfg.profile) {
-        pf = std::make_unique<trace::Profiler>(cfg.numCpus,
-                                               cfg.busMissStall);
+        pf = std::make_unique<trace::Profiler>(cfg.numCpus);
         pfp = pf.get();
         mon.attach(pfp);
     }

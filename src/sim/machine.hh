@@ -230,8 +230,6 @@ class Machine
     /** log2(pageBytes) / pageBytes-1: translation without dividing. */
     uint32_t pageShift = 0;
     Addr pageMask = 0;
-    /** Execution cycles for one full instruction line. */
-    Cycle lineExecCycles = 0;
     /** By value: the scheduler scans busyUntil every interesting
      *  cycle, so one less indirection matters. */
     std::vector<Cpu> cpus;

@@ -39,7 +39,6 @@ MemorySystem::MemorySystem(const MachineConfig &config, Monitor &monitor)
       sharers((numLines + chunkMask) >> chunkShift),
       lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
       lineMask(~Addr(cfg.lineBytes - 1)),
-      lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
       spinData(cfg.numCpus, nullptr)
 {
     hier.reserve(cfg.numCpus);
@@ -177,7 +176,7 @@ MemorySystem::dataAccessSlow(CpuId cpu, Addr addr, bool is_write,
 
     if (l2hit) {
         if (!l1hit) {
-            res.cycles += cfg.l2HitStall;
+            res.cycles += l2HitStall;
             h.l1d.fill(line); // L1 victim still resides in L2: silent
         }
         if (is_write) {
@@ -188,7 +187,7 @@ MemorySystem::dataAccessSlow(CpuId cpu, Addr addr, bool is_write,
                 snoopInvalidate(cpu, line);
                 record(now + delay, cpu, line, BusOp::Upgrade,
                        CacheKind::Data, ctx);
-                res.cycles += cfg.busMissStall + delay;
+                res.cycles += busMissStall + delay;
                 res.busAccess = true;
             }
             h.setState(line, Coh::Modified);
@@ -226,7 +225,7 @@ MemorySystem::dataAccessSlow(CpuId cpu, Addr addr, bool is_write,
     // claim an earlier bus slot than the fill's.
     l2Fill(cpu, line, newState, now + delay, ctx);
     h.l1d.fill(line);
-    res.cycles += cfg.busMissStall + delay;
+    res.cycles += busMissStall + delay;
     res.busAccess = true;
     if (checker)
         checker->onLineEvent(line);
@@ -254,7 +253,7 @@ MemorySystem::ifetchMiss(CpuId cpu, Addr line, Cycle now,
     const Victim v = h.icache.fill(line);
     if (v.valid && mon.listening())
         mon.evict(cpu, CacheKind::Instr, v.lineAddr, ctx);
-    res.cycles += cfg.busMissStall + delay;
+    res.cycles += busMissStall + delay;
     res.busAccess = true;
     if (checker)
         checker->onLineEvent(line); // fetch may have downgraded D-copies
@@ -270,7 +269,7 @@ MemorySystem::uncachedAccess(CpuId cpu, Addr addr, bool is_write,
     record(now + delay, cpu, line,
            is_write ? BusOp::UncachedWrite : BusOp::UncachedRead,
            CacheKind::Data, ctx);
-    return {cfg.uncachedAccessCycles + delay, true};
+    return {uncachedAccessCycles + delay, true};
 }
 
 AccessResult
@@ -292,7 +291,7 @@ MemorySystem::bypassAccess(CpuId cpu, Addr addr, bool is_write,
            is_write ? BusOp::ReadEx : BusOp::Read, CacheKind::Data, ctx);
     if (checker)
         checker->onLineEvent(line);
-    return {1 + cfg.busMissStall + delay, true};
+    return {1 + busMissStall + delay, true};
 }
 
 void

@@ -34,6 +34,11 @@ namespace mpos::sim
 class Checker;
 class Machine;
 
+/** Stall for an L1 D-miss that hits in the L2 (about 15 cycles). */
+constexpr Cycle l2HitStall = 15;
+/** Stall for one uncached device-register access. */
+constexpr Cycle uncachedAccessCycles = 20;
+
 /** Outcome of one reference through the hierarchy. */
 struct AccessResult
 {
@@ -284,8 +289,6 @@ class MemorySystem
     uint32_t lineShift = 0;
     /** ~(lineBytes - 1): address -> line address. */
     Addr lineMask = 0;
-    /** Execution cycles for one full instruction line. */
-    Cycle lineExecCycles = 0;
     Cycle busBusyUntil = 0;
     uint64_t txTotal = 0;
     /** Invariant checker; null unless checking is enabled. */

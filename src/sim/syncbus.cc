@@ -25,7 +25,7 @@ SyncTransport::uncachedOpsFor(LockEvent ev) const
     switch (ev) {
       case LockEvent::AcquireSuccess:
         // No atomic RMW on the sync bus: read, set, verify.
-        return cfg.syncOpsPerAcquire;
+        return syncOpsPerAcquire;
       case LockEvent::AcquireFail:
         return 1; // every poll of a held lock crosses the sync bus
       case LockEvent::Release:
@@ -34,18 +34,18 @@ SyncTransport::uncachedOpsFor(LockEvent ev) const
       case LockEvent::TicketTake:
         // Fetch-and-add emulated with the same read/modify/verify
         // sequence an acquire needs on the RMW-less sync bus.
-        return cfg.syncOpsPerAcquire;
+        return syncOpsPerAcquire;
       case LockEvent::TicketPoll:
         return 1; // read of now-serving
       case LockEvent::TicketRelease:
         return 1; // write of now-serving
 
       case LockEvent::McsSwap:
-        return cfg.syncOpsPerAcquire; // emulated tail swap
+        return syncOpsPerAcquire; // emulated tail swap
       case LockEvent::McsEnqueue:
         // Emulated tail swap plus the write linking into the
         // predecessor's node.
-        return cfg.syncOpsPerAcquire + 1;
+        return syncOpsPerAcquire + 1;
       case LockEvent::McsLocalPoll:
         // Sync RAM is never cached: on the Current Machine the "local"
         // spin degenerates to a bus crossing per poll, which is
@@ -54,10 +54,10 @@ SyncTransport::uncachedOpsFor(LockEvent ev) const
       case LockEvent::McsHandoff:
         return 1; // write the successor's node flag
       case LockEvent::McsReleaseFree:
-        return cfg.syncOpsPerAcquire; // emulated tail compare-and-swap
+        return syncOpsPerAcquire; // emulated tail compare-and-swap
 
       case LockEvent::FutexAcquire:
-        return cfg.syncOpsPerAcquire; // emulated CAS
+        return syncOpsPerAcquire; // emulated CAS
       case LockEvent::FutexWait:
         return 1; // the losing poll before the waiter blocks
       case LockEvent::FutexWake:
@@ -160,9 +160,7 @@ SyncTransport::access(CpuId cpu, uint32_t lock_id, LockEvent ev,
     uncachedOpsTotal += uops;
     cachedOpsTotal += cops;
 
-    const Cycle cost = cfg.cachedLockRmw
-        ? Cycle(cops) * cfg.busMissStall
-        : Cycle(uops) * cfg.syncBusOpCycles;
+    const Cycle cost = Cycle(uops) * syncBusOpCycles;
     stall[cpu] += cost;
     if (checker)
         checker->onSyncEvent(cpu, lock_id, numLocks(),
@@ -197,13 +195,13 @@ SyncTransport::sumOps(uint32_t id_limit) const
 Cycle
 SyncTransport::uncachedStallTotal() const
 {
-    return uncachedOpsTotal * cfg.syncBusOpCycles;
+    return uncachedOpsTotal * syncBusOpCycles;
 }
 
 Cycle
 SyncTransport::cachedStallTotal() const
 {
-    return cachedOpsTotal * cfg.busMissStall;
+    return cachedOpsTotal * busMissStall;
 }
 
 template <class Ar>

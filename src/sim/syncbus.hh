@@ -11,8 +11,9 @@
  * re-acquiring an undisturbed lock costs no bus access at all
  * (Table 10 "Atomic RMW + Caches", Table 12 last column).
  *
- * SyncTransport charges timing under the *active* protocol and counts
- * bus operations under *both*, so one run produces both columns.
+ * SyncTransport charges stall under the measured machine's sync bus
+ * and counts bus operations under *both* protocols, so one run
+ * produces both columns.
  */
 
 #ifndef MPOS_SIM_SYNCBUS_HH
@@ -28,6 +29,12 @@ namespace mpos::sim
 
 class Checker;
 
+/** Cycles of one sync-bus transaction. */
+constexpr Cycle syncBusOpCycles = 55;
+/** Sync-bus transactions per acquire: no atomic RMW, so read, set,
+ *  verify. */
+constexpr uint32_t syncOpsPerAcquire = 4;
+
 /**
  * What happened at a lock, as reported by the kernel lock layer.
  *
@@ -35,7 +42,7 @@ class Checker;
  * only ones the statistics layer ever sees; the rest are the
  * per-primitive transport events of the modern lock policies
  * (DESIGN.md section 14). Each policy's acquire/release state machine
- * (sim/lockpolicy.hh) emits these so SyncTransport can charge the
+ * (sim/lockpolicy.hh) emits these so SyncTransport can count the
  * primitive's distinct bus-operation pattern under both the uncached
  * sync bus and the cached-RMW transport.
  */
@@ -90,8 +97,8 @@ class SyncTransport
     SyncTransport(const MachineConfig &cfg, uint32_t num_locks);
 
     /**
-     * Account one lock event; returns the CPU stall cycles under the
-     * active protocol (cfg.cachedLockRmw selects it).
+     * Account one lock event under both protocols; returns the CPU
+     * stall cycles on the sync bus.
      *
      * `peer` names the other CPU involved in a hand-off
      * (LockEvent::McsHandoff: the successor whose queue node the
@@ -115,13 +122,10 @@ class SyncTransport
     /** Sum of op counts over lock ids [0, id_limit). */
     SyncOpCounts sumOps(uint32_t id_limit) const;
 
-    Cycle uncachedCyclesPerOp() const { return cfg.syncBusOpCycles; }
-    Cycle cachedCyclesPerOp() const { return cfg.busMissStall; }
-
-    /** Stall cycles charged so far to cpu by the active protocol. */
+    /** Stall cycles charged so far to cpu on the sync bus. */
     Cycle stallCycles(CpuId cpu) const { return stall[cpu]; }
 
-    /** Hypothetical total stall if the *other* protocol had been on. */
+    /** Total stall under each protocol (the cached one hypothetical). */
     Cycle uncachedStallTotal() const;
     Cycle cachedStallTotal() const;
 

@@ -5,8 +5,8 @@
 namespace mpos::sim::trace
 {
 
-Profiler::Profiler(uint32_t num_cpus, Cycle bus_miss_stall)
-    : busMissStall(bus_miss_stall), cur(num_cpus)
+Profiler::Profiler(uint32_t num_cpus)
+    : cur(num_cpus)
 {
 }
 

@@ -70,7 +70,7 @@ class Profiler : public MonitorObserver
      * @param bus_miss_stall Per-transaction stall estimate (the
      *                       paper's 35 cycles).
      */
-    Profiler(uint32_t num_cpus, Cycle bus_miss_stall);
+    explicit Profiler(uint32_t num_cpus);
 
     /** Install the kernel routine symbol table (index = RoutineId). */
     void
@@ -164,7 +164,6 @@ class Profiler : public MonitorObserver
     /** Charge the elapsed span of cpu to its current key. */
     void closeSpan(Cycle now, CpuId cpu);
 
-    Cycle busMissStall;
     std::vector<CpuKey> cur;
     std::unordered_map<uint32_t, Tally> tallies;
     std::map<Pid, uint64_t> byPid;

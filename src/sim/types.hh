@@ -92,7 +92,7 @@ bool parseProtocol(const char *name, Protocol &out);
  * machine the paper measured: kernel spinlocks poll a test-and-set
  * word and the user library spins 20 times before sginap. The
  * alternatives replace the acquire/release state machines wholesale;
- * the SyncTransport charges each primitive's distinct bus-operation
+ * the SyncTransport counts each primitive's distinct bus-operation
  * pattern under both the uncached sync bus and cached-RMW transports.
  */
 enum class LockPolicy : uint8_t
@@ -127,6 +127,20 @@ enum class BusOp : uint8_t
 /** Name of a BusOp for reports. */
 const char *busOpName(BusOp op);
 
+/// @name Timing of the measured machine
+/// The 4D/340's instruction timing and the paper's stall estimate are
+/// fixed model constants, not configuration: every run uses them.
+/// @{
+/** Paper's per-bus-access CPU stall estimate (35 cycles). */
+constexpr Cycle busMissStall = 35;
+/** Cycles per instruction when not stalled (R3000 ~ 1). */
+constexpr Cycle cyclesPerInstr = 1;
+/** Instructions per 16-byte I-line (4-byte MIPS instructions). */
+constexpr uint32_t instrPerLine = 4;
+/** Unstalled cycles to execute one fetched instruction line. */
+constexpr Cycle lineExecCycles = Cycle(instrPerLine) * cyclesPerInstr;
+/// @}
+
 /** Machine configuration. Defaults model the SGI 4D/340. */
 struct MachineConfig
 {
@@ -152,29 +166,12 @@ struct MachineConfig
     uint32_t pageBytes = 4096;
     uint32_t tlbEntries = 64;
 
-    /** Paper's per-bus-access CPU stall estimate (35 cycles). */
-    Cycle busMissStall = 35;
-    /** Stall for an L1 D-miss that hits in the L2 (about 15 cycles). */
-    Cycle l2HitStall = 15;
     /**
      * Extra queueing realism: cycles the bus stays busy per transaction.
      * Zero by default so measured stall time matches the paper's
      * 35-cycles-per-access estimator exactly.
      */
     Cycle busOccupancy = 0;
-    /** Cycles per instruction when not stalled (R3000 ~ 1). */
-    Cycle cyclesPerInstr = 1;
-    /** Instructions per 16-byte I-line (4-byte MIPS instructions). */
-    uint32_t instrPerLine = 4;
-
-    /** Sync transport: see SyncBus. */
-    bool cachedLockRmw = false;   ///< Table 10 "Atomic RMW" scenario.
-    Cycle syncBusOpCycles = 55;   ///< One sync-bus transaction.
-    uint32_t syncOpsPerAcquire = 4; ///< No atomic RMW: ops per acquire.
-    Cycle uncachedAccessCycles = 20; ///< Uncached device access stall.
-
-    /** 33 MHz clock: cycles in one 10 ms scheduler tick. */
-    Cycle clockTickCycles = 330000;
 
     /**
      * Force the reference (non-fast-path) simulation core: the
@@ -219,15 +216,14 @@ struct MachineConfig
     bool profile = false;
 
     uint64_t numLines() const { return memBytes / lineBytes; }
-    uint64_t numPages() const { return memBytes / pageBytes; }
 };
 
 /**
  * Validate every machine-level geometry invariant in one place (CPU
  * count vs the snoop filter, line/page/memory alignment, cache shapes,
- * TLB size, instruction timing), raising util::SimError(BadConfig) with
- * the offending parameter named. Returns cfg so constructors can run
- * it from their initializer lists, before any member is built.
+ * TLB size), raising util::SimError(BadConfig) with the offending
+ * parameter named. Returns cfg so constructors can run it from their
+ * initializer lists, before any member is built.
  */
 const MachineConfig &validateConfig(const MachineConfig &cfg);
 

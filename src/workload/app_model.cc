@@ -6,7 +6,7 @@ namespace mpos::workload
 namespace
 {
 constexpr Addr lineBytes = 16;
-constexpr uint32_t instrPerLine = 4;
+using sim::instrPerLine;
 } // namespace
 
 SyntheticApp::SyntheticApp(const AppParams &params)

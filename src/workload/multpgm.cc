@@ -36,7 +36,7 @@ Workload::buildEdits(const WorkloadOptions &opts)
     const uint32_t img = kern.registerImage("ed", 96 * 1024);
     util::Rng r(seed ^ 0xed17);
     for (uint32_t i = 0; i < opts.editSessions; ++i) {
-        const uint32_t tty = kern.registerTty(opts.editMeanGap);
+        const uint32_t tty = kern.registerTty(editMeanGap);
         const uint32_t save_file = 0x300000 + i;
         kern.spawn(std::make_unique<EdSession>(tty, save_file,
                                                r.next()),

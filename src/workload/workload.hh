@@ -31,6 +31,12 @@ enum class WorkloadKind : uint8_t { Pmake, Multpgm, Oracle };
 /** Name for reports. */
 const char *workloadName(WorkloadKind kind);
 
+/**
+ * Typist inter-burst gap. The paper's 25 chars / 5 s is scaled to
+ * simulated-run length (documented in DESIGN.md).
+ */
+constexpr sim::Cycle editMeanGap = 2000000;
+
 /** Scale knobs (defaults follow the paper where sizes are given). */
 struct WorkloadOptions
 {
@@ -38,11 +44,6 @@ struct WorkloadOptions
     uint32_t pmakeFiles = 56;      ///< Paper: 56 C files.
     uint32_t pmakeMaxJobs = 8;     ///< Paper: -J 8.
     uint32_t editSessions = 5;     ///< Paper: five ed sessions.
-    /**
-     * Typist inter-burst gap. The paper's 25 chars / 5 s is scaled to
-     * simulated-run length (documented in DESIGN.md).
-     */
-    sim::Cycle editMeanGap = 2000000;
     uint32_t oracleServers = 6;
     uint32_t mp3dProcs = 4;        ///< Paper: 4 processes.
 };

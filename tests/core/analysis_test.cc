@@ -46,7 +46,7 @@ mkMiss(const KernelLayout &l, sim::Addr addr, MissClass cls,
 
 TEST(Attribution, SharingOnPerProcessStructsIsMigration)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     Attribution a(l);
     const uint16_t swtch = l.routine("swtch");
     a.onMiss(mkMiss(l, l.kernelStackAddr(3) + 64, MissClass::Sharing,
@@ -65,7 +65,7 @@ TEST(Attribution, SharingOnPerProcessStructsIsMigration)
 
 TEST(Attribution, NonSharingMissesAreNotMigration)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     Attribution a(l);
     a.onMiss(mkMiss(l, l.kernelStackAddr(3), MissClass::Dispos));
     EXPECT_EQ(a.migrationTotal(), 0u);
@@ -73,7 +73,7 @@ TEST(Attribution, NonSharingMissesAreNotMigration)
 
 TEST(Attribution, BlockOpRoutineAttribution)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     Attribution a(l);
     const uint16_t bcopy = l.routine("bcopy");
     const sim::Addr user = l.firstUserPage() * 4096;
@@ -86,7 +86,7 @@ TEST(Attribution, BlockOpRoutineAttribution)
 
 TEST(Attribution, SharingOnBlockOpPagesGoesToDynamicBuckets)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     Attribution a(l);
     const uint16_t bcopy = l.routine("bcopy");
     const sim::Addr user = l.firstUserPage() * 4096;
@@ -99,7 +99,7 @@ TEST(Attribution, SharingOnBlockOpPagesGoesToDynamicBuckets)
 
 TEST(Attribution, DisposInstructionMissesByRoutine)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     Attribution a(l);
     const auto namei = l.routine("namei");
     const auto &info = l.routineInfo(namei);
@@ -110,7 +110,7 @@ TEST(Attribution, DisposInstructionMissesByRoutine)
 
 TEST(Attribution, UserModeMissesIgnored)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     Attribution a(l);
     a.onMiss(mkMiss(l, l.procTableAddr(1), MissClass::Sharing,
                     CacheKind::Data, 0xffff, ExecMode::User,
@@ -120,7 +120,7 @@ TEST(Attribution, UserModeMissesIgnored)
 
 TEST(FunctionalClass, SplitsByOperationAndKind)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     FunctionalClass f;
     f.onMiss(mkMiss(l, 0x100, MissClass::Cold, CacheKind::Instr, 0xffff,
                     ExecMode::Kernel, OsOp::IoSyscall));
@@ -345,7 +345,7 @@ TEST(Resim, DataMissesIgnored)
 
 TEST(Migration, ReportComposition)
 {
-    KernelLayout l(LayoutConfig{});
+    KernelLayout l(LayoutConfig{}, sim::MachineConfig{});
     Attribution a(l);
     const uint16_t swtch = l.routine("swtch");
     for (int i = 0; i < 10; ++i)

@@ -11,7 +11,8 @@
 # (trace_smoke.jsonl) is regenerated as well (pass
 # "" to skip it). Trailing arguments go to mpos_bench, as in check.sh.
 # Regenerating the default corpus also regenerates the per-policy lock
-# corpora lockproto/<policy>/ (see lockproto.sh).
+# corpora lockproto/<policy>/ (see lockproto.sh) and the job-plan
+# golden plan/default.json (see plan.sh).
 
 set -eu
 
@@ -56,4 +57,5 @@ fi
 
 if [ -z "${MPOS_GOLDEN_DIR:-}" ] && [ $# -eq 0 ]; then
     bash "$(dirname "$0")/lockproto.sh" update "$bench"
+    bash "$(dirname "$0")/plan.sh" update "$bench"
 fi

@@ -80,43 +80,6 @@ TEST(IoPayload, RoundTrip)
     EXPECT_EQ(ioStartBlock(q), 0u);
 }
 
-TEST(LockNames, StaticAndArrayLocks)
-{
-    EXPECT_EQ(lockName(Memlock, 0), "Memlock");
-    EXPECT_EQ(lockName(Runqlk, 0), "Runqlk");
-    EXPECT_EQ(lockName(Semlock, 0), "Semlock");
-    EXPECT_EQ(lockName(ShrBase + 3, 0), "Shr_3");
-    EXPECT_EQ(lockName(StreamsBase + 1, 0), "Streams_1");
-    EXPECT_EQ(lockName(InoBase + 7, 0), "Ino_7");
-    EXPECT_EQ(lockName(numKernelLocks + 2, 8), "UserLock_2");
-}
-
-TEST(LockNames, FullIdSpaceNamesEveryLock)
-{
-    // Every kernel id must resolve to a real name regardless of the
-    // user-lock count, and never to the Lock_N fallback.
-    for (uint32_t id = 0; id < numKernelLocks; ++id) {
-        const std::string n = lockName(id, 0);
-        EXPECT_EQ(n.rfind("Lock_", 0), std::string::npos)
-            << "kernel id " << id << " fell through to " << n;
-        EXPECT_EQ(n, lockName(id, 16))
-            << "kernel name must not depend on the user-lock count";
-    }
-    // User ids resolve to UserLock_i exactly while i is within the
-    // table the kernel was built with; past it they are foreign ids
-    // and keep the raw Lock_N spelling (the historical bug named
-    // every user lock that way by defaulting the count to 0).
-    const uint32_t nUser = 16;
-    for (uint32_t i = 0; i < nUser; ++i) {
-        EXPECT_EQ(lockName(numKernelLocks + i, nUser),
-                  "UserLock_" + std::to_string(i));
-        EXPECT_EQ(lockName(numKernelLocks + i, 0),
-                  "Lock_" + std::to_string(numKernelLocks + i));
-    }
-    EXPECT_EQ(lockName(numKernelLocks + nUser, nUser),
-              "Lock_" + std::to_string(numKernelLocks + nUser));
-}
-
 TEST(LockNames, SelectorsStayInRange)
 {
     for (uint32_t i = 0; i < 100; ++i) {
@@ -161,7 +124,8 @@ TEST(OptimizedLayout, SameRoutinesDifferentPlacement)
 {
     LayoutConfig plain, opt;
     opt.optimizedTextLayout = true;
-    KernelLayout a(plain), b(opt);
+    const mpos::sim::MachineConfig mcfg;
+    KernelLayout a(plain, mcfg), b(opt, mcfg);
     EXPECT_EQ(a.numRoutines(), b.numRoutines());
     // Every routine exists in both layouts (same sizes), but hot ones
     // move: in the optimized image the whole hot syscall path sits in

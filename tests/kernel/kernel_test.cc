@@ -258,7 +258,7 @@ TEST_F(KernelTest, TtyReadBlocksUntilTypistBurst)
 
 TEST_F(KernelTest, ClockInterruptsTickEvenWhenIdle)
 {
-    m->run(mcfg.clockTickCycles * 3);
+    m->run(clockTickCycles * 3);
     EXPECT_GT(k->osOpCounts().count[unsigned(OsOp::Interrupt)], 2u);
 }
 
@@ -267,7 +267,7 @@ TEST_F(KernelTest, QuantumPreemptionRotatesHogs)
     spawn(busyLoop(), "hog1");
     spawn(busyLoop(), "hog2");
     spawn(busyLoop(), "hog3"); // 3 hogs, 2 CPUs
-    m->run(mcfg.clockTickCycles * 8);
+    m->run(clockTickCycles * 8);
     EXPECT_GT(k->contextSwitches(), 2u);
     // Every hog made progress.
     for (Pid pid = 0; pid < 3; ++pid)
@@ -315,7 +315,7 @@ TEST_F(KernelTest, MigrationHappensAcrossCpus)
 {
     for (int i = 0; i < 5; ++i)
         spawn(busyLoop());
-    m->run(mcfg.clockTickCycles * 10);
+    m->run(clockTickCycles * 10);
     EXPECT_GT(k->migrations(), 0u);
 }
 
@@ -333,6 +333,29 @@ expectExhausted(const std::function<void()> &fn, const char *what)
     }
 }
 
+TEST(KernelGeometry, PageFramesCoverTheMachinesMemory)
+{
+    // The 32-CPU and wider cells run on a machine with twice the
+    // default memory. A kernel built straight on such a machine must
+    // lay its page frames over all of that memory, not over a default
+    // of its own.
+    sim::MachineConfig mcfg;
+    mcfg.numCpus = 1;
+    mcfg.memBytes *= 2;
+    sim::Machine m(mcfg, 128);
+    KernelConfig kcfg;
+    kcfg.layout.maxProcs = 8;
+    kcfg.userPoolPages = 0; // the whole pool
+    const Kernel k(m, kcfg);
+    const KernelLayout &map = k.layout();
+    const uint64_t frames = mcfg.memBytes / mcfg.pageBytes;
+    EXPECT_EQ(map.firstUserPage() + map.userPoolPages(), frames);
+    EXPECT_EQ(k.freePageCount(), map.userPoolPages());
+    EXPECT_EQ(map.pfdatBytes(), frames * map.pfdatEntryBytes());
+    EXPECT_EQ(map.structAt(mcfg.memBytes - mcfg.lineBytes),
+              KStruct::UserPage);
+}
+
 TEST_F(KernelTest, SpawnPastMaxProcsRaisesResourceExhausted)
 {
     for (uint32_t i = 0; i < kcfg.layout.maxProcs; ++i)
@@ -343,7 +366,7 @@ TEST_F(KernelTest, SpawnPastMaxProcsRaisesResourceExhausted)
 
 TEST_F(KernelTest, AllocUserLockPastMaxUserLocksRaisesResourceExhausted)
 {
-    for (uint32_t i = 0; i < kcfg.maxUserLocks; ++i)
+    for (uint32_t i = 0; i < maxUserLocks; ++i)
         k->allocUserLock();
     expectExhausted([&] { k->allocUserLock(); },
                     "out of user lock slots");
@@ -354,12 +377,12 @@ TEST_F(KernelTest, ShmAllocPastFreePagesRaisesResourceExhausted)
     const uint64_t pages = k->freePageCount();
     ASSERT_GT(pages, 0u);
     expectExhausted(
-        [&] { k->shmAlloc((pages + 1) * kcfg.layout.pageBytes); },
+        [&] { k->shmAlloc((pages + 1) * mcfg.pageBytes); },
         "out of physical memory in shmAlloc");
     // The failed call took nothing: the whole pool is still free and a
     // one-page allocation succeeds.
     EXPECT_EQ(k->freePageCount(), pages);
-    k->shmAlloc(kcfg.layout.pageBytes);
+    k->shmAlloc(mcfg.pageBytes);
     EXPECT_EQ(k->freePageCount(), pages - 1);
 }
 
@@ -370,9 +393,9 @@ TEST_F(KernelTest, InterruptsDeferredWhileKernelLockHeld)
     // critical section; verify the lock survives several clock ticks.
     m->cpu(0).ctx.mode = ExecMode::Kernel;
     m->cpu(0).push(ScriptItem::mark(MarkerOp::LockAcquire, Runqlk));
-    m->cpu(0).push(ScriptItem::think(mcfg.clockTickCycles * 2));
+    m->cpu(0).push(ScriptItem::think(clockTickCycles * 2));
     m->cpu(0).push(ScriptItem::mark(MarkerOp::LockRelease, Runqlk));
-    m->run(mcfg.clockTickCycles * 2 + 1000);
+    m->run(clockTickCycles * 2 + 1000);
     EXPECT_EQ(k->lockState(Runqlk).heldByCpu, -1);
 }
 

@@ -8,16 +8,17 @@ using namespace mpos::kernel;
 
 namespace
 {
-LayoutConfig
-defaultCfg()
+/** The default image on the default (4D/340) machine. */
+KernelLayout
+defaultLayout()
 {
-    return LayoutConfig{};
+    return KernelLayout(LayoutConfig{}, mpos::sim::MachineConfig{});
 }
 } // namespace
 
 TEST(Layout, Table3Sizes)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     // Paper Table 3 sizes, in bytes.
     EXPECT_EQ(l.procTableBytes(), 46080u);
     EXPECT_EQ(l.bufHeadersBytes(), 17408u);
@@ -29,7 +30,7 @@ TEST(Layout, Table3Sizes)
 
 TEST(Layout, PerProcessStructureSizes)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     // Kernel stack 4096, PCB 240, Eframe 172, rest 3684 (Table 3).
     EXPECT_EQ(l.pcbAddr(0) - l.kernelStackAddr(0), 4096u);
     EXPECT_EQ(l.eframeAddr(0) - l.pcbAddr(0), 240u);
@@ -39,7 +40,7 @@ TEST(Layout, PerProcessStructureSizes)
 
 TEST(Layout, StructAtRoundTrip)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     EXPECT_EQ(l.structAt(l.runQueueAddr()), KStruct::RunQueue);
     EXPECT_EQ(l.structAt(l.hiNdprocAddr()), KStruct::HiNdproc);
     EXPECT_EQ(l.structAt(l.freePgBuckAddr(5)), KStruct::FreePgBuck);
@@ -62,7 +63,7 @@ TEST(Layout, StructAtRoundTrip)
 
 TEST(Layout, RoutineLookupByNameAndAddress)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     const RoutineId swtch = l.routine("swtch");
     const Routine &info = l.routineInfo(swtch);
     EXPECT_EQ(info.name, "swtch");
@@ -73,14 +74,14 @@ TEST(Layout, RoutineLookupByNameAndAddress)
 
 TEST(Layout, RoutineAtBeyondTextIsInvalid)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     EXPECT_EQ(l.routineAt(l.textEnd()), invalidRoutine);
     EXPECT_EQ(l.routineAt(~0ULL), invalidRoutine);
 }
 
 TEST(Layout, RoutinesAreContiguousAndOrdered)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     mpos::sim::Addr expect = 0;
     for (uint32_t i = 0; i < l.numRoutines(); ++i) {
         const Routine &r = l.routineInfo(RoutineId(i));
@@ -96,7 +97,7 @@ TEST(Layout, RunQueueGroupHasSevenRoutines)
 {
     // "the seven routines that form the core of the run queue
     // management" (paper Table 5).
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     int n = 0;
     for (uint32_t i = 0; i < l.numRoutines(); ++i)
         if (l.routineInfo(RoutineId(i)).group ==
@@ -109,7 +110,7 @@ TEST(Layout, HotKernelTextExceedsICache)
 {
     // The paper's premise: OS code paths overflow and conflict in the
     // 64 KB I-cache. The non-driver kernel text must exceed it.
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     uint64_t hot = 0;
     for (uint32_t i = 0; i < l.numRoutines(); ++i) {
         const Routine &r = l.routineInfo(RoutineId(i));
@@ -121,7 +122,7 @@ TEST(Layout, HotKernelTextExceedsICache)
 
 TEST(Layout, UserPoolNonEmptyAndDisjoint)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     EXPECT_GT(l.userPoolPages(), 1000u);
     EXPECT_EQ(l.structAt(l.firstUserPage() * 4096), KStruct::UserPage);
     EXPECT_NE(l.structAt((l.firstUserPage() - 1) * 4096),
@@ -130,7 +131,7 @@ TEST(Layout, UserPoolNonEmptyAndDisjoint)
 
 TEST(Layout, AddressWrappingIsSafe)
 {
-    KernelLayout l(defaultCfg());
+    const KernelLayout l = defaultLayout();
     // Out-of-range indices wrap instead of escaping the structure.
     EXPECT_EQ(l.structAt(l.procTableAddr(1000)), KStruct::ProcTable);
     EXPECT_EQ(l.structAt(l.inodeAddr(100000)), KStruct::Inode);

@@ -259,7 +259,7 @@ TEST(LockLitmus, RcuReadersCountAndWritersPayTheGracePeriod)
     // TAS acquire, a release, and one grace-period round-trip per
     // other CPU.
     EXPECT_EQ(r.m->sync().counts(Ifree).uncachedOps,
-              r.mcfg.syncOpsPerAcquire + 1 + (r.mcfg.numCpus - 1));
+              sim::syncOpsPerAcquire + 1 + (r.mcfg.numCpus - 1));
 }
 
 TEST(LockLitmus, SharedMarkersActExclusiveOutsideRcu)
@@ -296,5 +296,5 @@ TEST(LockLitmus, RcuLeavesUnmanagedLocksOnTheSpinPath)
     // No grace period on release of an unmanaged lock: each acquire
     // cost the TAS ops, each release one op, each fail one op.
     EXPECT_EQ(r.m->sync().counts(Runqlk).uncachedOps,
-              2 * r.mcfg.syncOpsPerAcquire + 2 + ol.fails);
+              2 * sim::syncOpsPerAcquire + 2 + ol.fails);
 }

@@ -97,7 +97,7 @@ TEST(TrapAllocations, UtlbRefillAndClockInterruptAllocateNothing)
     };
     const auto refill = [&] {
         const uint64_t before = q.size();
-        k.fault(0, vpage * kcfg.layout.pageBytes, false, false);
+        k.fault(0, vpage * mcfg.pageBytes, false, false);
         return popPushed(before);
     };
     const auto clockTick = [&] {

@@ -146,16 +146,10 @@ TEST(ConfigValidation, CacheGeometry)
 TEST(ConfigValidation, TlbAndTiming)
 {
     MachineConfig cfg;
+    // Instruction timing is a model constant (sim::lineExecCycles),
+    // so only the TLB size is left to validate here.
     cfg.tlbEntries = 0;
     expectRejected(cfg, "zero TLB entries");
-
-    cfg = MachineConfig{};
-    cfg.instrPerLine = 0;
-    expectRejected(cfg, "zero instructions per line");
-
-    cfg = MachineConfig{};
-    cfg.cyclesPerInstr = 0;
-    expectRejected(cfg, "zero cycles per instruction");
 }
 
 /** Constructors must route through the validator (init-list), so a

@@ -64,7 +64,7 @@ TEST_F(Fixture, ReadMissFillsExclusive)
 {
     const auto r = mem.dataAccess(0, 0x1000, false, 0, ctx);
     EXPECT_TRUE(r.busAccess);
-    EXPECT_EQ(r.cycles, 1 + cfg.busMissStall);
+    EXPECT_EQ(r.cycles, 1 + busMissStall);
     EXPECT_EQ(mem.caches(0).getState(0x1000), Coh::Exclusive);
 }
 
@@ -115,7 +115,7 @@ TEST_F(Fixture, L1MissL2HitCostsL2Stall)
     mem.dataAccess(0, 0x1000 + 64 * 1024, false, 1, ctx);
     const auto r = mem.dataAccess(0, 0x1000, false, 2, ctx);
     EXPECT_FALSE(r.busAccess);
-    EXPECT_EQ(r.cycles, 1 + cfg.l2HitStall);
+    EXPECT_EQ(r.cycles, 1 + l2HitStall);
 }
 
 TEST_F(Fixture, DirtyL2EvictionWritesBack)
@@ -141,8 +141,7 @@ TEST_F(Fixture, IFetchMissAndHit)
     EXPECT_EQ(tally.ifetchTx, 1u);
     const auto r2 = mem.ifetchAccess(0, 0x2000, 1, ctx);
     EXPECT_FALSE(r2.busAccess);
-    EXPECT_EQ(r2.cycles,
-              Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr);
+    EXPECT_EQ(r2.cycles, lineExecCycles);
 }
 
 TEST_F(Fixture, ICacheNotInvalidatedByStores)
@@ -190,10 +189,10 @@ TEST_F(Fixture, BusOccupancyQueues)
     Monitor m2;
     MemorySystem mq(qcfg, m2);
     const auto r1 = mq.dataAccess(0, 0x1000, false, 100, ctx);
-    EXPECT_EQ(r1.cycles, 1 + qcfg.busMissStall); // no queueing yet
+    EXPECT_EQ(r1.cycles, 1 + busMissStall); // no queueing yet
     const auto r2 = mq.dataAccess(1, 0x2000, false, 105, ctx);
     // Second request waits for the 20-cycle occupancy minus 5 elapsed.
-    EXPECT_EQ(r2.cycles, 1 + qcfg.busMissStall + 15);
+    EXPECT_EQ(r2.cycles, 1 + busMissStall + 15);
 }
 
 TEST_F(Fixture, SharersMaskTracksReaders)

@@ -8,70 +8,79 @@
 
 using namespace mpos::sim;
 
+namespace
+{
+
+/** Main-bus accesses one event adds under the cached LL/SC model. */
+uint64_t
+cachedOps(SyncTransport &st, CpuId cpu, uint32_t lock, LockEvent ev,
+          int peer = -1)
+{
+    const uint64_t before = st.counts(lock).cachedOps;
+    st.access(cpu, lock, ev, peer);
+    return st.counts(lock).cachedOps - before;
+}
+
+} // namespace
+
 TEST(SyncBus, UncachedAcquireCostsProtocolOps)
 {
-    MachineConfig cfg; // cachedLockRmw = false
+    MachineConfig cfg;
     SyncTransport st(cfg, 4);
     const Cycle c = st.access(0, 0, LockEvent::AcquireSuccess);
-    EXPECT_EQ(c, Cycle(cfg.syncOpsPerAcquire) * cfg.syncBusOpCycles);
-    EXPECT_EQ(st.counts(0).uncachedOps, cfg.syncOpsPerAcquire);
+    EXPECT_EQ(c, Cycle(syncOpsPerAcquire) * syncBusOpCycles);
+    EXPECT_EQ(st.counts(0).uncachedOps, syncOpsPerAcquire);
 }
 
 TEST(SyncBus, UncachedSpinAndReleaseCostOneOp)
 {
     MachineConfig cfg;
     SyncTransport st(cfg, 4);
-    EXPECT_EQ(st.access(0, 0, LockEvent::AcquireFail),
-              cfg.syncBusOpCycles);
-    EXPECT_EQ(st.access(0, 0, LockEvent::Release),
-              cfg.syncBusOpCycles);
+    EXPECT_EQ(st.access(0, 0, LockEvent::AcquireFail), syncBusOpCycles);
+    EXPECT_EQ(st.access(0, 0, LockEvent::Release), syncBusOpCycles);
 }
 
 TEST(SyncBus, CachedReacquireByOwnerIsFree)
 {
     MachineConfig cfg;
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 4);
     // First acquire fetches the line.
-    EXPECT_GT(st.access(0, 0, LockEvent::AcquireSuccess), 0u);
-    EXPECT_EQ(st.access(0, 0, LockEvent::Release), 0u);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::AcquireSuccess), 1u);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::Release), 0u);
     // Undisturbed reacquire: pure cache hit (the paper's key point).
-    EXPECT_EQ(st.access(0, 0, LockEvent::AcquireSuccess), 0u);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::AcquireSuccess), 0u);
 }
 
 TEST(SyncBus, CachedHandoffCostsOneBusOp)
 {
     MachineConfig cfg;
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 4);
     st.access(0, 0, LockEvent::AcquireSuccess);
     st.access(0, 0, LockEvent::Release);
-    EXPECT_EQ(st.access(1, 0, LockEvent::AcquireSuccess),
-              cfg.busMissStall);
+    EXPECT_EQ(cachedOps(st, 1, 0, LockEvent::AcquireSuccess), 1u);
 }
 
 TEST(SyncBus, CachedSpinHitsAfterFirstPoll)
 {
     MachineConfig cfg;
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 4);
     st.access(0, 0, LockEvent::AcquireSuccess);
-    EXPECT_EQ(st.access(1, 0, LockEvent::AcquireFail),
-              cfg.busMissStall); // first poll fetches
-    EXPECT_EQ(st.access(1, 0, LockEvent::AcquireFail), 0u); // spins hit
+    // First poll fetches; later spins hit.
+    EXPECT_EQ(cachedOps(st, 1, 0, LockEvent::AcquireFail), 1u);
+    EXPECT_EQ(cachedOps(st, 1, 0, LockEvent::AcquireFail), 0u);
     // Release by owner invalidates the spinner's copy.
-    EXPECT_EQ(st.access(0, 0, LockEvent::Release), cfg.busMissStall);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::Release), 1u);
 }
 
 TEST(SyncBus, BothProtocolsCountedSimultaneously)
 {
-    MachineConfig cfg; // active: sync bus
+    MachineConfig cfg;
     SyncTransport st(cfg, 4);
     st.access(0, 1, LockEvent::AcquireSuccess);
     st.access(0, 1, LockEvent::Release);
     st.access(0, 1, LockEvent::AcquireSuccess);
     const auto &c = st.counts(1);
-    EXPECT_EQ(c.uncachedOps, 2 * cfg.syncOpsPerAcquire + 1);
+    EXPECT_EQ(c.uncachedOps, 2 * syncOpsPerAcquire + 1);
     // Cached model: fetch, free release, free reacquire.
     EXPECT_EQ(c.cachedOps, 1u);
     EXPECT_GT(st.uncachedStallTotal(), st.cachedStallTotal());
@@ -109,7 +118,7 @@ TEST(SyncBus, HighLocalityMeansFewCachedOps)
     // Table 12's last column: caching slashes the bus operations.
     EXPECT_EQ(st.counts(0).cachedOps, 1u);
     EXPECT_EQ(st.counts(0).uncachedOps,
-              100u * (cfg.syncOpsPerAcquire + 1));
+              100u * (syncOpsPerAcquire + 1));
 }
 
 TEST(SyncBus, OutOfRangeLockIdRaisesTypedError)
@@ -135,7 +144,6 @@ TEST(SyncBus, OutOfRangeLockIdRaisesTypedError)
 TEST(SyncBus, OutOfRangeHandoffPeerRaisesTypedError)
 {
     MachineConfig cfg;
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 4);
     // A hand-off peer comes from a lock's wait queue, which a snapshot
     // restores; one that is no CPU (here 64, a shift past the mask's
@@ -153,65 +161,55 @@ TEST(SyncBus, OutOfRangeHandoffPeerRaisesTypedError)
 
 TEST(SyncBus, TicketCostsUnderBothModels)
 {
-    MachineConfig cfg; // active: sync bus
+    MachineConfig cfg;
     SyncTransport st(cfg, 2);
     // Fetch-and-add take costs a full emulated RMW; polls and the
     // now-serving bump are single transactions.
     EXPECT_EQ(st.access(0, 0, LockEvent::TicketTake),
-              Cycle(cfg.syncOpsPerAcquire) * cfg.syncBusOpCycles);
-    EXPECT_EQ(st.access(1, 0, LockEvent::TicketPoll),
-              cfg.syncBusOpCycles);
-    EXPECT_EQ(st.access(0, 0, LockEvent::TicketRelease),
-              cfg.syncBusOpCycles);
+              Cycle(syncOpsPerAcquire) * syncBusOpCycles);
+    EXPECT_EQ(st.access(1, 0, LockEvent::TicketPoll), syncBusOpCycles);
+    EXPECT_EQ(st.access(0, 0, LockEvent::TicketRelease), syncBusOpCycles);
 }
 
 TEST(SyncBus, CachedTicketReacquireUndisturbedIsFree)
 {
     MachineConfig cfg;
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 2);
-    EXPECT_EQ(st.access(0, 0, LockEvent::TicketTake),
-              cfg.busMissStall); // first touch fetches the line
-    EXPECT_EQ(st.access(0, 0, LockEvent::TicketRelease), 0u);
+    // First touch fetches the line.
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::TicketTake), 1u);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::TicketRelease), 0u);
     // Undisturbed re-take: still the sole owner, pure cache hit.
-    EXPECT_EQ(st.access(0, 0, LockEvent::TicketTake), 0u);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::TicketTake), 0u);
 }
 
 TEST(SyncBus, CachedMcsLocalSpinHitsUntilHandoff)
 {
     MachineConfig cfg;
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 2);
-    EXPECT_EQ(st.access(0, 0, LockEvent::McsSwap), cfg.busMissStall);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::McsSwap), 1u);
     // Enqueue: tail swap + the link write into the holder's node.
-    EXPECT_EQ(st.access(1, 0, LockEvent::McsEnqueue),
-              2 * cfg.busMissStall);
+    EXPECT_EQ(cachedOps(st, 1, 0, LockEvent::McsEnqueue), 2u);
     // The waiter fetches its own queue node once, then spins locally
     // for free -- the MCS advantage the global-spin primitives lack.
-    EXPECT_EQ(st.access(1, 0, LockEvent::McsLocalPoll),
-              cfg.busMissStall);
-    EXPECT_EQ(st.access(1, 0, LockEvent::McsLocalPoll), 0u);
+    EXPECT_EQ(cachedOps(st, 1, 0, LockEvent::McsLocalPoll), 1u);
+    EXPECT_EQ(cachedOps(st, 1, 0, LockEvent::McsLocalPoll), 0u);
     EXPECT_EQ(st.qnodeAtMask(0), uint64_t(1) << 1);
     // Hand-off writes the successor's node, invalidating its copy...
-    EXPECT_EQ(st.access(0, 0, LockEvent::McsHandoff, 1),
-              cfg.busMissStall);
+    EXPECT_EQ(cachedOps(st, 0, 0, LockEvent::McsHandoff, 1), 1u);
     EXPECT_EQ(st.qnodeAtMask(0), 0u);
     // ...so the next poll refetches (and sees the grant).
-    EXPECT_EQ(st.access(1, 0, LockEvent::McsLocalPoll),
-              cfg.busMissStall);
+    EXPECT_EQ(cachedOps(st, 1, 0, LockEvent::McsLocalPoll), 1u);
 }
 
 TEST(SyncBus, UncachedMcsLocalPollStillCrossesTheBus)
 {
-    MachineConfig cfg; // active: sync bus (never cached)
+    MachineConfig cfg;
     SyncTransport st(cfg, 2);
     st.access(1, 0, LockEvent::McsEnqueue);
-    // Without cached locks the "local" spin degenerates to a bus
-    // crossing per poll: MCS only pays off with cached lock RMW.
-    EXPECT_EQ(st.access(1, 0, LockEvent::McsLocalPoll),
-              cfg.syncBusOpCycles);
-    EXPECT_EQ(st.access(1, 0, LockEvent::McsLocalPoll),
-              cfg.syncBusOpCycles);
+    // Sync RAM is never cached, so the "local" spin degenerates to a
+    // bus crossing per poll: MCS only pays off with cached lock RMW.
+    EXPECT_EQ(st.access(1, 0, LockEvent::McsLocalPoll), syncBusOpCycles);
+    EXPECT_EQ(st.access(1, 0, LockEvent::McsLocalPoll), syncBusOpCycles);
 }
 
 TEST(SyncBus, RcuReadPathIsFreeAndSyncChargesPerCpu)
@@ -225,7 +223,7 @@ TEST(SyncBus, RcuReadPathIsFreeAndSyncChargesPerCpu)
     // A grace period waits on every other CPU: numCpus - 1 ops under
     // both models.
     EXPECT_EQ(st.access(0, 0, LockEvent::RcuSync),
-              Cycle(cfg.numCpus - 1) * cfg.syncBusOpCycles);
+              Cycle(cfg.numCpus - 1) * syncBusOpCycles);
     EXPECT_EQ(st.counts(0).uncachedOps, cfg.numCpus - 1);
     EXPECT_EQ(st.counts(0).cachedOps, cfg.numCpus - 1);
 }
@@ -283,7 +281,6 @@ TEST(SyncBus, RestoreRejectsPhantomQnodeMask)
 TEST(SyncBus, RoundTripRestoresMasksAndCounters)
 {
     MachineConfig cfg;
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 2);
     st.access(0, 0, LockEvent::McsSwap);
     st.access(1, 0, LockEvent::McsEnqueue);
@@ -307,7 +304,6 @@ TEST(SyncBus, SixtyFourCpuCachedMaskUsesHighBits)
     MachineConfig cfg;
     cfg.numCpus = 64;
     cfg.memBytes = 1024 * 1024; // keep the big machine's test cheap
-    cfg.cachedLockRmw = true;
     SyncTransport st(cfg, 4);
     // CPU 63's fetch must set bit 63, not alias into the low word.
     st.access(63, 0, LockEvent::AcquireSuccess);
